@@ -1,26 +1,25 @@
 #!/usr/bin/env python3
 """Record the benchmark's reference outputs into perfbench/reference.json.
 
-Records every bound and evaluation count of tables 3-5 and of the D = 200
-rows of table1, the `series` bounds and the `oracle` energies at the
-default seed.  Before writing, every recorded bound must pass its published
-table reference at the row tolerance in spikevar.tables, so the reference
-cannot drift from the paper unnoticed.  Takes about 70 s on one core.
+Records every bound and evaluation count of tables 3-5, the bounds of the
+`series` call at SERIES_DEFAULT and the `oracle` energies at the default
+seed.  Before writing, every recorded bound must pass its published table
+reference at the row tolerance in spikevar.tables, so the reference cannot
+drift from the paper unnoticed (selftest.py repeats the check on
+the committed file).  Takes about 50 s on one core.
 
-    python3 perfbench/record.py           # record and check
-    python3 perfbench/record.py --check   # check the committed file only
+    python3 perfbench/record.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 import run  # pins BLAS before numpy is imported
 
 REFERENCE = run.HERE / "reference.json"
-ROW_TABLES = ("table1", "table3", "table4", "table5")
+ROW_TABLES = ("table3", "table4", "table5")
 
 
 def published_mismatches(reference: dict) -> list[str]:
@@ -30,8 +29,7 @@ def published_mismatches(reference: dict) -> list[str]:
 
     problems = []
     for tid in ROW_TABLES:
-        rows = [r for r in builtin_job(tid).rows if tid != "table1" or r.D == 200]
-        for row in rows:
+        for row in builtin_job(tid).rows:
             rec = reference["rows"].get(tid, {}).get(row.label)
             if rec is None:
                 problems.append(f"{tid} {row.label}: not recorded")
@@ -44,15 +42,12 @@ def published_mismatches(reference: dict) -> list[str]:
 def record() -> dict:
     from spikevar.hamiltonian import PotentialSpec
     from spikevar.optimizer import converge_to_digits
-    from spikevar.tables import TableJob, builtin_job, run_table
+    from spikevar.tables import builtin_job, run_table
     import workloads as wk
 
     rows = {}
     for tid in ROW_TABLES:
-        job = builtin_job(tid)
-        if tid == "table1":
-            job = TableJob(tid, tuple(r for r in job.rows if r.D == 200))
-        report = run_table(job, include_slow=True)
+        report = run_table(builtin_job(tid), include_slow=True)
         rows[tid] = {r.label: {"bound": r.bound, "evaluations": r.evaluations}
                      for r in report.rows}
     lam, alpha = wk.SERIES_DEFAULT
@@ -70,22 +65,16 @@ def record() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="only check the committed reference")
-    args = parser.parse_args(argv)
+def main() -> int:
     run._import_package()
-    reference = json.loads(REFERENCE.read_text()) if args.check else record()
+    reference = record()
     problems = published_mismatches(reference)
     for p in problems:
         print("MISMATCH", p)
     if problems:
         return 1
-    if not args.check:
-        REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")
-        print(f"wrote {REFERENCE}")
-    print("every recorded bound passes its published reference")
+    REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")
+    print(f"wrote {REFERENCE}; every recorded bound passes its published reference")
     return 0
 
 

@@ -1,27 +1,33 @@
 #!/usr/bin/env python3
-"""spikevar benchmark: four workloads, end-to-end metrics and a layer trace.
+"""spikevar benchmark: three workloads, end-to-end metrics and a layer trace.
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload tables --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload tables --seed 0 --seconds 35 --trace 0
 
 Workloads (see BENCHMARK.json for why each exists): `tables` (seeded rows of
-tables 3-5), `large_D` (the D = 200 rows of table1), `series` (`converge`
-with a non-even alpha), `oracle` (shooting eigenvalues).  The package is
-imported from `src/` of the same checkout and driven only through
-`spikevar.cli.main` and `spikevar.tables.run_table`, serially, with BLAS
-pinned to one thread.
+tables 3-5), `series` (`converge` with a non-even alpha), `oracle`
+(shooting eigenvalues).  The package is imported from `src/` of the same
+checkout and driven only through `spikevar.cli.main` and
+`spikevar.tables.run_table`, serially, with BLAS pinned to one thread.
 
---trace 0 repeats one seeded pass of the workload for --seconds and prints
-the end-to-end metrics: wall_s (median pass), item_s.p50 (median row,
-converge call or eigenvalue), setup_s (median of fresh interpreters that
-import the package and build the inputs) and peak_rss_mb.  --trace 1 runs
-one untraced pass and two traced passes (tracing.py) and prints per-layer
-time and counts per pass, plus the tracing overhead.  Every output is
-checked; failed/attempted in the result is the failure fraction.
+--trace 0 repeats the items of one seeded pass for --seconds and prints the
+end-to-end metrics: pass_s (time of one pass), item_s.p50 (median time of
+a row, converge call or eigenvalue), setup_s (median time for a fresh
+interpreter to import the package and build the inputs) and peak_rss_mb.
+The host's speed drifts by tens of percent within a run and between runs,
+so each of these times is measured against a fixed calibration probe run
+just before it and reported at the probe's reference speed (CAL_REF_S).
+--trace 1 runs one untraced pass and two traced passes (tracing.py) and
+prints per-layer time and counts per pass, plus the tracing overhead; it
+fails if less than 90% of a traced pass is spent inside the wrapped
+bindings.  Every output is checked; failed/attempted in the result is the
+failure fraction.
 
-Out of scope: the table2 slow rows (lambda = 1 at D = 350 and lambda = 0.01
-at D = 1000 take 37 s and 97 s per pass) wait until cheaper matrix elements
+Out of scope: the two D = 200 rows of table1 take ~6 s each, too few
+repetitions in one run for a steady time, and `tables` covers the same
+layers; the table2 slow rows (lambda = 1 at D = 350 and lambda = 0.01 at
+D = 1000 take 37 s and 97 s per pass) wait until cheaper matrix elements
 and search make them affordable.  benchmarks/bench_core.py stays as the
 README points to it; its kernel timing is superseded by oracle.ns_per_step.
 """
@@ -49,9 +55,16 @@ from pathlib import Path  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_PROBES = 5
+SETUP_PROBES = 11
+# calibration time before an item, as a share of the item's last time
+CAL_SHARE = 0.1
+# a calibration probe's time on an unloaded core of a 2.1 GHz x86-64 host
+# (Python 3.11, OpenBLAS): the end-to-end times are in these units
+CAL_REF_S = 0.012
 TRACED_PASSES = 2
-E2E_UNITS = {"wall_s": "s", "item_s.p50": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
+# share of a traced pass that must be spent inside the wrapped bindings
+ATTRIBUTED_MIN = 0.9
+E2E_UNITS = {"pass_s": "s", "item_s.p50": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
 
 
 class HarnessError(RuntimeError):
@@ -138,16 +151,52 @@ def env_stamp(seed: int) -> dict:
 
 
 def setup_seconds(workload: str, seed: int) -> float:
-    """Median time for a fresh interpreter to reach the first timed item;
-    each probe reports its own end, so its exit is not counted."""
+    """Median time for a fresh interpreter to reach the first timed item,
+    in calibration units as in measure(); each probe reports its own end,
+    so its exit is not counted."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
            "--seed", str(seed), "--setup-probe"]
-    times = []
+    ratios = []
     for _ in range(SETUP_PROBES):
+        probe = calibrate(0.0)
         start = time.time()
         out = subprocess.run(cmd + [repr(start)], check=True, timeout=60, cwd=ROOT,
                              capture_output=True, text=True).stdout
-        times.append(float(out))
+        ratios.append(float(out) / probe)
+    return CAL_REF_S * statistics.median(ratios)
+
+
+_CAL_MATRIX = None
+
+
+def calibration_probe() -> float:
+    """Seconds taken by a fixed computation that does not use spikevar:
+    a pure-Python float loop and small numpy/LAPACK calls, like the
+    workloads' mix.  The shared host's speed drifts by tens of percent
+    over seconds and minutes and moves this probe and the items much
+    alike, so an item's time over the probe's varies far less than
+    either time alone."""
+    global _CAL_MATRIX
+    import numpy as np
+
+    if _CAL_MATRIX is None:
+        m = np.sin(np.arange(1600.0)).reshape(40, 40)
+        _CAL_MATRIX = m + m.T
+    t0 = time.perf_counter()
+    acc = 0.0
+    for i in range(150_000):
+        acc += i * 0.5
+    for _ in range(25):
+        np.linalg.eigh(_CAL_MATRIX)
+        (_CAL_MATRIX @ _CAL_MATRIX).sum()
+    return time.perf_counter() - t0
+
+
+def calibrate(seconds: float) -> float:
+    """Median probe time over at least one probe and about `seconds`."""
+    times = [calibration_probe()]
+    while sum(times) < seconds:
+        times.append(calibration_probe())
     return statistics.median(times)
 
 
@@ -160,15 +209,16 @@ def _wall(items) -> float:
     return sum(i.seconds for i in items)
 
 
-def run_pass(wl, inputs, span) -> list:
+def run_item(key, call, span):
     from workloads import Item
 
-    items = []
-    for key, call in wl.calls(inputs):
-        t0 = time.perf_counter()
-        value, stable = call(span)
-        items.append(Item(key, time.perf_counter() - t0, value, stable))
-    return items
+    t0 = time.perf_counter()
+    value, stable = call(span)
+    return Item(key, time.perf_counter() - t0, value, stable)
+
+
+def run_pass(wl, inputs, span) -> list:
+    return [run_item(key, call, span) for key, call in wl.calls(inputs)]
 
 
 def check_passes(wl, inputs, passes, reference, seed) -> None:
@@ -181,15 +231,35 @@ def check_passes(wl, inputs, passes, reference, seed) -> None:
 
 
 def measure(wl, inputs, reference, seed, seconds):
-    """Untraced passes for `seconds`; returns (end-to-end metrics, passes)."""
-    passes = []
+    """One whole pass, then its items again in turn while each one's last
+    time still fits in `seconds`; returns (end-to-end metrics, passes).
+
+    Each item is timed in units of the calibration probes run just before
+    it (see calibration_probe); an item's time is the median of these
+    ratios over its repetitions, times CAL_REF_S.
+    """
+    calls = wl.calls(inputs)
+    ratios = [[] for _ in calls]
+    passes = [[]]
     start = time.perf_counter()
-    while not passes or time.perf_counter() - start + _wall(passes[-1]) <= seconds:
-        passes.append(run_pass(wl, inputs, _nospan))
+    while True:
+        if len(passes[-1]) == len(calls):
+            passes.append([])
+        i = len(passes[-1])
+        last = passes[-2][i].seconds if len(passes) > 1 else 0.0
+        if len(passes) > 1 and time.perf_counter() - start + last > seconds:
+            break
+        probe = calibrate(CAL_SHARE * last)
+        item = run_item(*calls[i], _nospan)
+        ratios[i].append(item.seconds / probe)
+        passes[-1].append(item)
+    if not passes[-1]:
+        passes.pop()
     check_passes(wl, inputs, passes, reference, seed)
+    times = [CAL_REF_S * statistics.median(r) for r in ratios]
     metrics = {
-        "wall_s": statistics.median(_wall(items) for items in passes),
-        "item_s.p50": statistics.median(i.seconds for items in passes for i in items),
+        "pass_s": sum(times),
+        "item_s.p50": statistics.median(times),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     return metrics, passes
@@ -230,6 +300,16 @@ def measure_traced(wl, inputs, reference, seed):
     return metrics, passes, dict(tracer.calls)
 
 
+def check_attributed(metrics: dict, workload: str) -> None:
+    """Refuse a trace whose wrapped bindings miss much of the pass's time:
+    work has moved to a path the trace does not see."""
+    frac = metrics["trace.attributed_frac"]
+    if not frac >= ATTRIBUTED_MIN:
+        raise HarnessError(
+            f"the traced bindings cover {frac:.3f} of the {workload} pass's time, "
+            f"below {ATTRIBUTED_MIN}; a call path may bypass tracing.BINDINGS")
+
+
 def summarize(passes) -> tuple[int, int, list[str]]:
     """(attempted, failed, messages) over every item of every pass."""
     items = [i for its in passes for i in its]
@@ -258,9 +338,9 @@ def check_declared(metrics: dict, units: dict, trace: bool) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=("tables", "large_D", "series", "oracle"))
+                        choices=("tables", "series", "oracle"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     # internal: the parent's time.time() at launch; prints the setup time
     parser.add_argument("--setup-probe", type=float, help=argparse.SUPPRESS)
@@ -275,10 +355,12 @@ def main(argv=None) -> int:
         metrics, passes, binding_calls = measure_traced(wl, inputs, reference, args.seed)
         units = {k: per_layer_unit(k) for k in metrics}
         print("calls per traced binding:", json.dumps(binding_calls))
+        check_attributed(metrics, args.workload)
     else:
-        setup = setup_seconds(args.workload, args.seed)
         metrics, passes = measure(wl, inputs, reference, args.seed, args.seconds)
-        metrics["setup_s"] = setup
+        # after the timed passes, so launching the probes does not disturb the
+        # caches and memory the first pass starts with
+        metrics["setup_s"] = setup_seconds(args.workload, args.seed)
         units = E2E_UNITS
     check_declared(metrics, units, bool(args.trace))
     attempted, failed, messages = summarize(passes)

@@ -7,7 +7,8 @@ Checks that every metric the runner prints is declared in BENCHMARK.json
 with the same unit, in both modes and on every workload; that a bound
 perturbed by 1e-6 from its recorded value is counted as failed; that
 BENCHMARK.json encodes the layer predictions with a one-line why per
-workload; that the traced run refuses a missing or bypassed binding; and
+workload; that the traced run refuses a missing or bypassed binding and a
+trace that attributes less than 90% of a pass to the wrapped bindings; and
 that the recorded reference passes the published table values.
 """
 
@@ -31,23 +32,22 @@ from spikevar.tables import RowResult, builtin_job  # noqa: E402
 _ROW = [("table1", next(r for r in builtin_job("table1").rows if r.label == "D=1 (A,B)"))]
 TINY = {
     "tables": _ROW,
-    "large_D": _ROW,
-    "series": {"lam": 0.1, "alpha": 2.5, "schedule": (1, 2)},
+    "series": [{"key": "converge", "lam": 0.1, "alpha": 2.5, "schedule": (1, 2)}],
     "oracle": [c for c in wk.build_oracle(1) if c["key"].startswith(("exact(1,1)", "spike"))][:3],
 }
 
 # the prediction table: layers that carry work on a workload, and layers
 # that must stay idle there (predicted flat)
 PREDICTIONS = {
-    "tables": ({"tables"}, {"tables", "large_D"}, {"series", "oracle"}),
-    "optimizer": ({"optimizer"}, {"tables", "large_D", "series"}, {"oracle"}),
-    "hamiltonian": ({"hamiltonian"}, {"tables", "large_D"}, {"oracle"}),
+    "tables": ({"tables"}, {"tables"}, {"series", "oracle"}),
+    "optimizer": ({"optimizer"}, {"tables", "series"}, {"oracle"}),
+    "hamiltonian": ({"hamiltonian"}, {"tables"}, {"oracle"}),
     "matelem closed": ({"matelem.power", "matelem.inv_closed"},
-                       {"tables", "large_D"}, {"oracle"}),
+                       {"tables"}, {"oracle"}),
     "matelem series": ({"matelem.inv_series"}, {"series"},
-                       {"tables", "large_D", "oracle"}),
-    "eigensolver": ({"eigensolver"}, {"large_D"}, {"oracle"}),
-    "oracle": ({"oracle"}, {"oracle"}, {"tables", "large_D", "series"}),
+                       {"tables", "oracle"}),
+    "eigensolver": ({"eigensolver"}, {"tables"}, {"oracle"}),
+    "oracle": ({"oracle"}, {"oracle"}, {"tables", "series"}),
 }
 
 failures: list[str] = []
@@ -92,14 +92,14 @@ def test_perturbed_bound(reference) -> None:
         expect(failed == want_failed and attempted == 1,
                f"table bound recorded {delta:+g}: fail_frac {failed}/{attempted}")
 
-    inputs = wk.build_series(wk.DEFAULT_SEED)
+    inputs = wk.build_series(wk.DEFAULT_SEED)[:1]
     steps = reference["series"]["steps"]
     out = "".join(json.dumps({"D": s["D"], "bound": s["bound"] + 1e-6 * (i == 1),
                               "error": None}) + "\n" for i, s in enumerate(steps))
     items = [wk.Item("converge", 1.0, (0, out))]
     wk.check_series(inputs, items, reference, wk.DEFAULT_SEED)
     expect(run.summarize([items])[1] == 1,
-           "series bound recorded +1e-06 at the default seed is counted as failed")
+           "series bound recorded +1e-06 is counted as failed")
 
 
 def test_predictions() -> None:
@@ -147,6 +147,22 @@ def test_binding_guard(reference) -> None:
     expect(ok, "a layer whose calls contradict the prediction fails the traced run")
 
 
+def test_attribution() -> None:
+    # a 1 s cli span around a 0.5 s oracle span with a 0.3 s sweep inside:
+    # only the oracle's time is inside the wrapped bindings
+    spans = [["cli", 0.0, 1.0, -1, 0.5, None], ["oracle", 0.25, 0.75, 0, 0.3, None],
+             ["oracle.sweep", 0.3, 0.6, 1, 0.0, 100]]
+    metrics = tracing.layer_metrics(spans, 1.0)
+    expect(abs(metrics["trace.attributed_frac"] - 0.5) < 1e-12,
+           f"harness span time is not attributed ({metrics['trace.attributed_frac']:.3f})")
+    try:
+        run.check_attributed(metrics, "oracle")
+        ok = False
+    except run.HarnessError as exc:
+        ok = "0.500" in str(exc)
+    expect(ok, "a trace attributing less than 90% of the pass fails")
+
+
 def main() -> int:
     reference = json.loads((run.HERE / "reference.json").read_text())
     problems = record.published_mismatches(reference)
@@ -154,6 +170,7 @@ def main() -> int:
     test_predictions()
     test_perturbed_bound(reference)
     test_binding_guard(reference)
+    test_attribution()
     test_metric_names(reference)
     print(f"{len(failures)} failed" if failures else "all passed")
     return 1 if failures else 0

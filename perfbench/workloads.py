@@ -1,4 +1,4 @@
-"""Inputs and output checks for the four benchmark workloads.
+"""Inputs and output checks for the three benchmark workloads.
 
 Each workload turns a seed into a fixed list of inputs (one "pass"), maps
 them to calls into spikevar's public entry points (`spikevar.cli.main` and
@@ -6,9 +6,10 @@ them to calls into spikevar's public entry points (`spikevar.cli.main` and
 eigenvalue, and checks every output.  The runner times the calls and
 repeats the pass, so outputs of repeated passes must agree exactly.
 
-Seed 0 is the default seed: its inputs are the ones recorded in
-`reference.json`, and only at seed 0 are the series and oracle outputs
-compared with recorded values.
+Seed 0 is the default seed: only at seed 0 are the oracle outputs compared
+with the values recorded in `reference.json`.  Table rows and the series
+call at SERIES_DEFAULT are compared with their recorded values at every
+seed.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from spikevar import tables as sv_tables
 DEFAULT_SEED = 0
 BOUND_MATCH = 1e-9            # recorded-bound agreement for tables and series
 ORACLE_TOL = 1e-6             # the CLI's default shooting tolerance
-SERIES_SCHEDULE = (10, 20, 40)
+SERIES_SCHEDULE = (10, 20)
 SERIES_DIGITS = 6
-SERIES_DEFAULT = (0.1, 2.5)   # (lambda, alpha) at the default seed
+SERIES_DEFAULT = (0.1, 2.5)   # (lambda, alpha) of the first call at every seed
+SERIES_CALLS = 3
 # exactly solvable table4 potentials r^2 + b r^-4 + c r^-6: (a, b, c, E0)
 EXACT_CASES = ((1.0, 1.0, 1.0, 5.0), (1.0, 9.0, 9.0, 7.0),
                (1.0, -7.0, 49.0, 7.0), (1.0, 45.0, 225.0, 11.0))
@@ -65,34 +67,22 @@ def _run_cli(argv: list[str], span) -> tuple[tuple[int, str], tuple[int, str]]:
     return (rc, buf.getvalue()), (rc, buf.getvalue())
 
 
-# -- table rows (workloads `tables` and `large_D`) -------------------------
+# -- table rows (workload `tables`) ----------------------------------------
 
-# Tables 3-5 dealt into three groups of nine rows, three from each table,
-# balanced on row times (median of seven shuffled rounds on one core at the
-# commit that recorded reference.json; the groups agree within ~4%): all 27
-# rows take ~35 s, too long for one run, and a pass whose cost depended on
-# the seed would widen the spread between seeds.  Indices are positions in
-# each built-in job.
-TABLE_GROUPS = (
-    {"table3": (0, 2, 3), "table4": (0, 6, 7), "table5": (0, 6, 8)},
-    {"table3": (1, 7, 8), "table4": (1, 3, 4), "table5": (2, 4, 7)},
-    {"table3": (4, 5, 6), "table4": (2, 5, 8), "table5": (1, 3, 5)},
-)
+# Three rows from each of tables 3-5, the first, middle and last (N = 2, 6
+# and 10 of tables 3 and 5; (1,1,1), (1,100,100) and (1,45,225) of table4).
+# All 27 rows take ~28 s, too long to repeat in one run, and row subsets
+# picked by the seed, even when balanced on rows timed alone, differed by
+# ~10% in pass_s between subsets, well above the noise between seeds of one
+# subset; so the seed sets only the order.  Indices are positions in each
+# built-in job.
+TABLE_ROWS = {"table3": (0, 4, 8), "table4": (0, 4, 8), "table5": (0, 4, 8)}
 
 
 def build_tables(seed: int) -> list[tuple[str, sv_tables.TableRow]]:
-    """Group seed mod 3 of tables 3-5, in seeded order."""
-    group = TABLE_GROUPS[seed % len(TABLE_GROUPS)]
+    """TABLE_ROWS in seeded order."""
     rows = [(tid, sv_tables.builtin_job(tid).rows[i])
-            for tid, picks in group.items() for i in picks]
-    random.Random(seed).shuffle(rows)
-    return rows
-
-
-def build_large_D(seed: int) -> list[tuple[str, sv_tables.TableRow]]:
-    """The two slow D = 200 rows of table1, in seeded order."""
-    rows = [("table1", r) for r in sv_tables.builtin_job("table1").rows
-            if r.slow and r.D == 200]
+            for tid, picks in TABLE_ROWS.items() for i in picks]
     random.Random(seed).shuffle(rows)
     return rows
 
@@ -105,7 +95,9 @@ def _run_row(row: sv_tables.TableRow, span):
 
 
 def row_calls(inputs):
-    # one run_table call per row, so each row is timed on its own
+    # one run_table call per row, so each row is timed on its own; the
+    # CLI's `table` command runs only whole tables, so its JSON emit path
+    # is left out
     return [(f"{tid}:{row.label}", functools.partial(_run_row, row))
             for tid, row in inputs]
 
@@ -129,54 +121,59 @@ def check_rows(inputs, items, reference, seed) -> None:
 
 # -- converge with non-even alpha (workload `series`) ----------------------
 
-def build_series(seed: int) -> dict:
-    """Alpha uniform in [2.2, 3.8], lambda log-uniform in [0.05, 0.2].
+def build_series(seed: int) -> list[dict]:
+    """SERIES_DEFAULT, then seeded lambda log-uniform in [0.05, 0.2] and
+    alpha uniform in [2.2, 3.8], one converge call each.
 
-    The schedule stops at D = 40 and lambda stays near 0.1 so that a run
-    repeats the converge call about four times at a seed-independent cost:
-    with D = 80 one call takes ~15 s, and over lambda in [0.01, 10] the
-    search's evaluation count at D = 10 and 20 varies by up to 45%.
+    The schedule stops at D = 20 and there are three short calls, not one
+    long one, so that a run repeats each call about six times: a single
+    converge call's time varies by ~15% from one repetition to the next,
+    and with D = 40 (~4 s a call) a run held too few repetitions for a
+    steady median.  Lambda stays near 0.1 because over [0.01, 10] the
+    search's evaluation count varies by up to 45% with it.
     """
-    lam, alpha = SERIES_DEFAULT
-    if seed != DEFAULT_SEED:
-        rng = random.Random(seed)
-        lam = math.exp(rng.uniform(math.log(0.05), math.log(0.2)))
-        alpha = rng.uniform(2.2, 3.8)
-    return {"lam": lam, "alpha": alpha, "schedule": SERIES_SCHEDULE}
+    rng = random.Random(seed)
+    terms = [SERIES_DEFAULT] + [
+        (math.exp(rng.uniform(math.log(0.05), math.log(0.2))), rng.uniform(2.2, 3.8))
+        for _ in range(SERIES_CALLS - 1)]
+    return [{"key": f"converge({lam:.6g},{alpha:.6g})", "lam": lam, "alpha": alpha,
+             "schedule": SERIES_SCHEDULE} for lam, alpha in terms]
 
 
-def series_argv(inputs: dict) -> list[str]:
-    return ["converge", f"--term={inputs['lam']!r}:{inputs['alpha']!r}",
-            "--schedule", ",".join(map(str, inputs["schedule"])),
+def series_argv(case: dict) -> list[str]:
+    return ["converge", f"--term={case['lam']!r}:{case['alpha']!r}",
+            "--schedule", ",".join(map(str, case["schedule"])),
             "--digits", str(SERIES_DIGITS), "--format", "json"]
 
 
 def series_calls(inputs):
     # the CLI splits converge's wall time evenly over its rows, so the item
     # is the whole converge call
-    return [("converge", functools.partial(_run_cli, series_argv(inputs)))]
+    return [(case["key"], functools.partial(_run_cli, series_argv(case)))
+            for case in inputs]
 
 
 def check_series(inputs, items, reference, seed) -> None:
-    (item,) = items
-    rc, out = item.value
-    if rc != 0:
-        item.failures.append(f"converge exited {rc}")
-        return
-    rows = [json.loads(line) for line in out.splitlines()]
-    bounds = [r["bound"] for r in rows]
-    if any(r["error"] for r in rows) or None in bounds:
-        item.failures.append("a schedule step raised")
-        return
-    steps = [r["D"] for r in rows]
-    for i in range(1, len(rows)):
-        if bounds[i] > bounds[i - 1]:
-            item.failures.append(f"bound rose from D={steps[i - 1]} to D={steps[i]}")
-    if seed == DEFAULT_SEED:
-        want = [s["bound"] for s in reference["series"]["steps"]]
-        if len(want) != len(bounds) or any(
-                not abs(b - w) <= BOUND_MATCH for b, w in zip(bounds, want)):
-            item.failures.append(f"bounds {bounds} differ from recorded {want}")
+    del seed  # the SERIES_DEFAULT call is checked at every seed
+    for case, item in zip(inputs, items):
+        rc, out = item.value
+        if rc != 0:
+            item.failures.append(f"converge exited {rc}")
+            continue
+        rows = [json.loads(line) for line in out.splitlines()]
+        bounds = [r["bound"] for r in rows]
+        if any(r["error"] for r in rows) or None in bounds:
+            item.failures.append("a schedule step raised")
+            continue
+        steps = [r["D"] for r in rows]
+        for i in range(1, len(rows)):
+            if bounds[i] > bounds[i - 1]:
+                item.failures.append(f"bound rose from D={steps[i - 1]} to D={steps[i]}")
+        if (case["lam"], case["alpha"]) == SERIES_DEFAULT:
+            want = [s["bound"] for s in reference["series"]["steps"]]
+            if len(want) != len(bounds) or any(
+                    not abs(b - w) <= BOUND_MATCH for b, w in zip(bounds, want)):
+                item.failures.append(f"bounds {bounds} differ from recorded {want}")
 
 
 # -- shooting eigenvalues (workload `oracle`) ------------------------------
@@ -245,7 +242,6 @@ def check_oracle(inputs, items, reference, seed) -> None:
 
 WORKLOADS = {
     "tables": Workload("tables", build_tables, row_calls, check_rows),
-    "large_D": Workload("large_D", build_large_D, row_calls, check_rows),
     "series": Workload("series", build_series, series_calls, check_series),
     "oracle": Workload("oracle", build_oracle, oracle_calls, check_oracle),
 }
