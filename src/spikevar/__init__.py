@@ -2,14 +2,10 @@
 anharmonic potentials, with closed-form matrix elements in a two-parameter
 solvable basis and an independent shooting-method check."""
 
-from .basis import ModelParams, gk_energy, gk_wavefunction
+from .basis import ModelParams, gk_energy, gk_wavefunction, hyp1f1_terminating
 from .eigensolver import Spectrum, eigen_symmetric
 from .hamiltonian import PotentialSpec, SymMatrix, assemble
-from .matelem import (
-    inv_power_element,
-    inv_power_element_closed,
-    power_element,
-)
+from .matelem import inv_power_element, power_element
 from .optimizer import (
     BoundResult,
     ConvergenceRun,
@@ -18,13 +14,6 @@ from .optimizer import (
     minimize_bound,
 )
 from .oracle import OracleResult, ShootingError, shoot_eigenvalue
-from .specfun import (
-    SignedLogValue,
-    hyp1f1_terminating,
-    hyp3f2_terminating,
-    ln_pochhammer,
-    pochhammer,
-)
 from .tables import TableJob, TableReport, TableRow, builtin_job, run_table
 
 __version__ = "0.1.0"
@@ -38,7 +27,6 @@ __all__ = [
     "ConvergenceRun",
     "OracleResult",
     "ShootingError",
-    "SignedLogValue",
     "TableJob",
     "TableReport",
     "TableRow",
@@ -50,12 +38,8 @@ __all__ = [
     "gk_wavefunction",
     "ground_state_first_order",
     "hyp1f1_terminating",
-    "hyp3f2_terminating",
     "inv_power_element",
-    "inv_power_element_closed",
-    "ln_pochhammer",
     "minimize_bound",
-    "pochhammer",
     "power_element",
     "run_table",
     "shoot_eigenvalue",

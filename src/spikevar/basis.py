@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import hyp1f1_terminating
-
-__all__ = ["ModelParams", "gk_energy", "gk_wavefunction"]
+__all__ = ["ModelParams", "gk_energy", "gk_wavefunction", "hyp1f1_terminating"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,38 @@ class ModelParams:
     @property
     def gamma_N(self) -> float:
         return 1.0 + math.sqrt(self.A + (self.Lambda + 0.5) ** 2)
+
+
+def _neumaier_step(s: float, comp: float, term: float) -> tuple[float, float]:
+    """One compensated-summation update; returns the new (sum, compensation)."""
+    t = s + term
+    if abs(s) >= abs(term):
+        comp += (s - t) + term
+    else:
+        comp += (term - t) + s
+    return t, comp
+
+
+def hyp1f1_terminating(n: int, gamma: float, z: float) -> float:
+    """Terminating confluent series 1F1(-n; gamma; z).
+
+    Sum_{k=0}^{n} (-n)_k z^k / ((gamma)_k k!), an n-degree polynomial in z.
+    Terms are generated by the ratio recurrence
+    t_{k+1} = t_k (k - n) z / ((gamma + k)(k + 1)) and accumulated with
+    compensation, which keeps the alternating sums accurate for large n.
+    """
+    if n < 0:
+        raise ValueError("polynomial degree n must be >= 0")
+    if not gamma > 0.0:
+        raise ValueError(f"lower parameter must be > 0, got {gamma}")
+    s, comp = 1.0, 0.0
+    term = 1.0
+    for k in range(n):
+        term *= (k - n) * z / ((gamma + k) * (k + 1))
+        if term == 0.0:
+            break
+        s, comp = _neumaier_step(s, comp, term)
+    return s + comp
 
 
 def gk_energy(p: ModelParams, n: int) -> float:

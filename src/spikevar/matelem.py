@@ -1,303 +1,114 @@
-"""Closed-form matrix elements of r^(-alpha) and r^q in the solvable basis.
+"""Matrix elements of r^s in the solvable basis, from one connection formula.
 
-Singular operators r^(-alpha) have elements proportional to a terminating
-3F2 at unit argument; alpha = 2, 4, 6 collapse further to explicit radicals,
-and general even alpha to a single sum of alpha/2 terms.  Power operators
-r^q (even q) are banded: entries vanish for |m - n| > q/2 and the surviving
-band reduces to a finite sum with at most q/2 + 1 terms.
+The basis functions are orthonormal Laguerre functions of x = beta r^2 with
+parameter a = gamma_N - 1.  Expanding L_n^(a) in L_j^(b), b = a + s/2
+(DLMF 18.18.18), turns every element into
 
-Scalar entry functions are pure and symmetric in (m, n); `*_matrix` builders
-produce whole dense arrays vectorized over index grids for assembly.
+    <psi_m| r^s |psi_n> = beta^(-s/2) (C C^T)_mn,
+    C_nj = binom(s/2, n - j) sqrt(h_j^(b) / h_n^(a))    (j <= n, else 0),
+    h_k^(c) = Gamma(k + c + 1) / k!,
+
+valid for any real s with b > -1.  The (-1)^(m+n) phase of the basis is
+folded into binom(s/2, k) = (-1)^k (-s/2)_k / k!, so every term of an entry
+has the same sign and nothing cancels at any D.  For even q = s > 0 the
+binomials vanish exactly past k = q/2, which makes r^q exactly banded.
+
+ln h_k is accumulated as a sum of log1p(c/i) rather than a log-gamma
+difference, whose rounding grows with the argument; only the constant
+Gamma(b + 1)/Gamma(a + 1) goes through a gamma-function ratio.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import poch
 
 from .basis import ModelParams
-from .specfun import hyp3f2_terminating
 
 __all__ = [
     "inv_power_element",
-    "inv_power_element_closed",
     "power_element",
     "inv_power_matrix",
     "power_matrix",
 ]
 
 
-def _check_singular_ok(p: ModelParams, alpha: float) -> float:
-    g = p.gamma_N
-    if not alpha > 0.0:
-        raise ValueError(f"singular exponent alpha must be > 0, got {alpha}")
-    if not 2.0 * g > alpha:
-        raise ValueError(
-            f"r^(-{alpha}) element diverges: need 2*gamma_N > alpha, "
-            f"have gamma_N = {g:.6g}"
-        )
-    return g
+def _check_dim(D: int) -> None:
+    if D < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got {D}")
 
 
-def _check_indices(m: int, n: int) -> tuple[int, int]:
+def _check_indices(m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise ValueError("basis indices must be >= 0")
-    return (m, n) if m <= n else (n, m)
 
 
-def _ln_sqrt_ratio(g: float, lo: int, hi: int) -> float:
-    """ln sqrt(hi! (g)_lo / (lo! (g)_hi)) -- the off-diagonal radical."""
-    return 0.5 * (
-        math.lgamma(hi + 1.0)
-        - math.lgamma(lo + 1.0)
-        + math.lgamma(g + lo)
-        - math.lgamma(g + hi)
-    )
+@functools.lru_cache(maxsize=8)
+def _lower(D: int) -> np.ndarray:
+    """Mask of the j <= n triangle."""
+    mask = np.tri(D, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
-def inv_power_element(p: ModelParams, m: int, n: int, alpha: float) -> float:
-    """General element <psi_m| r^(-alpha) |psi_n>, any real alpha < 2*gamma_N.
-
-    Evaluated from the terminating-3F2 representation with the larger index
-    in the non-terminating slot; the value is symmetric in (m, n).  For even
-    alpha the upper parameter 1 - alpha/2 truncates the sum after alpha/2
-    terms on its own; for non-even alpha the full min(m, n)-degree polynomial
-    is summed (documented precision degrades past indices of a few hundred).
-    """
-    lo, hi = _check_indices(m, n)
-    g = _check_singular_ok(p, alpha)
-    half = 0.5 * alpha
-    f = hyp3f2_terminating(lo, g - half, 1.0 - half, g, 1.0 - half - hi)
-    if f == 0.0:
-        return 0.0
-    ln_pref = (
-        half * math.log(p.beta)
-        + math.lgamma(half + hi)
-        - math.lgamma(half)
-        - (math.lgamma(g + hi) - math.lgamma(g))
-        + math.lgamma(g - half)
-        - math.lgamma(g)
-        + 0.5 * (
-            math.lgamma(g + hi) - math.lgamma(g)
-            + math.lgamma(g + lo) - math.lgamma(g)
-            - math.lgamma(hi + 1.0)
-            - math.lgamma(lo + 1.0)
-        )
-    )
-    sign = 1.0 if (lo + hi) % 2 == 0 else -1.0
-    return sign * math.copysign(1.0, f) * math.exp(ln_pref + math.log(abs(f)))
+@functools.lru_cache(maxsize=32)
+def _binomial_toeplitz(half: float, D: int) -> np.ndarray:
+    """Read-only view T[n, j] = binom(half, n - j), zero for j > n."""
+    i = np.arange(1.0, D)
+    binom = np.cumprod(np.concatenate(([1.0], (half + 1.0 - i) / i)))
+    return sliding_window_view(np.concatenate((binom[::-1], np.zeros(D - 1))), D)[::-1]
 
 
-def inv_power_element_closed(p: ModelParams, m: int, n: int, alpha: int) -> float:
-    """Explicit closed forms of <psi_m| r^(-alpha) |psi_n> for even alpha.
-
-    alpha = 2, 4, 6 use the dedicated three-branch radicals; larger even
-    alpha falls through to the general single-sum route, which terminates
-    after alpha/2 terms by itself.  Requires gamma_N > alpha/2.
-    """
-    if alpha not in (2, 4, 6):
-        if alpha >= 8 and alpha % 2 == 0:
-            return inv_power_element(p, m, n, float(alpha))
-        raise ValueError(f"closed forms exist for even alpha only, got {alpha}")
-    lo, hi = _check_indices(m, n)
-    g = _check_singular_ok(p, float(alpha))
-    beta = p.beta
-    sign = 1.0 if (lo + hi) % 2 == 0 else -1.0
-    ratio = math.exp(_ln_sqrt_ratio(g, lo, hi)) if hi > lo else 1.0
-    if alpha == 2:
-        return beta / (g - 1.0) * (sign * ratio if hi > lo else 1.0)
-    if alpha == 4:
-        scale = beta**2 / (g * (g - 1.0) * (g - 2.0))
-        if hi == lo:
-            return scale * (g + 2.0 * lo)
-        return scale * sign * ratio * (g * (hi - lo + 1.0) + 2.0 * lo)
-    scale = beta**3 / ((g + 1.0) * g * (g - 1.0) * (g - 2.0) * (g - 3.0))
-    if hi == lo:
-        return scale * (g + g * g + 6.0 * g * lo + 6.0 * lo * lo)
-    bracket = (
-        (2.0 + hi) * (1.0 + hi) * g * (g + 1.0)
-        - 2.0 * lo * (1.0 + hi) * (g - 3.0) * (g + 1.0)
-        - lo * (1.0 - lo) * (g - 2.0) * (g - 3.0)
-    )
-    return scale * sign * ratio * bracket / 2.0
+def _half_ln_h(c: float, D: int) -> np.ndarray:
+    """0.5 ln(h_k^(c) / Gamma(c + 1)) for k < D."""
+    return 0.5 * np.concatenate(([0.0], np.cumsum(np.log1p(c / np.arange(1.0, D)))))
 
 
-def power_element(p: ModelParams, m: int, n: int, q: int) -> float:
-    """Banded element <psi_m| r^q |psi_n> for even positive q.
-
-    Exactly zero outside the band |m - n| <= q/2.  On the band the value is
-    the finite sum over k = max(0, hi - q/2) .. lo of
-
-        (-lo)_k (g + q/2)_k (-q/2 - k)_hi / ((g)_k k!)
-
-    times a log-domain prefactor; each term carries sign (-1)^(lo + k) and
-    every magnitude is a factorial ratio, so the whole entry is assembled
-    from log-gamma differences.  The index shift j = k - lo + t recovers the
-    textbook n = m + q/2 - t branch ordering; k-space avoids the spurious
-    0 * inf the factored branch forms develop when t > m.
-    """
-    if q <= 0 or q % 2:
-        raise ValueError(f"power exponent q must be an even positive integer, got {q}")
-    lo, hi = _check_indices(m, n)
-    half = q // 2
-    if hi - lo > half:
-        return 0.0
-    g = p.gamma_N
-    ln_beta = math.log(p.beta)
-    if hi - lo == half:
-        # single surviving term (k = lo): the radical
-        # sqrt((g + lo)_{q/2} * hi! / lo!) / beta^(q/2)
-        ln_mag = (
-            -half * ln_beta
-            + 0.5 * (
-                math.lgamma(g + hi) - math.lgamma(g + lo)
-                + math.lgamma(hi + 1.0) - math.lgamma(lo + 1.0)
-            )
-        )
-        return math.exp(ln_mag)
-    ln_pref = (
-        -half * ln_beta
-        + math.lgamma(g + half)
-        - math.lgamma(g)
-        - (math.lgamma(g + hi) - math.lgamma(g))
-        + 0.5 * (
-            math.lgamma(g + hi) - math.lgamma(g)
-            + math.lgamma(g + lo) - math.lgamma(g)
-            - math.lgamma(hi + 1.0)
-            - math.lgamma(lo + 1.0)
-        )
-    )
-    ln_terms: list[float] = []
-    signs: list[float] = []
-    for k in range(max(0, hi - half), lo + 1):
-        ln_t = (
-            math.lgamma(lo + 1.0) - math.lgamma(lo - k + 1.0)   # |(-lo)_k|
-            + math.lgamma(g + half + k) - math.lgamma(g + half)  # (g + q/2)_k
-            + math.lgamma(half + k + 1.0) - math.lgamma(half + k - hi + 1.0)
-            - (math.lgamma(g + k) - math.lgamma(g))
-            - math.lgamma(k + 1.0)
-        )
-        ln_terms.append(ln_pref + ln_t)
-        signs.append(1.0 if (lo + k) % 2 == 0 else -1.0)
-    top = max(ln_terms)
-    acc = 0.0
-    for ln_t, s in zip(ln_terms, signs):
-        acc += s * math.exp(ln_t - top)
-    return acc * math.exp(top)
-
-
-# ---------------------------------------------------------------------------
-# Whole-matrix builders (vectorized; used by the Hamiltonian assembler)
-# ---------------------------------------------------------------------------
-
-def _sign_grid(D: int) -> np.ndarray:
-    idx = np.arange(D)
-    return np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
-
-
-def _sqrt_ratio_grid(g: float, D: int) -> np.ndarray:
-    """S[m, n] = sqrt(n! (g)_m / (m! (g)_n)); used on the n >= m triangle."""
-    k = np.arange(D)
-    lnpoch = gammaln(g + k) - gammaln(g)
-    lnfact = gammaln(k + 1.0)
-    m = np.arange(D)[:, None]
-    n = np.arange(D)[None, :]
-    return np.exp(0.5 * (lnfact[n] + lnpoch[m] - lnfact[m] - lnpoch[n]))
-
-
-def _symmetrize_upper(M: np.ndarray) -> np.ndarray:
-    out = np.triu(M) + np.triu(M, 1).T
-    return out
+def _moment_matrix(p: ModelParams, D: int, s: float) -> np.ndarray:
+    """Dense D x D matrix of <psi_m| r^s |psi_n>; requires gamma_N + s/2 > 0."""
+    a = p.gamma_N - 1.0
+    half = 0.5 * s
+    ln_ratio = _half_ln_h(a + half, D)[None, :] - _half_ln_h(a, D)[:, None]
+    C = np.exp(ln_ratio, where=_lower(D), out=np.zeros((D, D)))
+    C *= _binomial_toeplitz(half, D)
+    # a product with its own transpose comes out exactly symmetric: numpy
+    # evaluates it as a symmetric rank-k update and mirrors one triangle
+    M = C @ C.T
+    M *= poch(a + 1.0, half) * p.beta ** (-half)
+    return M
 
 
 def inv_power_matrix(p: ModelParams, D: int, alpha: float) -> np.ndarray:
     """Dense D x D matrix of r^(-alpha) elements, exactly symmetric."""
-    if D < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {D}")
-    g = _check_singular_ok(p, alpha)
-    beta = p.beta
-    if alpha == 2.0:
-        M = _sign_grid(D) * _sqrt_ratio_grid(g, D)
-        np.fill_diagonal(M, 1.0)
-        return _symmetrize_upper(beta / (g - 1.0) * M)
-    if alpha == 4.0:
-        m = np.arange(D)[:, None].astype(float)
-        n = np.arange(D)[None, :].astype(float)
-        M = _sign_grid(D) * _sqrt_ratio_grid(g, D) * (g * (n - m + 1.0) + 2.0 * m)
-        np.fill_diagonal(M, g + 2.0 * np.arange(D))
-        return _symmetrize_upper(beta**2 / (g * (g - 1.0) * (g - 2.0)) * M)
-    if alpha == 6.0:
-        m = np.arange(D)[:, None].astype(float)
-        n = np.arange(D)[None, :].astype(float)
-        bracket = (
-            (2.0 + n) * (1.0 + n) * g * (g + 1.0)
-            - 2.0 * m * (1.0 + n) * (g - 3.0) * (g + 1.0)
-            - m * (1.0 - m) * (g - 2.0) * (g - 3.0)
+    _check_dim(D)
+    if not alpha > 0.0:
+        raise ValueError(f"singular exponent alpha must be > 0, got {alpha}")
+    if not 2.0 * p.gamma_N > alpha:
+        raise ValueError(
+            f"r^(-{alpha}) element diverges: need 2*gamma_N > alpha, "
+            f"have gamma_N = {p.gamma_N:.6g}"
         )
-        M = _sign_grid(D) * _sqrt_ratio_grid(g, D) * bracket / 2.0
-        k = np.arange(D, dtype=float)
-        np.fill_diagonal(M, g + g * g + 6.0 * g * k + 6.0 * k * k)
-        scale = beta**3 / ((g + 1.0) * g * (g - 1.0) * (g - 2.0) * (g - 3.0))
-        return _symmetrize_upper(scale * M)
-    return _inv_power_matrix_series(p, D, alpha)
-
-
-def _inv_power_matrix_series(p: ModelParams, D: int, alpha: float) -> np.ndarray:
-    """3F2-series fill for arbitrary alpha, vectorized over the index grid.
-
-    Runs the ratio recurrence for all (m, n) with m <= n simultaneously,
-    with elementwise Neumaier compensation.  Terms for a given row stop
-    contributing once k passes m (the (k - m) factor zeroes them), so the
-    sweep costs O(D) vectorized passes.
-    """
-    g = p.gamma_N
-    half = 0.5 * alpha
-    m = np.arange(D)[:, None].astype(float)
-    n = np.arange(D)[None, :].astype(float)
-    term = np.ones((D, D))
-    total = np.ones((D, D))
-    comp = np.zeros((D, D))
-    for k in range(D - 1):
-        num = (k - m) * (g - half + k) * (1.0 - half + k)
-        den = (g + k) * (1.0 - half - n + k) * (k + 1.0)
-        # a denominator zero (even alpha) only occurs after the numerator has
-        # already terminated the series for that entry; neutralize it
-        den = np.where(den == 0.0, 1.0, den)
-        term = term * num / den
-        t = total + term
-        big = np.abs(total) >= np.abs(term)
-        comp += np.where(big, (total - t) + term, (term - t) + total)
-        total = t
-        if not term.any():
-            break
-    F = total + comp
-    k = np.arange(D)
-    lnpoch_g = gammaln(g + k) - gammaln(g)
-    lnfact = gammaln(k + 1.0)
-    lnpoch_h = gammaln(half + k) - gammaln(half)
-    ln_pref = (
-        half * math.log(p.beta)
-        + lnpoch_h[None, :]
-        - lnpoch_g[None, :]
-        + math.lgamma(g - half)
-        - math.lgamma(g)
-        + 0.5 * (lnpoch_g[None, :] + lnpoch_g[:, None] - lnfact[None, :] - lnfact[:, None])
-    )
-    M = _sign_grid(D) * np.sign(F) * np.exp(ln_pref + np.log(np.abs(F), where=F != 0.0,
-                                                             out=np.full((D, D), -np.inf)))
-    return _symmetrize_upper(M)
+    return _moment_matrix(p, D, -alpha)
 
 
 def power_matrix(p: ModelParams, D: int, q: int) -> np.ndarray:
-    """Dense D x D matrix of r^q elements; only the |m-n| <= q/2 band is filled."""
-    if D < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {D}")
+    """Dense D x D matrix of r^q elements, exactly zero outside |m-n| <= q/2."""
+    _check_dim(D)
     if q <= 0 or q % 2:
         raise ValueError(f"power exponent q must be an even positive integer, got {q}")
-    M = np.zeros((D, D))
-    for off in range(q // 2 + 1):
-        for m in range(D - off):
-            M[m, m + off] = power_element(p, m, m + off, q)
-    return _symmetrize_upper(M)
+    return _moment_matrix(p, D, q)
+
+
+def inv_power_element(p: ModelParams, m: int, n: int, alpha: float) -> float:
+    """Element <psi_m| r^(-alpha) |psi_n>, any real 0 < alpha < 2*gamma_N."""
+    _check_indices(m, n)
+    return float(inv_power_matrix(p, max(m, n) + 1, alpha)[m, n])
+
+
+def power_element(p: ModelParams, m: int, n: int, q: int) -> float:
+    """Element <psi_m| r^q |psi_n> for even positive q; 0 for |m-n| > q/2."""
+    _check_indices(m, n)
+    return float(power_matrix(p, max(m, n) + 1, q)[m, n])

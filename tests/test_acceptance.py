@@ -12,17 +12,14 @@ import time
 import numpy as np
 import pytest
 
+from closedref import inv_power_element_closed
 from quadref import element_quad
 from test_eigensolver import sturm_eigenvalues
 
 from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, assemble
-from spikevar.matelem import (
-    inv_power_element,
-    inv_power_element_closed,
-    power_element,
-)
+from spikevar.matelem import inv_power_element, power_element
 from spikevar.optimizer import (
     converge_to_digits,
     feasible_A_min,
@@ -248,7 +245,8 @@ def test_criterion_6_table5(table5_run):
 
 
 def test_criterion_7_matrix_element_properties():
-    # closed vs general over the index block and randomized parameters
+    # package vs the explicit radicals over the index block and randomized
+    # parameters
     rng = np.random.default_rng(2024)
     worst = 0.0
     for alpha in (2, 4, 6):

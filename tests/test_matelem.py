@@ -1,15 +1,18 @@
-"""Matrix elements: closed forms vs the series route vs direct quadrature."""
+"""Matrix elements from the Laguerre connection formula, checked against the
+explicit radicals and the terminating-3F2 route (`closedref`), explicit r^q
+forms up to D = 1000, direct quadrature (`quadref`) and exact band zeros."""
 
 import math
 
 import numpy as np
 import pytest
 
+from closedref import inv_power_element as series_element
+from closedref import inv_power_element_closed
 from quadref import element_quad
 from spikevar.basis import ModelParams
 from spikevar.matelem import (
     inv_power_element,
-    inv_power_element_closed,
     inv_power_matrix,
     power_element,
     power_matrix,
@@ -22,7 +25,7 @@ class TestInvPowerClosedForms:
     def test_alpha2_diagonal(self):
         g, b = P.gamma_N, P.beta
         for n in (0, 3, 11):
-            assert inv_power_element_closed(P, n, n, 2) == pytest.approx(
+            assert inv_power_element(P, n, n, 2.0) == pytest.approx(
                 b / (g - 1.0), rel=1e-14
             )
 
@@ -30,7 +33,7 @@ class TestInvPowerClosedForms:
         g, b = P.gamma_N, P.beta
         for n in (0, 2, 7):
             expect = b**2 * (g + 2 * n) / (g * (g - 1) * (g - 2))
-            assert inv_power_element_closed(P, n, n, 4) == pytest.approx(
+            assert inv_power_element(P, n, n, 4.0) == pytest.approx(
                 expect, rel=1e-13
             )
 
@@ -42,17 +45,17 @@ class TestInvPowerClosedForms:
                 * (g + g * g + 6 * g * n + 6 * n * n)
                 / ((g + 1) * g * (g - 1) * (g - 2) * (g - 3))
             )
-            assert inv_power_element_closed(P, n, n, 6) == pytest.approx(
+            assert inv_power_element(P, n, n, 6.0) == pytest.approx(
                 expect, rel=1e-13
             )
 
     def test_alpha2_off_diagonal_sign_and_value(self):
-        # (m, n) = (0, 1): -(beta/(g-1)) sqrt(1/g), cross-checked vs the series
+        # (m, n) = (0, 1): -(beta/(g-1)) sqrt(1/g), cross-checked vs the radical
         g, b = P.gamma_N, P.beta
         expect = -b / (g - 1.0) * math.sqrt(1.0 / g)
-        got = inv_power_element_closed(P, 0, 1, 2)
+        got = inv_power_element(P, 0, 1, 2.0)
         assert got == pytest.approx(expect, rel=1e-14)
-        assert got == pytest.approx(inv_power_element(P, 0, 1, 2.0), rel=1e-13)
+        assert got == pytest.approx(inv_power_element_closed(P, 0, 1, 2), rel=1e-13)
 
     def test_alpha4_matches_general_on_diagonal_gamma_like_table(self):
         # gamma from A ~ 6.076 (the large-matrix one-parameter optimum region)
@@ -103,9 +106,7 @@ class TestSymmetry:
     def test_exact_symmetry_by_canonicalization(self):
         for m, n in [(0, 5), (3, 8), (2, 2)]:
             assert inv_power_element(P, m, n, 3.3) == inv_power_element(P, n, m, 3.3)
-            assert inv_power_element_closed(P, m, n, 4) == inv_power_element_closed(
-                P, n, m, 4
-            )
+            assert inv_power_element(P, m, n, 4.0) == inv_power_element(P, n, m, 4.0)
             assert power_element(P, m, n, 4) == power_element(P, n, m, 4)
 
 
@@ -163,6 +164,9 @@ class TestPowerBandedness:
 
     def test_q2_explicit_forms(self):
         g, b = P.gamma_N, P.beta
+        n = np.arange(1000.0)
+        diag = np.diag(power_matrix(P, 1000, 2))
+        assert np.max(np.abs(diag / ((g + 2 * n) / b) - 1.0)) <= 1e-13
         assert power_element(P, 4, 4, 2) == pytest.approx((g + 8) / b, rel=1e-13)
         assert power_element(P, 4, 5, 2) == pytest.approx(
             math.sqrt(5 * (g + 4)) / b, rel=1e-13
@@ -171,6 +175,10 @@ class TestPowerBandedness:
 
     def test_q4_explicit_forms(self):
         g, b = P.gamma_N, P.beta
+        n = np.arange(1000.0)
+        diag = np.diag(power_matrix(P, 1000, 4))
+        expect = (g * g + g + 6 * g * n + 6 * n * n) / b**2
+        assert np.max(np.abs(diag / expect - 1.0)) <= 1e-13
         m = 3
         assert power_element(P, m, m, 4) == pytest.approx(
             (g + 6 * m * m + 6 * g * m + g * g) / b**2, rel=1e-12
@@ -212,7 +220,7 @@ class TestMatrixBuilders:
         assert np.array_equal(M, M.T)
         for m in range(D):
             for n in range(m, D):
-                ref = inv_power_element(p, m, n, alpha)
+                ref = series_element(p, m, n, alpha)
                 assert M[m, n] == pytest.approx(ref, rel=1e-11, abs=1e-280)
 
     def test_power_matrix_matches_scalar(self):
@@ -227,10 +235,14 @@ class TestMatrixBuilders:
                     )
 
     def test_large_index_normalization_stays_finite(self):
-        # the log-domain radicals must survive indices near 1000
+        # the log-domain ratios must survive indices near 1000; a
+        # RuntimeWarning (overflow) fails the test through the pytest config
         p = ModelParams(6.076, 1.0, 3, 0)
         M = inv_power_matrix(p, 4, 4.0)
         assert np.all(np.isfinite(M))
+        M = inv_power_matrix(p, 1000, 3.3)
+        assert np.all(np.isfinite(M))
+        assert np.array_equal(M, M.T)
         big = inv_power_element(p, 990, 995, 4.0)
         assert math.isfinite(big)
         assert power_element(p, 999, 1000, 2) > 0.0

@@ -1,6 +1,7 @@
-"""Scalar special-function primitives against exact-arithmetic references."""
+"""Terminating hypergeometric sums against exact-arithmetic references: the
+package's 1F1 (basis wavefunctions) and the reference 3F2 route in
+`closedref`."""
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -8,93 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikevar.specfun import (
-    SignedLogValue,
-    hyp1f1_terminating,
-    hyp3f2_terminating,
-    ln_pochhammer,
-    pochhammer,
-)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(7.3, 0) == 1.0
-
-    def test_negative_integer_truncates(self):
-        assert pochhammer(-2.0, 3) == 0.0
-        assert pochhammer(-2.0, 5) == 0.0
-
-    def test_negative_integer_short(self):
-        assert pochhammer(-3.0, 2) == 6.0  # (-3)(-2)
-        assert pochhammer(-3.0, 3) == -6.0  # (-3)(-2)(-1)
-
-    def test_matches_gamma_ratio(self):
-        a, n = 2.5, 7
-        expect = math.gamma(a + n) / math.gamma(a)
-        assert pochhammer(a, n) == pytest.approx(expect, rel=1e-13)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
-
-    @given(
-        a=st.floats(-20, 20, allow_nan=False),
-        n=st.integers(0, 40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_recurrence(self, a, n):
-        lhs = pochhammer(a, n + 1)
-        rhs = pochhammer(a, n) * (a + n)
-        assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
-
-
-class TestLnPochhammer:
-    def test_order_zero(self):
-        v = ln_pochhammer(1.5, 0)
-        assert v.log_magnitude == 0.0 and v.sign == 1
-
-    def test_represents_720(self):
-        v = ln_pochhammer(2.0, 5)  # 2*3*4*5*6
-        assert v.sign == 1
-        assert math.exp(v.log_magnitude) == pytest.approx(720.0, rel=1e-13)
-
-    def test_long_product_extended_precision(self):
-        # brute-force oracle: 300 exact log terms at 50 digits
-        with mpmath.workdps(50):
-            ref = mpmath.fsum(mpmath.log(mpmath.mpf("1.5") + k) for k in range(300))
-            v = ln_pochhammer(1.5, 300)
-            assert v.sign == 1
-            assert abs(v.log_magnitude - float(ref)) <= 1e-12 * float(ref)
-
-    def test_agrees_with_direct_product(self):
-        for a, n in [(0.7, 11), (3.25, 40), (10.0, 55)]:
-            v = ln_pochhammer(a, n)
-            assert math.exp(v.log_magnitude) == pytest.approx(
-                pochhammer(a, n), rel=1e-13
-            )
-
-    def test_rejects_nonpositive_base(self):
-        with pytest.raises(ValueError):
-            ln_pochhammer(0.0, 3)
-        with pytest.raises(ValueError):
-            ln_pochhammer(-1.5, 3)
-
-
-class TestSignedLogValue:
-    def test_product_and_ratio(self):
-        x = SignedLogValue(math.log(6.0), -1)
-        y = SignedLogValue(math.log(2.0), -1)
-        assert (x * y).to_float() == pytest.approx(12.0, rel=1e-14)
-        assert (x / y).to_float() == pytest.approx(3.0, rel=1e-14)
-
-    def test_zero_absorbs(self):
-        z = SignedLogValue(0.0, 0)
-        x = SignedLogValue(5.0, 1)
-        assert (x * z).sign == 0
-        assert z.to_float() == 0.0
-        with pytest.raises(ZeroDivisionError):
-            x / z
+from closedref import hyp3f2_terminating
+from spikevar import hyp1f1_terminating
 
 
 class TestHyp1F1:
