@@ -52,7 +52,6 @@ class RunConfig:
     fmt: str = "human"
     out: str | None = None
     strict: bool = False
-    jobs: int = 1
     timing: bool = False
 
 
@@ -93,8 +92,6 @@ def _add_common(sub, potential=True):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--strict", action="store_true",
                      help="reference mismatch becomes exit status 1")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel rows for table runs (default 1)")
     sub.add_argument("--timing", action="store_true",
                      help="emit real wall-clock times (breaks byte-identical reruns)")
 
@@ -159,7 +156,6 @@ def parse_args(argv) -> RunConfig:
         fmt=ns.fmt,
         out=ns.out,
         strict=ns.strict,
-        jobs=ns.jobs,
         timing=ns.timing,
     )
     if hasattr(ns, "a1"):
@@ -221,7 +217,6 @@ def to_argv(cfg: RunConfig) -> list[str]:
         argv += ["--out", cfg.out]
     if cfg.strict:
         argv += ["--strict"]
-    argv += ["--jobs", str(cfg.jobs)]
     if cfg.timing:
         argv += ["--timing"]
     return argv
@@ -376,7 +371,7 @@ def main(argv=None) -> int:
             report = run_table(builtin_job(cfg.table_id),
                                with_oracle=cfg.with_oracle,
                                include_slow=cfg.include_slow,
-                               oracle_tol=cfg.tol, jobs=cfg.jobs)
+                               oracle_tol=cfg.tol)
             rows = list(report.rows)
         elif cfg.command == "eig":
             rows = _cmd_eig(cfg)

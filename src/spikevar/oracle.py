@@ -3,10 +3,11 @@ Schrodinger equation.
 
 -y'' + [Lam(Lam+1)/r^2 + V(r)] y = E y is integrated with fixed-step RK4 on a
 composite log-uniform / uniform grid; the energy is located by bisection on
-the interior node count and refined by matching logarithmic derivatives of
-outward and inward sweeps at the outer classical turning point.  The grid
-density is doubled until the eigenvalue moves by less than tol/4 under step
-halving (Richardson self-consistency).
+the interior node count down to a bracket holding one node transition, then
+refined by false position (Illinois) on the mismatch of logarithmic
+derivatives of outward and inward sweeps at the outer classical turning
+point.  The grid density is doubled until the eigenvalue moves by less than
+tol/4 under step halving (Richardson self-consistency).
 
 This module never touches the variational machinery: it is the check the
 variational bounds are measured against.
@@ -15,26 +16,11 @@ variational bounds are measured against.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import PotentialSpec
-
-if os.environ.get("SPIKEVAR_PURE"):
-    from ._pysweep import rk4_sweep as _sweep
-
-    BACKEND = "pure"
-else:
-    try:
-        from ._core import rk4_sweep as _sweep
-
-        BACKEND = "compiled"
-    except ImportError:
-        from ._pysweep import rk4_sweep as _sweep
-
-        BACKEND = "pure"
 
 __all__ = ["OracleResult", "ShootingError", "shoot_eigenvalue", "BACKEND"]
 
@@ -42,6 +28,8 @@ _RMIN_CAP = 1e-4     # default inner cutoff floor
 _RMAX_CAP = 20.0     # default outer cutoff ceiling (override via r_max)
 _TAIL_ACTION = 41.5  # WKB action making the neglected tail < 1e-18
 _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
+
+BACKEND = "pure"     # the pure-Python _sweep below is the only kernel
 
 
 class ShootingError(RuntimeError):
@@ -53,11 +41,13 @@ class OracleResult:
     """A shooting eigenvalue with its bracketing and domain metadata.
 
     The reported energy is deliberately one-sided: it is the lower edge of
-    the final bisection bracket shifted down by one bracket width, so it
-    never lands above the true eigenvalue (the bisection noise floor sits
-    well inside the shift).  The eigenvalue lies within a couple of
-    bracket_width above `energy`, and bracket_width <= the requested
-    tolerance, so the estimate is still accurate to tol.
+    the final energy bracket shifted down by one bracket width, so it
+    never lands above the true eigenvalue (the root-finding noise floor and
+    the grid error sit well inside the shift).  bracket_width is the final
+    bracket's width, but never less than tol/8, where the root search stops.
+    The eigenvalue lies within a couple of bracket_width above `energy`, and
+    bracket_width <= the requested tolerance, so the estimate is still
+    accurate to tol.
     """
 
     energy: float
@@ -75,6 +65,54 @@ class _NeedLargerDomain(Exception):
 
 class _StepSizeFailure(Exception):
     pass
+
+
+def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
+    """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y; return (y1, y2, nodes).
+
+    W is tabulated at the len(h) + 1 step endpoints (w_nodes) and the len(h)
+    step midpoints (w_mid); steps h are negative for inward sweeps.  Sign
+    changes of y are counted on the fly, and the state is renormalized
+    whenever it threatens to overflow or underflow (the rescaling cancels
+    out of node counts and logarithmic derivatives).
+    """
+    wn = w_nodes.tolist()
+    wm = w_mid.tolist()
+    nodes = 0
+    prev = 1.0 if y1 > 0.0 else (-1.0 if y1 < 0.0 else 0.0)
+    e = energy
+    for i, hi in enumerate(h.tolist()):
+        q0 = wn[i] - e
+        qm = wm[i] - e
+        q1 = wn[i + 1] - e
+        half = 0.5 * hi
+        k1a = y2
+        k1b = q0 * y1
+        ya = y1 + half * k1a
+        yb = y2 + half * k1b
+        k2a = yb
+        k2b = qm * ya
+        ya = y1 + half * k2a
+        yb = y2 + half * k2b
+        k3a = yb
+        k3b = qm * ya
+        ya = y1 + hi * k3a
+        yb = y2 + hi * k3b
+        k4a = yb
+        k4b = q1 * ya
+        y1 = y1 + hi / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a)
+        y2 = y2 + hi / 6.0 * (k1b + 2.0 * (k2b + k3b) + k4b)
+        if count_nodes:
+            s = 1.0 if y1 > 0.0 else (-1.0 if y1 < 0.0 else 0.0)
+            if s != 0.0:
+                if prev != 0.0 and s != prev:
+                    nodes += 1
+                prev = s
+        mag = abs(y1) + abs(y2)
+        if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
+            y1 /= mag
+            y2 /= mag
+    return y1, y2, nodes
 
 
 class _RadialProblem:
@@ -203,9 +241,37 @@ def _start_values(prob: _RadialProblem, r0: float, energy: float):
     return 1.0 + c * r0 * r0, (s + (s + 2.0) * c * r0 * r0) / r0
 
 
+def _false_position(f, a: float, fa: float, b: float, fb: float, width: float):
+    """Shrink a sign-change bracket [a, b] of f to at most `width` by the
+    Illinois variant of false position, which halves the weight of an end
+    kept twice running so that both ends close in on the root."""
+    kept = 0  # +1 / -1 while b / a was kept by the last step
+    for _ in range(240):
+        if b - a <= width:
+            break
+        m = a - fa * (b - a) / (fb - fa)
+        if not a < m < b:
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                break
+        fm = f(m)
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = m, fm
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+    return a, b
+
+
 def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
                       e_cap: float):
-    """Bisection on node count, then on the normalized matching Wronskian."""
+    """Bisection on node count to a unit node bracket, then false position
+    on the normalized matching Wronskian."""
 
     def nodes_of(energy: float) -> int:
         y1, y2 = _start_values(prob, grid.r[0], energy)
@@ -224,6 +290,24 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
         i1, i2, _ = grid.inward(energy, 1.0, -math.sqrt(qe), stop=im)
         return (o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
 
+    def node_bisect(e_lo, n_lo, e_hi, n_hi, width):
+        """Halve [e_lo, e_hi] on the node count until it holds a single
+        node transition and is at most `width` wide."""
+        while n_hi - n_lo > 1 or e_hi - e_lo > width:
+            e_mid = 0.5 * (e_lo + e_hi)
+            if not e_lo < e_mid < e_hi:
+                break
+            n_mid = nodes_of(e_mid)
+            if not n_lo <= n_mid <= n_hi:
+                raise _StepSizeFailure(
+                    f"node count {n_mid} at E={e_mid:.6g} outside [{n_lo}, {n_hi}]"
+                )
+            if n_mid <= level:
+                e_lo, n_lo = e_mid, n_mid
+            else:
+                e_hi, n_hi = e_mid, n_mid
+        return e_lo, n_lo, e_hi, n_hi
+
     floor = grid.w_floor
     e_lo = floor + 1e-12 * (1.0 + abs(floor))
     n_lo = nodes_of(e_lo)
@@ -236,51 +320,25 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
         if e_hi > e_cap:
             raise _NeedLargerDomain
         n_hi = nodes_of(e_hi)
-    # narrow to a unit node bracket around the level-th transition
-    coarse = max(tol, 1e-3 * (1.0 + abs(e_hi)))
-    for _ in range(240):
-        if n_hi - n_lo == 1 and e_hi - e_lo <= coarse:
-            break
-        e_mid = 0.5 * (e_lo + e_hi)
-        if e_mid <= e_lo or e_mid >= e_hi:
-            break
-        n_mid = nodes_of(e_mid)
-        if not n_lo <= n_mid <= n_hi:
-            raise _StepSizeFailure(
-                f"node count {n_mid} at E={e_mid:.6g} outside [{n_lo}, {n_hi}]"
-            )
-        if n_mid <= level:
-            e_lo, n_lo = e_mid, n_mid
-        else:
-            e_hi, n_hi = e_mid, n_mid
+    e_lo, n_lo, e_hi, n_hi = node_bisect(e_lo, n_lo, e_hi, n_hi, math.inf)
     # refine on the matching mismatch when it brackets a sign change,
     # otherwise carry the node bisection all the way down
     f_lo = mismatch(e_lo)
     f_hi = mismatch(e_hi)
-    use_wronskian = f_lo == f_lo and f_hi == f_hi and (f_lo < 0.0) != (f_hi < 0.0)
-    for _ in range(240):
-        if e_hi - e_lo <= 0.125 * tol:
-            break
-        e_mid = 0.5 * (e_lo + e_hi)
-        if e_mid <= e_lo or e_mid >= e_hi:
-            break
-        if use_wronskian:
-            f_mid = mismatch(e_mid)
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                e_lo, f_lo = e_mid, f_mid
-            else:
-                e_hi, f_hi = e_mid, f_mid
-        else:
-            if nodes_of(e_mid) <= level:
-                e_lo = e_mid
-            else:
-                e_hi = e_mid
+    if f_lo == f_lo and f_hi == f_hi and (f_lo < 0.0) != (f_hi < 0.0):
+        e_lo, e_hi = _false_position(mismatch, e_lo, f_lo, e_hi, f_hi, 0.125 * tol)
+    else:
+        e_lo, _, e_hi, _ = node_bisect(e_lo, n_lo, e_hi, n_hi, 0.125 * tol)
     width = e_hi - e_lo
     if width > tol:
         raise ShootingError(
             f"energy bracket stalled at width {width:.3g} > tol {tol:.3g}"
         )
-    # one-sided report: lower edge less one width stays below the true level
+    # one-sided report: lower edge less one width stays below the true level.
+    # False position can close the bracket far below the tol/8 stop, so the
+    # width counted is never less than that stop: the shift must still cover
+    # the grid's own error, which the Richardson check holds near tol/60.
+    width = max(width, 0.125 * tol)
     return e_lo - width, width
 
 
@@ -316,52 +374,31 @@ def shoot_eigenvalue(
         if not 0.0 < rmin_eff < rmax_eff:
             raise ValueError(f"invalid domain [{rmin_eff}, {rmax_eff}]")
         scale = grid_scale
+        energy = None  # last energy solved, for the Richardson comparison
         refinements = 0
         try:
-            grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale)
             while True:
+                grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale)
                 try:
-                    energy, width = _solve_at_density(prob, grid, level, tol, e_cap)
+                    found, width = _solve_at_density(prob, grid, level, tol, e_cap)
                 except _StepSizeFailure:
-                    refinements += 1
-                    if refinements > max_refine:
-                        raise ShootingError(
-                            "node-count monotonicity kept failing under refinement"
-                        ) from None
-                    scale *= 2.0
-                    grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale)
-                    continue
-                break
-            if not auto_refine:
-                return OracleResult(energy, level, width, rmin_eff, rmax_eff,
-                                    grid.steps, scale)
-            while True:
-                fine = _Grid(prob, rmin_eff, rmax_eff, e_cap, 2.0 * scale)
-                try:
-                    energy_fine, width_fine = _solve_at_density(prob, fine,
-                                                                level, tol,
-                                                                e_cap)
-                except _StepSizeFailure:
-                    refinements += 1
-                    if refinements > max_refine:
-                        raise ShootingError(
-                            "node-count monotonicity kept failing under "
-                            "refinement"
-                        ) from None
-                    scale *= 2.0
-                    continue
-                if abs(energy_fine - energy) < 0.25 * tol:
-                    return OracleResult(energy_fine, level, width_fine,
-                                        rmin_eff, rmax_eff, fine.steps,
-                                        2.0 * scale)
+                    failure = "node-count monotonicity kept failing under refinement"
+                else:
+                    if not auto_refine or (energy is not None
+                                           and abs(found - energy) < 0.25 * tol):
+                        return OracleResult(found, level, width, rmin_eff,
+                                            rmax_eff, grid.steps, scale)
+                    failure = (f"Richardson check did not settle below tol/4 = "
+                               f"{0.25 * tol:.3g} within {max_refine} grid doublings")
+                    free = energy is None  # the first halving is the check itself
+                    energy = found
+                    if free:
+                        scale *= 2.0
+                        continue
                 refinements += 1
                 if refinements > max_refine:
-                    raise ShootingError(
-                        f"Richardson check did not settle below tol/4 = "
-                        f"{0.25 * tol:.3g} within {max_refine} grid doublings"
-                    )
+                    raise ShootingError(failure)
                 scale *= 2.0
-                energy = energy_fine
         except _NeedLargerDomain:
             e_cap = w_probe + 2.0 * (e_cap - w_probe)
             continue

@@ -11,7 +11,6 @@ Large truncations are flagged slow and skipped unless requested.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .hamiltonian import PotentialSpec
@@ -289,22 +288,14 @@ def run_table(
     with_oracle: bool = False,
     include_slow: bool = False,
     oracle_tol: float = 1e-6,
-    jobs: int = 1,
 ) -> TableReport:
     """Execute a job row by row; failures are recorded per row.
 
     `tolerance` overrides every row's own pass tolerance when given.  Rows
-    flagged slow are skipped unless include_slow is set.  With jobs > 1 the
-    independent rows run on a thread pool; result order always follows the
-    job definition.
+    flagged slow are skipped unless include_slow is set.
     """
     rows = [r for r in job.rows if include_slow or not r.slow]
     if tolerance is not None:
         rows = [replace(r, tolerance=tolerance) for r in rows]
-    if jobs > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda r: _run_row(r, with_oracle, oracle_tol), rows))
-    else:
-        results = [_run_row(r, with_oracle, oracle_tol) for r in rows]
+    results = [_run_row(r, with_oracle, oracle_tol) for r in rows]
     return TableReport(job.identifier, tuple(results))

@@ -3,6 +3,7 @@
 
 import pytest
 
+from spikevar import oracle
 from spikevar.basis import ModelParams, gk_energy
 from spikevar.hamiltonian import PotentialSpec
 from spikevar.optimizer import minimize_bound
@@ -45,6 +46,19 @@ class TestExactCases:
         v = PotentialSpec(a1=1.0, terms=((-7.0, 4.0), (49.0, 6.0)))
         res = shoot_eigenvalue(v, 0, tol=1e-6)
         assert res.energy == pytest.approx(7.0, abs=1e-6)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("terms,level,exact", [
+        ((), 0, 3.0),
+        ((), 2, 11.0),
+        (((1.0, 4.0), (1.0, 6.0)), 0, 5.0),
+        (((-7.0, 4.0), (49.0, 6.0)), 0, 7.0),
+        (((45.0, 4.0), (225.0, 6.0)), 0, 11.0),
+    ])
+    def test_one_sided_within_two_tol(self, terms, level, exact, tol):
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0, terms=terms), level, tol=tol)
+        assert exact - 2.0 * tol <= res.energy <= exact
+        assert res.bracket_width <= tol
 
     def test_higher_dimension(self):
         # N = 7 pure oscillator: E_0 = N (gamma_N = N/2 at A = 0, l = 0)
@@ -92,6 +106,23 @@ class TestSelfConsistency:
         assert r1.steps == r2.steps
 
 
+class TestSweepCount:
+    def test_sweeps_per_eigenvalue(self, monkeypatch):
+        # unit node bracket, then false position on the matching Wronskian
+        sweep = oracle._sweep
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_sweep", counted)
+        v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
+        res = shoot_eigenvalue(v, 0, tol=1e-6)
+        assert res.energy == pytest.approx(5.0, abs=2e-6)
+        assert len(calls) <= 60
+
+
 class TestValidation:
     def test_bad_level_and_tol(self):
         v = PotentialSpec(a1=1.0)
@@ -113,24 +144,4 @@ class TestValidation:
 
 class TestBackend:
     def test_backend_reported(self):
-        assert BACKEND in ("pure", "compiled")
-
-    def test_pure_matches_compiled_kernel(self):
-        # both sweep implementations agree step for step
-        import numpy as np
-
-        from spikevar import _pysweep
-
-        try:
-            from spikevar import _core
-        except ImportError:
-            pytest.skip("compiled core not built")
-        rng = np.random.default_rng(9)
-        wn = rng.uniform(0.0, 30.0, 513)
-        wm = rng.uniform(0.0, 30.0, 512)
-        h = np.full(512, 0.01)
-        a = _core.rk4_sweep(wn, wm, h, 11.0, 0.001, 1.0, True)
-        b = _pysweep.rk4_sweep(wn, wm, h, 11.0, 0.001, 1.0, True)
-        assert a[0] == pytest.approx(b[0], rel=1e-15)
-        assert a[1] == pytest.approx(b[1], rel=1e-15)
-        assert a[2] == b[2]
+        assert BACKEND == "pure"

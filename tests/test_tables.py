@@ -117,14 +117,6 @@ class TestRunTable:
         assert row.error is not None
         assert row.passed is False
 
-    def test_parallel_rows_match_serial(self):
-        job = TableJob("custom", builtin_job("table3").rows[:3])
-        serial = run_table(job, jobs=1)
-        parallel = run_table(job, jobs=3)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.bound == b.bound
-            assert a.label == b.label
-
     def test_slow_rows_skipped_by_default(self):
         job = builtin_job("table1")
         fast = [r for r in job.rows if not r.slow]
