@@ -6,13 +6,17 @@ Cases: r^2, r^-2, r^-4, r^-6 and r^-3.3 from `power_matrix` /
 B != a1 (it builds r^2, r^-4, r^-6 and the r^-2 counter-term) and with
 B = a1 (`assemble_fixB`: r^2 drops out, as in the A-only table rows).  Each case
 repeats until --seconds have passed (at least once) and prints the median
-time of one call.  Only public entry points are used, so the same script
-times any revision of the package.
+time of one call.  Successive calls walk a fixed cycle of A values, so each
+one sees a new gamma_N, as the calls of a bound search do, and no cache
+keyed on gamma_N can answer a call from an identical recent one.  Only
+public entry points are used, so the same script times any revision of the
+package.
 
 Usage: python benchmarks/bench_matelem.py [--dims 10,50,350,1000] [--seconds 1]
 """
 
 import argparse
+import itertools
 import statistics
 import time
 
@@ -20,27 +24,30 @@ from spikevar.basis import ModelParams
 from spikevar.hamiltonian import PotentialSpec, assemble
 from spikevar.matelem import inv_power_matrix, power_matrix
 
-P = ModelParams(A=6.0, B=1.5, N=3, l=0)  # gamma_N = 3.5: every case converges
+# 17 values of A from 6 up (gamma_N >= 3.5: every case converges)
+PARAMS = tuple(ModelParams(A=6.0 + 0.37 * i, B=1.5, N=3, l=0) for i in range(17))
 V = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
-V_FIX_B = PotentialSpec(a1=P.B, terms=V.terms)
+V_FIX_B = PotentialSpec(a1=PARAMS[0].B, terms=V.terms)
 
 CASES = {
-    "r^2": lambda D: power_matrix(P, D, 2),
-    "r^-2": lambda D: inv_power_matrix(P, D, 2.0),
-    "r^-4": lambda D: inv_power_matrix(P, D, 4.0),
-    "r^-6": lambda D: inv_power_matrix(P, D, 6.0),
-    "r^-3.3": lambda D: inv_power_matrix(P, D, 3.3),
-    "assemble": lambda D: assemble(P, V, D),
-    "assemble_fixB": lambda D: assemble(P, V_FIX_B, D),
+    "r^2": lambda p, D: power_matrix(p, D, 2),
+    "r^-2": lambda p, D: inv_power_matrix(p, D, 2.0),
+    "r^-4": lambda p, D: inv_power_matrix(p, D, 4.0),
+    "r^-6": lambda p, D: inv_power_matrix(p, D, 6.0),
+    "r^-3.3": lambda p, D: inv_power_matrix(p, D, 3.3),
+    "assemble": lambda p, D: assemble(p, V, D),
+    "assemble_fixB": lambda p, D: assemble(p, V_FIX_B, D),
 }
 
 
 def median_call(fn, D, seconds):
     times = []
     end = time.perf_counter() + seconds
-    while not times or time.perf_counter() < end:
+    for p in itertools.cycle(PARAMS):
+        if times and time.perf_counter() >= end:
+            break
         t0 = time.perf_counter()
-        fn(D)
+        fn(p, D)
         times.append(time.perf_counter() - t0)
     return statistics.median(times), len(times)
 
@@ -51,11 +58,11 @@ def main():
     ap.add_argument("--seconds", type=float, default=1.0)
     ap.add_argument("--cases", default=",".join(CASES))
     args = ap.parse_args()
-    print(f"{'case':>10} {'D':>5} {'median_s':>12} {'calls':>6}")
+    print(f"{'case':>13} {'D':>5} {'median_s':>12} {'calls':>6}")
     for D in (int(d) for d in args.dims.split(",")):
         for name in args.cases.split(","):
             t, k = median_call(CASES[name], D, args.seconds)
-            print(f"{name:>10} {D:>5} {t:12.3e} {k:6d}", flush=True)
+            print(f"{name:>13} {D:>5} {t:12.3e} {k:6d}", flush=True)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ configurations with the same N + 2l share a spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,9 @@ class ModelParams:
         """Effective angular quantum number (N + 2l - 3)/2."""
         return 0.5 * (self.N + 2 * self.l - 3)
 
-    @property
+    @functools.cached_property
     def gamma_N(self) -> float:
+        # read by every moment matrix of an assembly: computed once
         return 1.0 + math.sqrt(self.A + (self.Lambda + 0.5) ** 2)
 
 

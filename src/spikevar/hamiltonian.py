@@ -78,17 +78,11 @@ class SymMatrix:
     def __post_init__(self):
         if self.data.shape != (self.dim, self.dim):
             raise ValueError(f"shape {self.data.shape} does not match dim {self.dim}")
-        if not np.array_equal(self.data, self.data.T):
+        if not (self.data == self.data.T).all():
             raise ValueError("matrix is not exactly symmetric")
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise ValueError("matrix has non-finite entries")
         self.data.setflags(write=False)
-
-    @classmethod
-    def from_upper(cls, upper: np.ndarray) -> "SymMatrix":
-        """Mirror the upper triangle (diagonal included) into a full matrix."""
-        full = np.triu(upper) + np.triu(upper, 1).T
-        return cls(full.shape[0], full)
 
 
 def assemble(p: ModelParams, v: PotentialSpec, D: int) -> SymMatrix:
@@ -127,12 +121,19 @@ def assemble(p: ModelParams, v: PotentialSpec, D: int) -> SymMatrix:
             f"net r^(-2) coefficient {lam2:.6g} requires gamma_N > 1, "
             f"have gamma_N = {g:.6g}"
         )
+    terms = [(v.a1 - p.B, power_matrix, 2)] if v.a1 != p.B else []
+    terms += [(lam, inv_power_matrix, alpha) for alpha, lam in sorted(singular.items())]
+    if lam2 != 0.0:
+        terms.append((lam2, inv_power_matrix, 2.0))
     n = np.arange(D)
     H = np.diag(2.0 * p.beta * (2.0 * n + g))
-    if v.a1 != p.B:
-        H = H + (v.a1 - p.B) * power_matrix(p, D, 2)
-    for alpha, lam in sorted(singular.items()):
-        H = H + lam * inv_power_matrix(p, D, alpha)
-    if lam2 != 0.0:
-        H = H + lam2 * inv_power_matrix(p, D, 2.0)
-    return SymMatrix.from_upper(H)
+    # each fresh term matrix is scaled and added in place; every term is
+    # exactly symmetric, so the sum needs no mirroring.  M stays referenced
+    # until the next term is built: freed first, it leaves two free D x D
+    # blocks on top of the heap for glibc to return to the OS, and assembly
+    # at D = 350 then page-faults two to three times as often
+    for lam, build, s in terms:
+        M = build(p, D, s)
+        M *= lam
+        H += M
+    return SymMatrix(D, H)

@@ -14,17 +14,20 @@ has the same sign and nothing cancels at any D.  For even q = s > 0 the
 binomials vanish exactly past k = q/2, which makes r^q exactly banded.
 
 ln h_k is accumulated as a sum of log1p(c/i) rather than a log-gamma
-difference, whose rounding grows with the argument; only the constant
-Gamma(b + 1)/Gamma(a + 1) goes through a gamma-function ratio.
+difference, whose rounding grows with the argument, and is memoized: the
+moment matrices of one variational matrix share the vector ln h^(a).
+The constant Gamma(b + 1)/Gamma(a + 1) is `_gamma_ratio`: a short product
+when s/2 is an integer (every even power), else an upward shift plus
+Stirling's series.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import poch
 
 from .basis import ModelParams
 
@@ -62,9 +65,57 @@ def _binomial_toeplitz(half: float, D: int) -> np.ndarray:
     return sliding_window_view(np.concatenate((binom[::-1], np.zeros(D - 1))), D)[::-1]
 
 
+@functools.lru_cache(maxsize=8)
 def _half_ln_h(c: float, D: int) -> np.ndarray:
-    """0.5 ln(h_k^(c) / Gamma(c + 1)) for k < D."""
-    return 0.5 * np.concatenate(([0.0], np.cumsum(np.log1p(c / np.arange(1.0, D)))))
+    """Read-only 0.5 ln(h_k^(c) / Gamma(c + 1)) for k < D."""
+    out = np.zeros(D)
+    np.add.accumulate(np.log1p(c / np.arange(1.0, D)), out=out[1:])
+    out *= 0.5
+    out.setflags(write=False)
+    return out
+
+
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series for ln Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2, for z >= 10."""
+    w = 1.0 / (z * z)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * w + c
+    return acc / z
+
+
+def _gamma_ratio(x: float, h: float) -> float:
+    """Gamma(x + h) / Gamma(x) for x > 0 and x + h > 0.
+
+    For integer h, the product x (x + 1)...(x + h - 1), or for h < 0 the
+    quotient 1 / ((x + h)...(x - 1)), taken in the order of the cephes `poch`
+    recurrence, so it matches scipy.special.poch bit for bit.  Otherwise both arguments are shifted
+    up to at least 10 and the log-ratio is summed from Stirling's series,
+    which keeps ~2e-15 relative accuracy up to x = 1e10, where a log-gamma
+    difference loses digits to the size of ln Gamma.
+    """
+    r = 1.0
+    if float(h).is_integer():
+        m = h
+        while m >= 1.0:
+            m -= 1.0
+            r *= x + m
+        while m <= -1.0:
+            r /= x + m
+            m += 1.0
+        return r
+    y = x
+    while min(y, y + h) < 10.0:
+        r *= y / (y + h)
+        y += 1.0
+    # (y + h)^h by pow, so that exp sees only the small rest: an exponent of
+    # size |h ln y| would carry its own rounding, ~|h ln y| ulps, into the result
+    rest = (y - 0.5) * math.log1p(h / y) - h + _stirling_tail(y + h) - _stirling_tail(y)
+    return r * (y + h) ** h * math.exp(rest)
 
 
 def _moment_matrix(p: ModelParams, D: int, s: float) -> np.ndarray:
@@ -77,7 +128,7 @@ def _moment_matrix(p: ModelParams, D: int, s: float) -> np.ndarray:
     # a product with its own transpose comes out exactly symmetric: numpy
     # evaluates it as a symmetric rank-k update and mirrors one triangle
     M = C @ C.T
-    M *= poch(a + 1.0, half) * p.beta ** (-half)
+    M *= _gamma_ratio(a + 1.0, half) * p.beta ** (-half)
     return M
 
 

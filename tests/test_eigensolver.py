@@ -107,7 +107,7 @@ class TestContract:
             assert sub[i] <= full[i + 1] + 1e-12
 
     def test_accepts_symmatrix(self):
-        M = SymMatrix.from_upper(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        M = SymMatrix(2, np.array([[2.0, 1.0], [1.0, 2.0]]))
         s = eigen_symmetric(M, k=1)
         assert s.values[0] == pytest.approx(1.0, abs=1e-14)
 

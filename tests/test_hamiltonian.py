@@ -41,13 +41,8 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix(2, np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
-    def test_from_upper_mirrors(self):
-        M = SymMatrix.from_upper(np.array([[1.0, 5.0], [99.0, 2.0]]))
-        assert M.data[1, 0] == 5.0
-        assert np.array_equal(M.data, M.data.T)
-
     def test_readonly(self):
-        M = SymMatrix.from_upper(np.eye(3))
+        M = SymMatrix(3, np.eye(3))
         with pytest.raises(ValueError):
             M.data[0, 0] = 7.0
 
@@ -100,6 +95,33 @@ class TestAssemble:
         expect = expect + (1.0 - p.B) * power_matrix(p, 4, 2)
         expect = expect + (3.0 - 2.0) * inv_power_matrix(p, 4, 2.0)
         assert np.allclose(H.data, expect, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("A, B, terms, N, D", [
+        (105.5, 1.92, ((1.0, 4.0), (1.0, 6.0)), 3, 10),
+        (6.0, 1.0, ((-7.0, 4.0), (49.0, 6.0)), 3, 30),
+        (2.0, 1.0, ((3.0, 2.0),), 3, 7),
+        (4.2, 1.7, ((0.1, 3.3), (0.5, 4.0)), 4, 50),
+        (30.0, 1.0, ((1000.0, 6.0),), 3, 1),
+    ])
+    def test_in_place_sum_is_bit_identical(self, A, B, terms, N, D):
+        # the former composition: new matrices per term, then the upper
+        # triangle mirrored; B = a1 drops the r^2 term in the second call
+        from spikevar.matelem import inv_power_matrix, power_matrix
+
+        p = ModelParams(A, B, N, 0)
+        for a1 in (1.0, B):
+            v = PotentialSpec(a1=a1, terms=terms, N=N)
+            n = np.arange(D)
+            H = np.diag(2.0 * p.beta * (2.0 * n + p.gamma_N))
+            if a1 != B:
+                H = H + (a1 - B) * power_matrix(p, D, 2)
+            lam2 = -A + sum(lam for lam, alpha in terms if alpha == 2.0)
+            for alpha, lam in sorted((alpha, lam) for lam, alpha in terms if alpha != 2.0):
+                H = H + lam * inv_power_matrix(p, D, alpha)
+            if lam2 != 0.0:
+                H = H + lam2 * inv_power_matrix(p, D, 2.0)
+            H = np.triu(H) + np.triu(H, 1).T
+            assert np.array_equal(assemble(p, v, D).data, H)
 
     def test_basis_sign_invariance(self):
         # flipping the (-1)^n convention conjugates H by diag(+-1): same spectrum

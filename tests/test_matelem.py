@@ -4,6 +4,7 @@ forms up to D = 1000, direct quadrature (`quadref`) and exact band zeros."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,8 @@ from closedref import inv_power_element_closed
 from quadref import element_quad
 from spikevar.basis import ModelParams
 from spikevar.matelem import (
+    _gamma_ratio,
+    _half_ln_h,
     inv_power_element,
     inv_power_matrix,
     power_element,
@@ -246,3 +249,53 @@ class TestMatrixBuilders:
         big = inv_power_element(p, 990, 995, 4.0)
         assert math.isfinite(big)
         assert power_element(p, 999, 1000, 2) > 0.0
+
+
+class TestGammaRatio:
+    # x from 1 to 1e10, log-uniform, plus the moderate x = 1000 where
+    # scipy.special.poch loses ~1e-12 to its log-gamma difference
+    XS = np.concatenate((np.geomspace(1.0, 1e10, 41),
+                         np.random.default_rng(11).uniform(1.0, 60.0, 60), [1000.0]))
+
+    @pytest.mark.parametrize("h", [1, -1, 2, -2, 3, -3, -4])
+    def test_integer_shift_matches_scipy_poch_bitwise(self, h):
+        from scipy.special import poch
+
+        for x in self.XS:
+            if x + h > 0.0:
+                assert _gamma_ratio(float(x), float(h)) == poch(x, h), x
+
+    @pytest.mark.parametrize("h", [-1.25, -1.65, -1.9, 0.5, -0.5, 1.5, -4.9])
+    def test_non_integer_shift_against_mpmath(self, h):
+        # h = -alpha/2 for alpha = 2.5, 3.3, 3.8, plus shifts of either sign
+        with mpmath.workdps(40):
+            for x in self.XS:
+                if x + h <= 0.0:
+                    continue
+                ref = mpmath.rf(mpmath.mpf(float(x)), h)
+                rel = abs((mpmath.mpf(_gamma_ratio(float(x), h)) - ref) / ref)
+                assert rel <= 2e-14, (x, float(rel))
+
+
+class TestHalfLnHMemo:
+    def test_memoized_arrays_are_read_only(self):
+        h = _half_ln_h(2.5, 8)
+        assert _half_ln_h(2.5, 8) is h
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[1] = 0.0
+
+    def test_interleaved_builds_match_fresh_builds(self):
+        # gamma_1, gamma_2, gamma_1 through the memo, against cold builds
+        p1, p2 = ModelParams(6.0, 1.3, 3, 0), ModelParams(9.5, 1.3, 3, 0)
+        builds = [lambda p: power_matrix(p, 20, 2),
+                  lambda p: inv_power_matrix(p, 20, 4.0),
+                  lambda p: inv_power_matrix(p, 20, 3.3)]
+        warm = [build(p) for p in (p1, p2, p1) for build in builds]
+        cold = []
+        for p in (p1, p2, p1):
+            for build in builds:
+                _half_ln_h.cache_clear()
+                cold.append(build(p))
+        for w, c in zip(warm, cold):
+            assert np.array_equal(w, c)
