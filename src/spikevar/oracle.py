@@ -2,12 +2,13 @@
 Schrodinger equation.
 
 -y'' + [Lam(Lam+1)/r^2 + V(r)] y = E y is integrated with fixed-step RK4 on a
-composite log-uniform / uniform grid; the energy is located by bisection on
-the interior node count down to a bracket holding one node transition, then
-refined by false position (Illinois) on the mismatch of logarithmic
-derivatives of outward and inward sweeps at the outer classical turning
-point.  The grid density is doubled until the eigenvalue moves by less than
-tol/4 under step halving (Richardson self-consistency).
+composite log-uniform / uniform grid, each step applied as its exact 2x2
+transfer matrix on (y, y'), tabulated with numpy.  The energy is located by
+bisection on the interior node count down to a bracket holding one node
+transition, then refined by false position (Illinois) on the mismatch of
+logarithmic derivatives of outward and inward sweeps at the outer classical
+turning point.  The grid density is doubled until the eigenvalue moves by
+less than tol/4 under step halving (Richardson self-consistency).
 
 This module never touches the variational machinery: it is the check the
 variational bounds are measured against.
@@ -16,6 +17,7 @@ variational bounds are measured against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,9 @@ _RMIN_CAP = 1e-4     # default inner cutoff floor
 _RMAX_CAP = 20.0     # default outer cutoff ceiling (override via r_max)
 _TAIL_ACTION = 41.5  # WKB action making the neglected tail < 1e-18
 _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
+_BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
 
-BACKEND = "pure"     # the pure-Python _sweep below is the only kernel
+BACKEND = "pure"     # the numpy-tabulated _sweep below is the only kernel
 
 
 class ShootingError(RuntimeError):
@@ -47,7 +50,8 @@ class OracleResult:
     bracket's width, but never less than tol/8, where the root search stops.
     The eigenvalue lies within a couple of bracket_width above `energy`, and
     bracket_width <= the requested tolerance, so the estimate is still
-    accurate to tol.
+    accurate to tol.  sweeps counts the RK4 sweeps of the whole call, over
+    every grid it tried.
     """
 
     energy: float
@@ -57,6 +61,14 @@ class OracleResult:
     r_max: float
     steps: int
     grid_scale: float
+    sweeps: int
+
+
+class _Tally:
+    """RK4 sweeps run so far by one shoot_eigenvalue call, over all its grids."""
+
+    def __init__(self):
+        self.sweeps = 0
 
 
 class _NeedLargerDomain(Exception):
@@ -71,47 +83,55 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
     """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y; return (y1, y2, nodes).
 
     W is tabulated at the len(h) + 1 step endpoints (w_nodes) and the len(h)
-    step midpoints (w_mid); steps h are negative for inward sweeps.  Sign
-    changes of y are counted on the fly, and the state is renormalized
-    whenever it threatens to overflow or underflow (the rescaling cancels
-    out of node counts and logarithmic derivatives).
+    step midpoints (w_mid); steps h are negative for inward sweeps.
+
+    On this linear system one classical RK4 step is exactly a 2x2 matrix
+    acting on (y, y'), in h and q = W - E at the step's start (q0), midpoint
+    (qm) and end (q1):
+
+        M00 = 1 + h^2 (q0 + 2 qm) / 6 + h^4 qm q0 / 24
+        M01 = h (1 + h^2 qm / 6)
+        M10 = h / 6 (q0 + 4 qm + q1 + h^2 qm (q0 + q1) / 2)
+        M11 = 1 + h^2 (2 qm + q1) / 6 + h^4 qm q1 / 24
+
+    The matrices are tabulated with numpy a block of steps at a time, so the
+    loop is left with the mat-vec, the sign test that counts sign changes of
+    y and the guard that renormalizes the state whenever it threatens to
+    overflow or underflow (the rescaling cancels out of node counts and
+    logarithmic derivatives).  The start values may be numpy scalars; the
+    loop runs on Python floats.
     """
-    wn = w_nodes.tolist()
-    wm = w_mid.tolist()
+    y1 = float(y1)
+    y2 = float(y2)
     nodes = 0
     prev = 1.0 if y1 > 0.0 else (-1.0 if y1 < 0.0 else 0.0)
-    e = energy
-    for i, hi in enumerate(h.tolist()):
-        q0 = wn[i] - e
-        qm = wm[i] - e
-        q1 = wn[i + 1] - e
-        half = 0.5 * hi
-        k1a = y2
-        k1b = q0 * y1
-        ya = y1 + half * k1a
-        yb = y2 + half * k1b
-        k2a = yb
-        k2b = qm * ya
-        ya = y1 + half * k2a
-        yb = y2 + half * k2b
-        k3a = yb
-        k3b = qm * ya
-        ya = y1 + hi * k3a
-        yb = y2 + hi * k3b
-        k4a = yb
-        k4b = q1 * ya
-        y1 = y1 + hi / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a)
-        y2 = y2 + hi / 6.0 * (k1b + 2.0 * (k2b + k3b) + k4b)
-        if count_nodes:
-            s = 1.0 if y1 > 0.0 else (-1.0 if y1 < 0.0 else 0.0)
-            if s != 0.0:
-                if prev != 0.0 and s != prev:
-                    nodes += 1
-                prev = s
-        mag = abs(y1) + abs(y2)
-        if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
-            y1 /= mag
-            y2 /= mag
+    for start in range(0, len(h), _BLOCK):
+        stop = min(start + _BLOCK, len(h))
+        hb = h[start:stop]
+        q0 = w_nodes[start:stop] - energy
+        qm = w_mid[start:stop] - energy
+        q1 = w_nodes[start + 1:stop + 1] - energy
+        h2 = hb * hb
+        h2qm = h2 * qm
+        m00 = 1.0 + h2 * (q0 + 2.0 * qm) / 6.0 + h2qm * h2 * q0 / 24.0
+        m01 = hb * (1.0 + h2qm / 6.0)
+        m10 = hb / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2qm * (q0 + q1))
+        m11 = 1.0 + h2 * (2.0 * qm + q1) / 6.0 + h2qm * h2 * q1 / 24.0
+        for a, b, c, d in zip(m00.tolist(), m01.tolist(), m10.tolist(), m11.tolist()):
+            y1, y2 = a * y1 + b * y2, c * y1 + d * y2
+            if count_nodes:
+                if y1 < 0.0:
+                    if prev > 0.0:
+                        nodes += 1
+                    prev = -1.0
+                elif y1 > 0.0:
+                    if prev < 0.0:
+                        nodes += 1
+                    prev = 1.0
+            mag = abs(y1) + abs(y2)
+            if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
+                y1 /= mag
+                y2 /= mag
     return y1, y2, nodes
 
 
@@ -146,10 +166,12 @@ class _RadialProblem:
 
 
 class _Grid:
-    """Composite grid with the potential pre-tabulated for the RK4 kernel."""
+    """Composite grid with the potential pre-tabulated for the RK4 kernel;
+    every sweep over it is counted in `tally`."""
 
     def __init__(self, prob: _RadialProblem, r_min: float, r_max: float,
-                 e_cap: float, scale: float):
+                 e_cap: float, scale: float, tally: _Tally):
+        self._tally = tally
         r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
         w_floor_est = float(np.min(prob.w(np.geomspace(r_min, r_max, 512))))
         k_est = math.sqrt(max(e_cap - w_floor_est, 1.0))
@@ -175,6 +197,7 @@ class _Grid:
         self._h_r = np.ascontiguousarray(-self.h[::-1])
 
     def outward(self, energy, y1, y2, count_nodes=False, stop=None):
+        self._tally.sweeps += 1
         if stop is None:
             return _sweep(self.wn, self.wm, self.h, energy, y1, y2, count_nodes)
         return _sweep(self.wn[: stop + 1], self.wm[:stop], self.h[:stop],
@@ -182,6 +205,7 @@ class _Grid:
 
     def inward(self, energy, y1, y2, stop):
         """Sweep from r_max down to node index `stop`."""
+        self._tally.sweeps += 1
         n = self.steps
         return _sweep(self._wn_r[: n - stop + 1], self._wm_r[: n - stop],
                       self._h_r[: n - stop], energy, y1, y2, False)
@@ -342,6 +366,19 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     return e_lo - width, width
 
 
+def _log_result(res: OracleResult) -> None:
+    """One DEBUG record per shoot_eigenvalue call on `spikevar.oracle`."""
+    # A process that never imported logging has configured no handler or
+    # level that could show a DEBUG record, so skipping it there changes no
+    # output and spares every oracle call the module's load (~0.5 MiB).
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
+    logging.getLogger(__name__).debug(
+        "r_min=%.6g r_max=%.6g steps=%d grid_scale=%g bracket_width=%.3g sweeps=%d",
+        res.r_min, res.r_max, res.steps, res.grid_scale, res.bracket_width, res.sweeps)
+
+
 def shoot_eigenvalue(
     v: PotentialSpec,
     level: int,
@@ -367,6 +404,7 @@ def shoot_eigenvalue(
     prob = _RadialProblem(v)
     w_probe = float(np.min(prob.w(np.geomspace(1e-3, 10.0, 1024))))
     e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)
+    tally = _Tally()
 
     for _ in range(12):
         rmin_eff = r_min if r_min is not None else _choose_r_min(prob, e_cap)
@@ -378,7 +416,7 @@ def shoot_eigenvalue(
         refinements = 0
         try:
             while True:
-                grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale)
+                grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale, tally)
                 try:
                     found, width = _solve_at_density(prob, grid, level, tol, e_cap)
                 except _StepSizeFailure:
@@ -386,8 +424,11 @@ def shoot_eigenvalue(
                 else:
                     if not auto_refine or (energy is not None
                                            and abs(found - energy) < 0.25 * tol):
-                        return OracleResult(found, level, width, rmin_eff,
-                                            rmax_eff, grid.steps, scale)
+                        res = OracleResult(float(found), level, float(width),
+                                           rmin_eff, rmax_eff, grid.steps, scale,
+                                           tally.sweeps)
+                        _log_result(res)
+                        return res
                     failure = (f"Richardson check did not settle below tol/4 = "
                                f"{0.25 * tol:.3g} within {max_refine} grid doublings")
                     free = energy is None  # the first halving is the check itself

@@ -1,6 +1,10 @@
 """Command-line parsing, serialization formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +141,18 @@ class TestMain:
         assert code == 0
         row = json.loads(capsys.readouterr().out)
         assert row["oracle"] == pytest.approx(3.0, abs=1e-5)
+
+    def test_oracle_default_output_has_no_log_lines(self):
+        # the oracle's DEBUG record stays out of a plain run's stdout and stderr
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spikevar.cli", "oracle", "--a1", "1",
+             "--tol", "1e-5", "--format", "json"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stderr == ""
+        (line,) = proc.stdout.splitlines()
+        assert list(json.loads(line)) == [*cli._FIELDS, "error"]
 
     def test_converge_command(self, capsys):
         code = cli.main(["converge", "--a1", "1", "--term", "0.1:4",

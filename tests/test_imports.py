@@ -1,4 +1,5 @@
-"""The package and its CLI import without scipy."""
+"""The package and its CLI import without scipy, and an oracle call in a
+process that never configured logging does not load it."""
 
 import os
 import subprocess
@@ -15,3 +16,13 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.strip() == "[]"
+
+
+def test_oracle_call_loads_no_logging():
+    src = Path(spikevar.__file__).resolve().parents[1]
+    code = ("import sys, spikevar; "
+            "spikevar.shoot_eigenvalue(spikevar.PotentialSpec(a1=1.0), 0, tol=1e-4); "
+            "print('logging' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.strip() == "False"

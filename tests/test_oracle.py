@@ -1,8 +1,12 @@
-"""Shooting-method eigenvalues: exact cases, self-consistency, domain checks."""
+"""Shooting-method eigenvalues: exact cases, self-consistency, domain checks,
+and the RK4 kernel against the stage-by-stage reference step (`rk4ref`)."""
 
+import logging
 
+import numpy as np
 import pytest
 
+from rk4ref import rk4_sweep
 from spikevar import oracle
 from spikevar.basis import ModelParams, gk_energy
 from spikevar.hamiltonian import PotentialSpec
@@ -121,6 +125,96 @@ class TestSweepCount:
         res = shoot_eigenvalue(v, 0, tol=1e-6)
         assert res.energy == pytest.approx(5.0, abs=2e-6)
         assert len(calls) <= 60
+        assert res.sweeps == len(calls)
+
+    def test_debug_record(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="spikevar.oracle")
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0, terms=((1.0, 4.0),)), 0, tol=1e-6)
+        (rec,) = [r for r in caplog.records if r.name == "spikevar.oracle"]
+        assert rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        for field in ("r_min=", "r_max=", "grid_scale=", "bracket_width="):
+            assert field in msg
+        assert f"steps={res.steps} " in msg
+        assert msg.endswith(f"sweeps={res.sweeps}")
+
+    def test_energy_is_plain_float(self):
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0, terms=((1.0, 4.0),)), 0, tol=1e-6)
+        assert type(res.energy) is float
+        assert type(res.bracket_width) is float
+        assert "np.float64" not in repr(res)
+
+
+def _random_grid(seed: int, steps: int = 3000, r0: float = 0.05, r1: float = 6.0):
+    """Seeded random steps on [r0, r1], W = r^2 + 2/r^2 + a random ripple
+    tabulated at the step ends and midpoints."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.5, 1.5, steps)
+    h *= (r1 - r0) / h.sum()
+    r = r0 + np.concatenate([[0.0], np.cumsum(h)])
+    amp, freq = rng.uniform(-2.0, 2.0), rng.uniform(1.0, 5.0)
+
+    def w(x):
+        return x * x + 2.0 / (x * x) + amp * np.sin(freq * x)
+
+    return w(r), w(r[:-1] + 0.5 * h), h
+
+
+def _inward(wn, wm, h):
+    return wn[::-1].copy(), wm[::-1].copy(), -h[::-1]
+
+
+def _normalized(y1, y2):
+    mag = abs(y1) + abs(y2)
+    return y1 / mag, y2 / mag
+
+
+class TestKernel:
+    """`_sweep` (tabulated transfer matrices) against the stage-by-stage
+    RK4 step of `rk4ref`: the same method, so only rounding may differ."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
+    @pytest.mark.parametrize("energy", [-5.0, 30.0])
+    def test_matches_stagewise_rk4(self, seed, inward, energy):
+        args = _random_grid(seed)
+        if inward:
+            args = _inward(*args)
+        got = oracle._sweep(*args, energy, 1.0, -0.5, True)
+        want = rk4_sweep(*args, energy, 1.0, -0.5, True)
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2]
+
+    def test_node_count_on_oscillating_solution(self):
+        # E = 30 is above W on most of [0.05, 6]: y oscillates many times
+        args = _random_grid(3, steps=5000)
+        got = oracle._sweep(*args, 30.0, 1.0, 0.0, True)
+        want = rk4_sweep(*args, 30.0, 1.0, 0.0, True)
+        assert got[2] == want[2] >= 5
+        assert oracle._sweep(*args, 30.0, 1.0, 0.0, False)[2] == 0
+
+    @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
+    def test_rescale_guard(self, inward):
+        # below W the solution grows by ~1e14; from 1e249 it crosses 1e250
+        args = _random_grid(4)
+        if inward:
+            args = _inward(*args)
+        got = oracle._sweep(*args, -10.0, 1e249, 1e249, True)
+        want = rk4_sweep(*args, -10.0, 1e249, 1e249, True)
+        assert abs(got[0]) + abs(got[1]) < 1e249  # renormalized on the way
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2]
+
+    def test_node_count_independent_of_start_type(self):
+        # _start_values hands over numpy scalars when r_min is one
+        args = _random_grid(5, steps=5000)
+        plain = oracle._sweep(*args, 30.0, 1.0, 0.5, True)
+        numpy = oracle._sweep(*args, 30.0, np.float64(1.0), np.float64(0.5), True)
+        assert plain[2] >= 5
+        assert numpy == plain
+        assert all(type(x) is float for x in numpy[:2])
 
 
 class TestValidation:
