@@ -13,6 +13,7 @@ not errors, unless --strict), 1 computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -96,7 +97,13 @@ def _add_common(sub, potential=True):
                      help="emit real wall-clock times (breaks byte-identical reruns)")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built on first use.
+
+    Parsing leaves it unchanged (an appended --term list is copied before it
+    grows), so one instance serves every call of `main` in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="spikevar",
         description="Variational upper bounds for radial operators with "

@@ -3,12 +3,16 @@ Schrodinger equation.
 
 -y'' + [Lam(Lam+1)/r^2 + V(r)] y = E y is integrated with fixed-step RK4 on a
 composite log-uniform / uniform grid, each step applied as its exact 2x2
-transfer matrix on (y, y'), tabulated with numpy.  The energy is located by
-bisection on the interior node count down to a bracket holding one node
-transition, then refined by false position (Illinois) on the mismatch of
-logarithmic derivatives of outward and inward sweeps at the outer classical
-turning point.  The grid density is doubled until the eigenvalue moves by
-less than tol/4 under step halving (Richardson self-consistency).
+transfer matrix on (y, y'), tabulated with numpy and multiplied together
+16 steps at a time, so that Python touches the state once per 16 steps.
+The energy is located by bisection on the interior node count down to a
+bracket holding one node transition, then refined by false position
+(Illinois) on the mismatch of logarithmic derivatives of outward and inward
+sweeps at the outer classical turning point.  The grid density is doubled
+until the eigenvalue moves by less than tol/4 under step halving (Richardson
+self-consistency); each refined grid first tries a narrow bracket around the
+previous grid's eigenvalue and searches from the potential floor only when
+that bracket does not hold the level.
 
 This module never touches the variational machinery: it is the check the
 variational bounds are measured against.
@@ -31,6 +35,8 @@ _RMAX_CAP = 20.0     # default outer cutoff ceiling (override via r_max)
 _TAIL_ACTION = 41.5  # WKB action making the neglected tail < 1e-18
 _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
 _BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
+_SPAN = 16           # RK4 steps per block product; a power of two
+_WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
 
 BACKEND = "pure"     # the numpy-tabulated _sweep below is the only kernel
 
@@ -51,7 +57,9 @@ class OracleResult:
     The eigenvalue lies within a couple of bracket_width above `energy`, and
     bracket_width <= the requested tolerance, so the estimate is still
     accurate to tol.  sweeps counts the RK4 sweeps of the whole call, over
-    every grid it tried.
+    every grid it tried; fallbacks counts the refined grids whose warm
+    bracket around the previous grid's energy was rejected, so that their
+    search started from the potential floor.
     """
 
     energy: float
@@ -62,6 +70,7 @@ class OracleResult:
     steps: int
     grid_scale: float
     sweeps: int
+    fallbacks: int
 
 
 class _Tally:
@@ -79,6 +88,11 @@ class _StepSizeFailure(Exception):
     pass
 
 
+def _product(later, earlier):
+    """Matrix products later @ earlier of stacked 2x2 matrices, shape (2, 2, ...)."""
+    return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+
+
 def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
     """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y; return (y1, y2, nodes).
 
@@ -94,44 +108,86 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
         M10 = h / 6 (q0 + 4 qm + q1 + h^2 qm (q0 + q1) / 2)
         M11 = 1 + h^2 (2 qm + q1) / 6 + h^4 qm q1 / 24
 
-    The matrices are tabulated with numpy a block of steps at a time, so the
-    loop is left with the mat-vec, the sign test that counts sign changes of
-    y and the guard that renormalizes the state whenever it threatens to
-    overflow or underflow (the rescaling cancels out of node counts and
-    logarithmic derivatives).  The start values may be numpy scalars; the
-    loop runs on Python floats.
+    The matrices are tabulated with numpy _BLOCK steps at a time and split
+    into blocks of _SPAN steps (the last block padded with h = 0 steps,
+    which are exactly the identity).  Pairwise products, later times
+    earlier, reduce each block to one matrix in log2(_SPAN) numpy passes,
+    so the Python loop runs once per block: it applies the block's product
+    and renormalizes the state whenever it threatens to overflow or
+    underflow.  The guard at 1e250 leaves a factor 1e58 of headroom, far
+    more than the 16 steps of one block can change the state by, and the
+    rescaling cancels out of node counts and logarithmic derivatives.
+
+    With count_nodes, the same pairwise products walked back down from the
+    block-start states give y at every step, all blocks at once, and the
+    sign changes of y are counted with numpy; an exact zero leaves the
+    previous sign in place.  The start values may be numpy scalars; the
+    returned state is Python floats.
     """
     y1 = float(y1)
     y2 = float(y2)
     nodes = 0
-    prev = 1.0 if y1 > 0.0 else (-1.0 if y1 < 0.0 else 0.0)
+    prev = y1  # the last nonzero y so far, or the zero start
     for start in range(0, len(h), _BLOCK):
         stop = min(start + _BLOCK, len(h))
         hb = h[start:stop]
-        q0 = w_nodes[start:stop] - energy
+        qn = w_nodes[start:stop + 1] - energy
         qm = w_mid[start:stop] - energy
-        q1 = w_nodes[start + 1:stop + 1] - energy
+        pad = -(stop - start) % _SPAN
+        if pad:
+            zeros = np.zeros(pad)
+            hb = np.concatenate((hb, zeros))
+            qn = np.concatenate((qn, zeros))
+            qm = np.concatenate((qm, zeros))
+        q0 = qn[:-1]
+        q1 = qn[1:]
+        blocks = len(hb) // _SPAN
         h2 = hb * hb
         h2qm = h2 * qm
-        m00 = 1.0 + h2 * (q0 + 2.0 * qm) / 6.0 + h2qm * h2 * q0 / 24.0
-        m01 = hb * (1.0 + h2qm / 6.0)
-        m10 = hb / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2qm * (q0 + q1))
-        m11 = 1.0 + h2 * (2.0 * qm + q1) / 6.0 + h2qm * h2 * q1 / 24.0
-        for a, b, c, d in zip(m00.tolist(), m01.tolist(), m10.tolist(), m11.tolist()):
-            y1, y2 = a * y1 + b * y2, c * y1 + d * y2
+        c2 = h2 / 6.0
+        c4 = h2qm * h2 / 24.0
+        m = np.empty((2, 2, blocks, _SPAN))
+        m[0, 0] = (1.0 + c2 * (q0 + 2.0 * qm) + c4 * q0).reshape(blocks, _SPAN)
+        m[0, 1] = (hb * (1.0 + h2qm / 6.0)).reshape(blocks, _SPAN)
+        m[1, 0] = (hb / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2qm * (q0 + q1))
+                   ).reshape(blocks, _SPAN)
+        m[1, 1] = (1.0 + c2 * (2.0 * qm + q1) + c4 * q1).reshape(blocks, _SPAN)
+        # levels[k][..., j] is the product of steps j 2^k .. (j + 1) 2^k - 1
+        levels = [m]
+        while levels[-1].shape[-1] > 1:
+            t = levels[-1]
+            levels.append(_product(t[..., 1::2], t[..., 0::2]))
+        block = levels.pop().reshape(4, blocks).tolist()
+        starts1 = []
+        starts2 = []
+        for a, b, c, d in zip(*block):
             if count_nodes:
-                if y1 < 0.0:
-                    if prev > 0.0:
-                        nodes += 1
-                    prev = -1.0
-                elif y1 > 0.0:
-                    if prev < 0.0:
-                        nodes += 1
-                    prev = 1.0
+                starts1.append(y1)
+                starts2.append(y2)
+            y1, y2 = a * y1 + b * y2, c * y1 + d * y2
             mag = abs(y1) + abs(y2)
             if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
                 y1 /= mag
                 y2 /= mag
+        if count_nodes:
+            # states at the start of every step: the left half of each
+            # product starts where its parent does, the right half after
+            # the left half's product
+            state = np.array((starts1, starts2))[:, :, None]
+            for t in reversed(levels):
+                left = t[..., 0::2]
+                finer = np.empty((2, blocks, 2 * state.shape[-1]))
+                finer[..., 0::2] = state
+                finer[..., 1::2] = left[:, 0] * state[0] + left[:, 1] * state[1]
+                state = finer
+            # y after every step, led by the last nonzero y before them
+            seq = np.append(state[0].ravel(), y1)
+            seq[0] = prev
+            seq = seq[seq != 0.0]
+            sign = seq > 0.0
+            nodes += int(np.count_nonzero(sign[1:] != sign[:-1]))
+            if seq.size:
+                prev = seq[-1]
     return y1, y2, nodes
 
 
@@ -293,9 +349,15 @@ def _false_position(f, a: float, fa: float, b: float, fb: float, width: float):
 
 
 def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
-                      e_cap: float):
+                      e_cap: float, prior: float | None = None):
     """Bisection on node count to a unit node bracket, then false position
-    on the normalized matching Wronskian."""
+    on the normalized matching Wronskian; return (energy, width, warm).
+
+    With a prior (the energy found on the previous, coarser grid) the
+    bracket prior -/+ _WARM * tol is tried first.  When it holds exactly the
+    level-th node transition and the mismatch changes sign across it, false
+    position starts from it directly (warm is True); otherwise the search
+    starts from the potential floor as it does without a prior."""
 
     def nodes_of(energy: float) -> int:
         y1, y2 = _start_values(prob, grid.r[0], energy)
@@ -332,24 +394,35 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
                 e_hi, n_hi = e_mid, n_mid
         return e_lo, n_lo, e_hi, n_hi
 
-    floor = grid.w_floor
-    e_lo = floor + 1e-12 * (1.0 + abs(floor))
-    n_lo = nodes_of(e_lo)
-    if n_lo > level:
-        raise _StepSizeFailure(f"{n_lo} nodes at the potential floor")
-    e_hi = floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0)
-    n_hi = nodes_of(e_hi)
-    while n_hi <= level:
-        e_hi = floor + 2.0 * (e_hi - floor)
-        if e_hi > e_cap:
-            raise _NeedLargerDomain
+    def sign_change(f_lo: float, f_hi: float) -> bool:
+        return f_lo == f_lo and f_hi == f_hi and (f_lo < 0.0) != (f_hi < 0.0)
+
+    warm = False
+    if prior is not None:
+        e_lo, e_hi = prior - _WARM * tol, prior + _WARM * tol
+        if nodes_of(e_lo) == level and nodes_of(e_hi) == level + 1:
+            f_lo = mismatch(e_lo)
+            f_hi = mismatch(e_hi)
+            warm = sign_change(f_lo, f_hi)
+    if not warm:
+        floor = grid.w_floor
+        e_lo = floor + 1e-12 * (1.0 + abs(floor))
+        n_lo = nodes_of(e_lo)
+        if n_lo > level:
+            raise _StepSizeFailure(f"{n_lo} nodes at the potential floor")
+        e_hi = floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0)
         n_hi = nodes_of(e_hi)
-    e_lo, n_lo, e_hi, n_hi = node_bisect(e_lo, n_lo, e_hi, n_hi, math.inf)
+        while n_hi <= level:
+            e_hi = floor + 2.0 * (e_hi - floor)
+            if e_hi > e_cap:
+                raise _NeedLargerDomain
+            n_hi = nodes_of(e_hi)
+        e_lo, n_lo, e_hi, n_hi = node_bisect(e_lo, n_lo, e_hi, n_hi, math.inf)
+        f_lo = mismatch(e_lo)
+        f_hi = mismatch(e_hi)
     # refine on the matching mismatch when it brackets a sign change,
     # otherwise carry the node bisection all the way down
-    f_lo = mismatch(e_lo)
-    f_hi = mismatch(e_hi)
-    if f_lo == f_lo and f_hi == f_hi and (f_lo < 0.0) != (f_hi < 0.0):
+    if warm or sign_change(f_lo, f_hi):
         e_lo, e_hi = _false_position(mismatch, e_lo, f_lo, e_hi, f_hi, 0.125 * tol)
     else:
         e_lo, _, e_hi, _ = node_bisect(e_lo, n_lo, e_hi, n_hi, 0.125 * tol)
@@ -363,7 +436,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     # width counted is never less than that stop: the shift must still cover
     # the grid's own error, which the Richardson check holds near tol/60.
     width = max(width, 0.125 * tol)
-    return e_lo - width, width
+    return e_lo - width, width, warm
 
 
 def _log_result(res: OracleResult) -> None:
@@ -375,8 +448,9 @@ def _log_result(res: OracleResult) -> None:
     if logging is None:
         return
     logging.getLogger(__name__).debug(
-        "r_min=%.6g r_max=%.6g steps=%d grid_scale=%g bracket_width=%.3g sweeps=%d",
-        res.r_min, res.r_max, res.steps, res.grid_scale, res.bracket_width, res.sweeps)
+        "r_min=%.6g r_max=%.6g steps=%d grid_scale=%g bracket_width=%.3g "
+        "fallbacks=%d sweeps=%d", res.r_min, res.r_max, res.steps, res.grid_scale,
+        res.bracket_width, res.fallbacks, res.sweeps)
 
 
 def shoot_eigenvalue(
@@ -405,6 +479,7 @@ def shoot_eigenvalue(
     w_probe = float(np.min(prob.w(np.geomspace(1e-3, 10.0, 1024))))
     e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)
     tally = _Tally()
+    fallbacks = 0  # refined grids whose warm bracket was rejected
 
     for _ in range(12):
         rmin_eff = r_min if r_min is not None else _choose_r_min(prob, e_cap)
@@ -418,15 +493,18 @@ def shoot_eigenvalue(
             while True:
                 grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale, tally)
                 try:
-                    found, width = _solve_at_density(prob, grid, level, tol, e_cap)
+                    found, width, warm = _solve_at_density(prob, grid, level, tol,
+                                                           e_cap, energy)
                 except _StepSizeFailure:
                     failure = "node-count monotonicity kept failing under refinement"
                 else:
+                    if energy is not None and not warm:
+                        fallbacks += 1
                     if not auto_refine or (energy is not None
                                            and abs(found - energy) < 0.25 * tol):
                         res = OracleResult(float(found), level, float(width),
                                            rmin_eff, rmax_eff, grid.steps, scale,
-                                           tally.sweeps)
+                                           tally.sweeps, fallbacks)
                         _log_result(res)
                         return res
                     failure = (f"Richardson check did not settle below tol/4 = "

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikevar import cli
+from spikevar.hamiltonian import PotentialSpec
+from spikevar.oracle import shoot_eigenvalue
 from spikevar.tables import RowResult, TableReport
 
 
@@ -194,3 +196,33 @@ class TestMain:
         broken = TableReport("table3", (_row(passed=False, error="boom"),))
         monkeypatch.setattr(cli, "run_table", lambda *a, **k: broken)
         assert cli.main(["table", "--id", "table3"]) == 1
+
+
+class TestCachedParser:
+    """main reuses one parser; no call may see another call's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_successive_calls_share_no_terms(self, monkeypatch, capsys):
+        seen = []
+
+        def record(v, level, tol):
+            seen.append(v.terms)
+            return shoot_eigenvalue(PotentialSpec(a1=1.0), 0, tol=1e-3)
+
+        monkeypatch.setattr(cli, "shoot_eigenvalue", record)
+        argvs = [["--term", "1:4"], ["--term", "2:6", "--term", "3:4"], [],
+                 ["--term", "0.5:2.5"]]
+        for extra in argvs:
+            assert cli.main(["oracle", "--a1", "1", *extra, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert seen == [((1.0, 4.0),), ((2.0, 6.0), (3.0, 4.0)), (), ((0.5, 2.5),)]
+
+    def test_usage_error_after_cached_parse_exits_2(self, capsys):
+        assert cli.main(["first-order", "--lambda", "1000", "--format", "json"]) == 0
+        with pytest.raises(SystemExit) as e:
+            cli.main(["eig", "--frobnicate", "1"])
+        assert e.value.code == 2
+        assert "--frobnicate" in capsys.readouterr().err
+        assert cli.main(["first-order", "--lambda", "1000", "--format", "json"]) == 0

@@ -124,7 +124,7 @@ class TestSweepCount:
         v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
         res = shoot_eigenvalue(v, 0, tol=1e-6)
         assert res.energy == pytest.approx(5.0, abs=2e-6)
-        assert len(calls) <= 60
+        assert len(calls) <= 33  # 30 measured, plus 10%
         assert res.sweeps == len(calls)
 
     def test_debug_record(self, caplog):
@@ -136,6 +136,7 @@ class TestSweepCount:
         for field in ("r_min=", "r_max=", "grid_scale=", "bracket_width="):
             assert field in msg
         assert f"steps={res.steps} " in msg
+        assert f" fallbacks={res.fallbacks} " in msg
         assert msg.endswith(f"sweeps={res.sweeps}")
 
     def test_energy_is_plain_float(self):
@@ -143,6 +144,75 @@ class TestSweepCount:
         assert type(res.energy) is float
         assert type(res.bracket_width) is float
         assert "np.float64" not in repr(res)
+
+
+# the oscillator and the exact table4 cases: (terms, level, exact energy)
+EXACT = [
+    ((), 0, 3.0),
+    ((), 1, 7.0),
+    ((), 2, 11.0),
+    (((1.0, 4.0), (1.0, 6.0)), 0, 5.0),
+    (((9.0, 4.0), (9.0, 6.0)), 0, 7.0),
+    (((-7.0, 4.0), (49.0, 6.0)), 0, 7.0),
+    (((45.0, 4.0), (225.0, 6.0)), 0, 11.0),
+]
+
+
+class TestWarmStart:
+    """A refined grid starts from a bracket around the previous grid's energy."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-7])
+    @pytest.mark.parametrize("terms,level,exact", EXACT)
+    def test_every_refined_grid_takes_the_warm_bracket(self, terms, level, exact, tol):
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0, terms=terms), level, tol=tol)
+        assert res.grid_scale >= 2.0  # at least one refined grid
+        assert res.fallbacks == 0
+        assert exact - 2.0 * tol <= res.energy <= exact
+
+    @staticmethod
+    def _grid(v):
+        """A scale-2 grid as shoot_eigenvalue builds it, with a fixed energy cap."""
+        prob = oracle._RadialProblem(v)
+        e_cap = 40.0
+        r_min = oracle._choose_r_min(prob, e_cap)
+        r_max = oracle._choose_r_max(prob, e_cap, oracle._RMAX_CAP)
+        grid = oracle._Grid(prob, r_min, r_max, e_cap, 2.0, oracle._Tally())
+        return prob, grid, e_cap
+
+    @pytest.mark.parametrize("terms,level,exact,prior", [
+        ((), 1, 7.0, 3.0),    # the levels next to it: the matching Wronskian
+        ((), 1, 7.0, 11.0),   # changes sign there, the node count does not fit
+        ((), 1, 7.0, 5.5),
+        (((9.0, 4.0), (9.0, 6.0)), 0, 7.0, 5.5),
+        (((9.0, 4.0), (9.0, 6.0)), 0, 7.0, 10.0),
+    ])
+    def test_far_prior_falls_back_to_the_full_search(self, terms, level, exact, prior):
+        tol = 1e-6
+        prob, grid, e_cap = self._grid(PotentialSpec(a1=1.0, terms=terms))
+        cold = oracle._solve_at_density(prob, grid, level, tol, e_cap)
+        far = oracle._solve_at_density(prob, grid, level, tol, e_cap, prior)
+        assert cold[2] is False and far[2] is False
+        assert far == cold
+        assert exact - 2.0 * tol <= far[0] <= exact
+
+    @pytest.mark.parametrize("terms,level,exact", [EXACT[1], EXACT[4]])
+    def test_warm_bracket_agrees_with_the_full_search(self, terms, level, exact):
+        tol = 1e-6
+        prob, grid, e_cap = self._grid(PotentialSpec(a1=1.0, terms=terms))
+        cold = oracle._solve_at_density(prob, grid, level, tol, e_cap)
+        cold_sweeps = grid._tally.sweeps
+        warm = oracle._solve_at_density(prob, grid, level, tol, e_cap, cold[0])
+        assert warm[2] is True
+        assert grid._tally.sweeps - cold_sweeps < cold_sweeps  # the point of the prior
+        assert abs(warm[0] - cold[0]) <= 0.25 * tol
+        assert exact - 2.0 * tol <= warm[0] <= exact
+
+    def test_fallback_counted(self, monkeypatch):
+        # a bracket of zero width never holds the node transition
+        monkeypatch.setattr(oracle, "_WARM", 0.0)
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0), 0, tol=1e-6)
+        assert res.fallbacks == round(np.log2(res.grid_scale)) >= 1
+        assert res.energy == pytest.approx(3.0, abs=1e-6)
 
 
 def _random_grid(seed: int, steps: int = 3000, r0: float = 0.05, r1: float = 6.0):
@@ -206,6 +276,75 @@ class TestKernel:
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
         assert got[2] == want[2]
+
+    @pytest.mark.parametrize("steps", [1, 2, oracle._SPAN - 1, oracle._SPAN + 1,
+                                       oracle._BLOCK - 1, oracle._BLOCK + 1,
+                                       2 * oracle._BLOCK + 1])
+    @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
+    def test_grid_lengths(self, steps, inward):
+        # partial last block and partial last chunk
+        args = _random_grid(6, steps=steps, r1=min(6.0, 0.05 + 0.003 * steps))
+        if inward:
+            args = _inward(*args)
+        got = oracle._sweep(*args, 30.0, 1.0, -0.5, True)
+        want = rk4_sweep(*args, 30.0, 1.0, -0.5, True)
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("at", [oracle._SPAN, oracle._SPAN + 1,
+                                    oracle._BLOCK, oracle._BLOCK + 1])
+    def test_sign_change_at_block_boundary(self, at):
+        # start the sweep where the reference puts its first sign change of y
+        # at step `at`: the last step of a block (chunk) or the first of the next
+        wn, wm, h = _random_grid(3, steps=12000)
+        energy = 10.0
+
+        def nodes(k, skip=0, y=(1.0, 0.0)):
+            return rk4_sweep(wn[skip:k + 1], wm[skip:k], h[skip:k], energy, *y, True)[2]
+
+        lo, hi = at + 1, len(h)  # the first step that adds a node
+        assert nodes(lo) == 0 < nodes(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if nodes(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        skip = hi - at
+        y = rk4_sweep(wn[:skip + 1], wm[:skip], h[:skip], energy, 1.0, 0.0)[:2]
+        assert nodes(hi - 1, skip, y) == 0 and nodes(hi, skip, y) == 1
+        args = wn[skip:], wm[skip:], h[skip:]
+        got = oracle._sweep(*args, energy, *y, True)
+        want = rk4_sweep(*args, energy, *y, True)
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2] >= 1
+        # the same sweep cut off right after the sign change
+        ends = wn[skip:hi + 1], wm[skip:hi], h[skip:hi]
+        assert oracle._sweep(*ends, energy, *y, True)[2] == 1
+
+    def test_several_sign_changes_per_block(self):
+        # at E = 4e4 a half wavelength spans ~8 steps: y changes sign about
+        # twice inside every block, which only the per-step states can see
+        args = _random_grid(8, steps=3000)
+        got = oracle._sweep(*args, 4e4, 1.0, 0.0, True)
+        want = rk4_sweep(*args, 4e4, 1.0, 0.0, True)
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2] > 300
+
+    @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
+    def test_start_on_a_zero(self, inward):
+        # y1 = 0 has no sign: the first nonzero y sets it without a node
+        args = _random_grid(7, steps=3000)
+        if inward:
+            args = _inward(*args)
+        got = oracle._sweep(*args, 30.0, 0.0, 1.0, True)
+        want = rk4_sweep(*args, 30.0, 0.0, 1.0, True)
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2] >= 1
 
     def test_node_count_independent_of_start_type(self):
         # _start_values hands over numpy scalars when r_min is one
