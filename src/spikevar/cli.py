@@ -4,6 +4,11 @@ Subcommands: eig (optimize one bound), oracle (shooting eigenvalue), table
 (built-in reproduction jobs), converge (bound along a truncation schedule),
 first-order (1 x 1 closed forms).  Output formats: human, csv, json-lines.
 
+Each subparser names its handler (`set_defaults(run=...)`); a handler reads
+the parsed namespace and returns its rows, and `main` dispatches to it,
+times it once and emits the rows.  Rows that carry no time of their own get
+an equal share of the command's time; table rows keep their own.
+
 Numeric output is byte-identical across reruns of the same configuration:
 no randomness anywhere, and wall-clock fields are emitted as 0 unless
 --timing is given.  Exit status: 0 success (reference mismatches are data,
@@ -16,44 +21,19 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import replace
 
 from .hamiltonian import PotentialSpec
 from .optimizer import converge_to_digits, ground_state_first_order, minimize_bound
 from .oracle import shoot_eigenvalue
 from .tables import BUILTIN_TABLE_IDS, RowResult, builtin_job, run_table
 
-__all__ = ["RunConfig", "parse_args", "emit_results", "main"]
+__all__ = ["emit_results", "rows_from_json_lines", "main"]
 
-_CSV_HEADER = "row,N,l,D,level,A_star,B_star,bound,oracle,reference,deviation,pass,wall_ms"
 _FIELDS = ("row", "N", "l", "D", "level", "A_star", "B_star", "bound",
            "oracle", "reference", "deviation", "pass", "wall_ms")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    a1: float = 1.0
-    terms: tuple[tuple[float, float], ...] = ()
-    N: int = 3
-    l: int = 0
-    D: int = 10
-    schedule: tuple[int, ...] = ()
-    level: int = 0
-    tol: float = 1e-6
-    digits: int = 6
-    lam: float = 0.0
-    mode: str = "a"
-    table_id: str = "table1"
-    fix_B: bool = False
-    init_A: float | None = None
-    init_B: float | None = None
-    with_oracle: bool = False
-    include_slow: bool = False
-    fmt: str = "human"
-    out: str | None = None
-    strict: bool = False
-    timing: bool = False
+_CSV_HEADER = ",".join(_FIELDS)
 
 
 def _term(text: str) -> tuple[float, float]:
@@ -119,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     eig = subs.add_parser("eig", help="optimize one eigenvalue bound over (A, B)")
+    eig.set_defaults(run=_cmd_eig)
     _add_common(eig)
     eig.add_argument("-D", type=int, default=10, help="matrix truncation size")
     eig.add_argument("--fix-B", action="store_true",
@@ -129,10 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="oracle tolerance when cross-checking")
 
     orc = subs.add_parser("oracle", help="shooting-method eigenvalue")
+    orc.set_defaults(run=_cmd_oracle)
     _add_common(orc)
     orc.add_argument("--tol", type=float, default=1e-6)
 
     tab = subs.add_parser("table", help="run a built-in reproduction job")
+    tab.set_defaults(run=_cmd_table)
     tab.add_argument("--id", dest="table_id", choices=BUILTIN_TABLE_IDS,
                      required=True)
     tab.add_argument("--with-oracle", action="store_true")
@@ -142,6 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(tab, potential=False)
 
     conv = subs.add_parser("converge", help="walk a D schedule to fixed digits")
+    conv.set_defaults(run=_cmd_converge)
     _add_common(conv)
     conv.add_argument("--digits", type=int, default=6)
     conv.add_argument("--schedule", type=_schedule, default=(1, 10, 20, 100))
@@ -149,84 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     first = subs.add_parser("first-order",
                             help="1 x 1 closed-form bound for r^2 + lam r^(-4)")
+    first.set_defaults(run=_cmd_first_order)
     first.add_argument("--lambda", dest="lam", type=float, required=True)
     first.add_argument("--mode", choices=("a", "ab"), default="a")
     _add_common(first, potential=False)
 
     return parser
-
-
-def parse_args(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    kw = dict(
-        command=ns.command,
-        fmt=ns.fmt,
-        out=ns.out,
-        strict=ns.strict,
-        timing=ns.timing,
-    )
-    if hasattr(ns, "a1"):
-        kw.update(a1=ns.a1, terms=tuple(ns.term), N=ns.dim, l=ns.ell, level=ns.level)
-    if hasattr(ns, "D"):
-        kw.update(D=ns.D)
-    if hasattr(ns, "tol"):
-        kw.update(tol=ns.tol)
-    if hasattr(ns, "fix_B"):
-        kw.update(fix_B=ns.fix_B)
-    if hasattr(ns, "init_A"):
-        kw.update(init_A=ns.init_A, init_B=ns.init_B)
-    if hasattr(ns, "digits"):
-        kw.update(digits=ns.digits, schedule=tuple(ns.schedule))
-    if hasattr(ns, "lam"):
-        kw.update(lam=ns.lam)
-    if hasattr(ns, "mode"):
-        kw.update(mode=ns.mode)
-    if hasattr(ns, "table_id"):
-        kw.update(table_id=ns.table_id)
-    if hasattr(ns, "with_oracle"):
-        kw.update(with_oracle=ns.with_oracle, include_slow=ns.include_slow)
-    return RunConfig(**kw)
-
-
-def to_argv(cfg: RunConfig) -> list[str]:
-    """Canonical argv for a config; parse(to_argv(parse(x))) == parse(x)."""
-    argv = [cfg.command]
-    if cfg.command in ("eig", "oracle", "converge"):
-        argv += ["--a1", repr(cfg.a1)]
-        for lam, alpha in cfg.terms:
-            argv += ["--term", f"{lam!r}:{alpha!r}"]
-        argv += ["--dim", str(cfg.N), "--ell", str(cfg.l), "--level", str(cfg.level)]
-    if cfg.command == "eig":
-        argv += ["-D", str(cfg.D), "--tol", repr(cfg.tol)]
-        if cfg.fix_B:
-            argv += ["--fix-B"]
-        if cfg.init_A is not None:
-            argv += ["--init-A", repr(cfg.init_A)]
-        if cfg.init_B is not None:
-            argv += ["--init-B", repr(cfg.init_B)]
-    elif cfg.command == "oracle":
-        argv += ["--tol", repr(cfg.tol)]
-    elif cfg.command == "table":
-        argv += ["--id", cfg.table_id, "--tol", repr(cfg.tol)]
-        if cfg.with_oracle:
-            argv += ["--with-oracle"]
-        if cfg.include_slow:
-            argv += ["--include-slow"]
-    elif cfg.command == "converge":
-        argv += ["--digits", str(cfg.digits),
-                 "--schedule", ",".join(str(d) for d in cfg.schedule)]
-        if cfg.fix_B:
-            argv += ["--fix-B"]
-    elif cfg.command == "first-order":
-        argv += ["--lambda", repr(cfg.lam), "--mode", cfg.mode]
-    argv += ["--format", cfg.fmt]
-    if cfg.out is not None:
-        argv += ["--out", cfg.out]
-    if cfg.strict:
-        argv += ["--strict"]
-    if cfg.timing:
-        argv += ["--timing"]
-    return argv
 
 
 def _row_dict(r: RowResult, timing: bool) -> dict:
@@ -294,110 +206,71 @@ def rows_from_json_lines(text: str) -> list[RowResult]:
             A_star=d["A_star"], B_star=d["B_star"], bound=d["bound"],
             oracle=d["oracle"], reference=d["reference"],
             deviation=d["deviation"], passed=d["pass"], wall_ms=d["wall_ms"],
-            evaluations=0, error=d.get("error"),
+            error=d.get("error"),
         ))
     return out
 
 
-def _potential(cfg: RunConfig) -> PotentialSpec:
-    return PotentialSpec(a1=cfg.a1, terms=cfg.terms, N=cfg.N, l=cfg.l)
+def _potential(ns) -> PotentialSpec:
+    return PotentialSpec(a1=ns.a1, terms=tuple(ns.term), N=ns.dim, l=ns.ell)
 
 
-def _cmd_eig(cfg: RunConfig) -> list[RowResult]:
-    import time
-
-    t0 = time.perf_counter()
-    v = _potential(cfg)
-    if (cfg.init_A is None) != (cfg.init_B is None):
+def _cmd_eig(ns) -> list[RowResult]:
+    v = _potential(ns)
+    if (ns.init_A is None) != (ns.init_B is None):
         raise ValueError("--init-A and --init-B must be given together")
-    init = None
-    if cfg.init_A is not None and cfg.init_B is not None:
-        init = (cfg.init_A, cfg.init_B)
-    res = minimize_bound(v, cfg.D, cfg.level, init=init,
-                         fix_B=(cfg.a1 if cfg.fix_B else None))
-    wall = (time.perf_counter() - t0) * 1e3
-    return [RowResult(
-        label="eig", N=v.N, l=v.l, D=cfg.D, level=cfg.level,
-        A_star=res.A_star, B_star=res.B_star, bound=res.bound, oracle=None,
-        reference=None, deviation=None, passed=None, wall_ms=wall,
-        evaluations=res.evaluations,
-    )]
+    init = None if ns.init_A is None else (ns.init_A, ns.init_B)
+    res = minimize_bound(v, ns.D, ns.level, init=init,
+                         fix_B=(ns.a1 if ns.fix_B else None))
+    return [RowResult(label="eig", N=v.N, l=v.l, D=ns.D, level=ns.level,
+                      A_star=res.A_star, B_star=res.B_star, bound=res.bound,
+                      evaluations=res.evaluations)]
 
 
-def _cmd_oracle(cfg: RunConfig) -> list[RowResult]:
-    import time
-
-    t0 = time.perf_counter()
-    v = _potential(cfg)
-    res = shoot_eigenvalue(v, cfg.level, tol=cfg.tol)
-    wall = (time.perf_counter() - t0) * 1e3
-    return [RowResult(
-        label="oracle", N=v.N, l=v.l, D=0, level=cfg.level,
-        A_star=None, B_star=None, bound=None, oracle=res.energy,
-        reference=None, deviation=None, passed=None, wall_ms=wall,
-        evaluations=0,
-    )]
+def _cmd_oracle(ns) -> list[RowResult]:
+    v = _potential(ns)
+    res = shoot_eigenvalue(v, ns.level, tol=ns.tol)
+    return [RowResult(label="oracle", N=v.N, l=v.l, D=0, level=ns.level,
+                      oracle=res.energy)]
 
 
-def _cmd_converge(cfg: RunConfig) -> list[RowResult]:
-    import time
-
-    v = _potential(cfg)
-    t0 = time.perf_counter()
-    run = converge_to_digits(v, cfg.level, cfg.digits, cfg.schedule,
-                             fix_B=(cfg.a1 if cfg.fix_B else None))
-    wall = (time.perf_counter() - t0) * 1e3
-    rows = []
-    for D, res in run.history:
-        rows.append(RowResult(
-            label=f"D={D}", N=v.N, l=v.l, D=D, level=cfg.level,
-            A_star=res.A_star, B_star=res.B_star, bound=res.bound, oracle=None,
-            reference=None, deviation=None, passed=None,
-            wall_ms=wall / len(run.history), evaluations=res.evaluations,
-        ))
-    return rows
+def _cmd_table(ns) -> tuple[RowResult, ...]:
+    return run_table(builtin_job(ns.table_id), with_oracle=ns.with_oracle,
+                     include_slow=ns.include_slow, oracle_tol=ns.tol).rows
 
 
-def _cmd_first_order(cfg: RunConfig) -> list[RowResult]:
-    import time
+def _cmd_converge(ns) -> list[RowResult]:
+    v = _potential(ns)
+    run = converge_to_digits(v, ns.level, ns.digits, ns.schedule,
+                             fix_B=(ns.a1 if ns.fix_B else None))
+    return [RowResult(label=f"D={D}", N=v.N, l=v.l, D=D, level=ns.level,
+                      A_star=res.A_star, B_star=res.B_star, bound=res.bound,
+                      evaluations=res.evaluations)
+            for D, res in run.history]
 
-    t0 = time.perf_counter()
-    value = ground_state_first_order(cfg.lam, cfg.mode)
-    wall = (time.perf_counter() - t0) * 1e3
-    return [RowResult(
-        label=f"first-order {cfg.mode}", N=3, l=0, D=1, level=0,
-        A_star=None, B_star=None, bound=value, oracle=None, reference=None,
-        deviation=None, passed=None, wall_ms=wall, evaluations=0,
-    )]
+
+def _cmd_first_order(ns) -> list[RowResult]:
+    value = ground_state_first_order(ns.lam, ns.mode)
+    return [RowResult(label=f"first-order {ns.mode}", N=3, l=0, D=1, level=0,
+                      bound=value)]
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv if argv is not None else sys.argv[1:])
+    ns = _build_parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        if cfg.command == "table":
-            report = run_table(builtin_job(cfg.table_id),
-                               with_oracle=cfg.with_oracle,
-                               include_slow=cfg.include_slow,
-                               oracle_tol=cfg.tol)
-            rows = list(report.rows)
-        elif cfg.command == "eig":
-            rows = _cmd_eig(cfg)
-        elif cfg.command == "oracle":
-            rows = _cmd_oracle(cfg)
-        elif cfg.command == "converge":
-            rows = _cmd_converge(cfg)
-        elif cfg.command == "first-order":
-            rows = _cmd_first_order(cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {cfg.command!r}")
-        emit_results(rows, cfg.fmt, cfg.out, timing=cfg.timing)
+        t0 = time.perf_counter()
+        rows = ns.run(ns)
+        wall = (time.perf_counter() - t0) * 1e3
+        # a row with wall_ms 0 timed nothing itself: it gets an equal share
+        rows = [r if r.wall_ms else replace(r, wall_ms=wall / len(rows))
+                for r in rows]
+        emit_results(rows, ns.fmt, ns.out, timing=ns.timing)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    hard_failure = any(r.error for r in rows)
-    if hard_failure:
+    if any(r.error for r in rows):
         return 1
-    if cfg.strict and any(r.passed is False for r in rows):
+    if ns.strict and any(r.passed is False for r in rows):
         return 1
     return 0
 

@@ -331,6 +331,8 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
     if mode == "ab":
         def fn(x):
             g = 2.0 + math.exp(min(float(x[0]), _CLAMP))
+            if g == 2.0:  # e^u below half an ulp of 2: the g -> 2 edge
+                return math.inf
             b = math.exp(min(float(x[1]), _CLAMP))
             return g / b + b + lam * b * b / ((g - 1.0) * (g - 2.0)) + b / (
                 4.0 * (g - 1.0)
@@ -338,7 +340,7 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
 
         best = math.inf
         for g0, b0 in ((3.5, 1.0), (2.0 + 2.0 * lam ** (1.0 / 3.0), 1.0)):
-            x = [math.log(g0 - 2.0), math.log(b0)]
+            x = [math.log(max(g0 - 2.0, 1e-12)), math.log(b0)]
             scale = 0.5
             f_prev = math.inf
             for _ in range(4):

@@ -301,8 +301,9 @@ def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float) -> float:
     if len(ok) == 0:
         if hi >= cap - 1e-12:
             raise ShootingError(
-                f"outer cutoff cap {cap} cannot reach the 1e-18 tail decay for "
-                f"energies near {e_cap:.3g}; pass a larger r_max"
+                f"energies near {e_cap:.3g} lie beyond the default outer "
+                f"cutoff cap {cap}: the tail does not decay to 1e-18 inside it "
+                f"(a larger cutoff is the r_max argument of shoot_eigenvalue)"
             )
         return hi
     return float(rr[ok[0]])

@@ -11,7 +11,7 @@ Large truncations are flagged slow and skipped unless requested.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .hamiltonian import PotentialSpec
 from .optimizer import minimize_bound
@@ -70,15 +70,15 @@ class RowResult:
     l: int
     D: int
     level: int
-    A_star: float | None
-    B_star: float | None
-    bound: float | None
-    oracle: float | None
-    reference: float | None
-    deviation: float | None
-    passed: bool | None
-    wall_ms: float
-    evaluations: int
+    A_star: float | None = None
+    B_star: float | None = None
+    bound: float | None = None
+    oracle: float | None = None
+    reference: float | None = None
+    deviation: float | None = None
+    passed: bool | None = None
+    wall_ms: float = 0.0
+    evaluations: int = 0
     error: str | None = None
 
 
@@ -276,26 +276,21 @@ def _run_row(row: TableRow, oracle_requested: bool, oracle_tol: float) -> RowRes
         wall = (time.perf_counter() - t0) * 1e3
         return RowResult(
             label=row.label, N=v.N, l=v.l, D=row.D, level=row.level,
-            A_star=None, B_star=None, bound=None, oracle=None,
-            reference=row.reference, deviation=None, passed=False,
-            wall_ms=wall, evaluations=0, error=f"{type(exc).__name__}: {exc}",
+            reference=row.reference, passed=False, wall_ms=wall,
+            error=f"{type(exc).__name__}: {exc}",
         )
 
 
 def run_table(
     job: TableJob,
-    tolerance: float | None = None,
     with_oracle: bool = False,
     include_slow: bool = False,
     oracle_tol: float = 1e-6,
 ) -> TableReport:
     """Execute a job row by row; failures are recorded per row.
 
-    `tolerance` overrides every row's own pass tolerance when given.  Rows
-    flagged slow are skipped unless include_slow is set.
+    Rows flagged slow are skipped unless include_slow is set.
     """
     rows = [r for r in job.rows if include_slow or not r.slow]
-    if tolerance is not None:
-        rows = [replace(r, tolerance=tolerance) for r in rows]
     results = [_run_row(r, with_oracle, oracle_tol) for r in rows]
     return TableReport(job.identifier, tuple(results))

@@ -17,38 +17,19 @@ from spikevar.tables import RowResult, TableReport
 
 
 class TestParseRoundTrip:
-    CASES = [
-        ["eig", "--a1", "1", "--term", "0.1:4", "--dim", "3", "--ell", "0",
-         "-D", "10", "--level", "0"],
-        ["eig", "--a1", "2.5", "--term", "1:4", "--term", "3:6", "-D", "4",
-         "--fix-B", "--init-A", "2.0", "--init-B", "1.5", "--format", "csv"],
-        ["oracle", "--a1", "1", "--term", "1000:6", "--tol", "1e-7",
-         "--format", "json"],
-        ["table", "--id", "table3", "--with-oracle", "--strict"],
-        ["converge", "--a1", "1", "--term", "0.1:4", "--digits", "6",
-         "--schedule", "1,10,20,100"],
-        ["first-order", "--lambda", "1000", "--mode", "ab", "--timing"],
-    ]
-
-    @pytest.mark.parametrize("argv", CASES, ids=[c[0] + str(i) for i, c in enumerate(CASES)])
-    def test_canonicalization_is_stable(self, argv):
-        cfg = cli.parse_args(argv)
-        again = cli.parse_args(cli.to_argv(cfg))
-        assert again == cfg
-
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as e:
-            cli.parse_args(["eig", "--frobnicate", "1"])
+            cli.main(["eig", "--frobnicate", "1"])
         assert e.value.code == 2
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as e:
-            cli.parse_args([])
+            cli.main([])
         assert e.value.code == 2
 
     def test_bad_term_syntax_exits_2(self):
         with pytest.raises(SystemExit) as e:
-            cli.parse_args(["eig", "--term", "nonsense"])
+            cli.main(["eig", "--term", "nonsense"])
         assert e.value.code == 2
 
 
@@ -191,6 +172,29 @@ class TestMain:
         assert cli.main(["table", "--id", "table3"]) == 0
         capsys.readouterr()
         assert cli.main(["table", "--id", "table3", "--strict"]) == 1
+
+    def test_level_beyond_outer_cap_exits_1(self, capsys):
+        assert cli.main(["oracle", "--a1", "1", "--level", "200"]) == 1
+        err = capsys.readouterr().err
+        assert "default outer cutoff cap 20" in err
+        assert "pass a larger" not in err
+
+    def test_timing_shares_command_time_across_untimed_rows(self, capsys):
+        assert cli.main(["converge", "--a1", "1", "--term", "0.1:4",
+                         "--digits", "1", "--schedule", "1,2,3",
+                         "--format", "json", "--timing"]) == 0
+        walls = {json.loads(line)["wall_ms"]
+                 for line in capsys.readouterr().out.splitlines()}
+        assert len(walls) == 1 and walls.pop() > 0.0
+
+    def test_timing_keeps_table_row_times(self, monkeypatch, capsys):
+        report = TableReport("table3", (_row(wall_ms=12.5), _row(wall_ms=7.0)))
+        monkeypatch.setattr(cli, "run_table", lambda *a, **k: report)
+        assert cli.main(["table", "--id", "table3", "--format", "json",
+                         "--timing"]) == 0
+        walls = [json.loads(line)["wall_ms"]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert walls == [12.5, 7.0]
 
     def test_row_error_exits_1(self, monkeypatch, capsys):
         broken = TableReport("table3", (_row(passed=False, error="boom"),))

@@ -115,6 +115,14 @@ class TestFirstOrder:
                 lam, "a"
             ) + 1e-10
 
+    @pytest.mark.parametrize("lam", [1e-30, 1e-40, 1e-50, 1e-300])
+    def test_ab_tiny_coupling_reaches_g_to_2_limit(self, lam):
+        # on the way to the lam -> 0 infimum sqrt(10), g = 2 + e^u rounds to
+        # 2, and below ~1e-47 so does the second start 2 + 2 lam^(1/3)
+        assert ground_state_first_order(lam, "ab") == pytest.approx(
+            math.sqrt(10.0), abs=1e-12
+        )
+
     def test_validity_range(self):
         with pytest.raises(ValueError):
             ground_state_first_order(0.25, "a")

@@ -7,7 +7,9 @@ import pytest
 from spikevar.hamiltonian import PotentialSpec
 from spikevar.tables import (
     BUILTIN_TABLE_IDS,
+    RowResult,
     TableJob,
+    TableReport,
     TableRow,
     builtin_job,
     run_table,
@@ -101,10 +103,12 @@ class TestRunTable:
         b.pop("wall_ms")
         assert a == b
 
-    def test_tolerance_override(self):
-        report = run_table(_single_row_job(), tolerance=1e-12)
-        assert report.rows[0].passed is False  # printed value is rounded
-        assert not report.all_passed
+    def test_failing_row_fails_report(self):
+        ok = RowResult(label="a", N=3, l=0, D=10, level=0, passed=True)
+        unchecked = RowResult(label="b", N=3, l=0, D=10, level=0)
+        assert TableReport("custom", (ok, unchecked)).all_passed
+        failing = RowResult(label="c", N=3, l=0, D=10, level=0, passed=False)
+        assert not TableReport("custom", (ok, failing)).all_passed
 
     def test_row_failure_recorded_not_raised(self):
         bad = TableRow(
