@@ -6,11 +6,13 @@ Cases: r^2, r^-2, r^-4, r^-6 and r^-3.3 from `power_matrix` /
 B != a1 (it builds r^2, r^-4, r^-6 and the r^-2 counter-term) and with
 B = a1 (`assemble_fixB`: r^2 drops out, as in the A-only table rows).  Each case
 repeats until --seconds have passed (at least once) and prints the median
-time of one call.  Successive calls walk a fixed cycle of A values, so each
-one sees a new gamma_N, as the calls of a bound search do, and no cache
-keyed on gamma_N can answer a call from an identical recent one.  Only
-public entry points are used, so the same script times any revision of the
-package.
+time of one call.  Successive calls walk a fixed cycle of 17 A values, so each
+one sees a new gamma_N, as most calls of a bound search do, and no cache
+keyed on gamma_N can answer a call from an identical recent one.  The one
+exception, `assemble_sameA`, keeps A fixed and walks 17 values of B, as the
+prescan columns and the w-axis lines of the search do: every call after the
+first can reuse the moment products of the previous one.  Only public entry
+points are used, so the same script times any revision of the package.
 
 Usage: python benchmarks/bench_matelem.py [--dims 10,50,350,1000] [--seconds 1]
 """
@@ -26,24 +28,28 @@ from spikevar.matelem import inv_power_matrix, power_matrix
 
 # 17 values of A from 6 up (gamma_N >= 3.5: every case converges)
 PARAMS = tuple(ModelParams(A=6.0 + 0.37 * i, B=1.5, N=3, l=0) for i in range(17))
+# A fixed, 17 values of B, none equal to a1
+SAME_A = tuple(ModelParams(A=6.0, B=1.5 + 0.11 * i, N=3, l=0) for i in range(17))
 V = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
 V_FIX_B = PotentialSpec(a1=PARAMS[0].B, terms=V.terms)
 
+# name -> (call, parameter cycle)
 CASES = {
-    "r^2": lambda p, D: power_matrix(p, D, 2),
-    "r^-2": lambda p, D: inv_power_matrix(p, D, 2.0),
-    "r^-4": lambda p, D: inv_power_matrix(p, D, 4.0),
-    "r^-6": lambda p, D: inv_power_matrix(p, D, 6.0),
-    "r^-3.3": lambda p, D: inv_power_matrix(p, D, 3.3),
-    "assemble": lambda p, D: assemble(p, V, D),
-    "assemble_fixB": lambda p, D: assemble(p, V_FIX_B, D),
+    "r^2": (lambda p, D: power_matrix(p, D, 2), PARAMS),
+    "r^-2": (lambda p, D: inv_power_matrix(p, D, 2.0), PARAMS),
+    "r^-4": (lambda p, D: inv_power_matrix(p, D, 4.0), PARAMS),
+    "r^-6": (lambda p, D: inv_power_matrix(p, D, 6.0), PARAMS),
+    "r^-3.3": (lambda p, D: inv_power_matrix(p, D, 3.3), PARAMS),
+    "assemble": (lambda p, D: assemble(p, V, D), PARAMS),
+    "assemble_fixB": (lambda p, D: assemble(p, V_FIX_B, D), PARAMS),
+    "assemble_sameA": (lambda p, D: assemble(p, V, D), SAME_A),
 }
 
 
-def median_call(fn, D, seconds):
+def median_call(fn, params, D, seconds):
     times = []
     end = time.perf_counter() + seconds
-    for p in itertools.cycle(PARAMS):
+    for p in itertools.cycle(params):
         if times and time.perf_counter() >= end:
             break
         t0 = time.perf_counter()
@@ -58,11 +64,11 @@ def main():
     ap.add_argument("--seconds", type=float, default=1.0)
     ap.add_argument("--cases", default=",".join(CASES))
     args = ap.parse_args()
-    print(f"{'case':>13} {'D':>5} {'median_s':>12} {'calls':>6}")
+    print(f"{'case':>14} {'D':>5} {'median_s':>12} {'calls':>6}")
     for D in (int(d) for d in args.dims.split(",")):
         for name in args.cases.split(","):
-            t, k = median_call(CASES[name], D, args.seconds)
-            print(f"{name:>13} {D:>5} {t:12.3e} {k:6d}", flush=True)
+            t, k = median_call(*CASES[name], D, args.seconds)
+            print(f"{name:>14} {D:>5} {t:12.3e} {k:6d}", flush=True)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ an equal share of the command's time; table rows keep their own.
 Numeric output is byte-identical across reruns of the same configuration:
 no randomness anywhere, and wall-clock fields are emitted as 0 unless
 --timing is given.  Exit status: 0 success (reference mismatches are data,
-not errors, unless --strict), 1 computation failure, 2 usage error.
+not errors, unless `table --strict`), 1 computation failure, 2 usage error.
+Only `table` rows carry a reference, so only `table` takes --strict.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ def _add_common(sub, potential=True):
     sub.add_argument("--format", dest="fmt", choices=("human", "csv", "json"),
                      default="human")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--strict", action="store_true",
-                     help="reference mismatch becomes exit status 1")
     sub.add_argument("--timing", action="store_true",
                      help="emit real wall-clock times (breaks byte-identical reruns)")
 
@@ -93,9 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
                "reference,deviation,pass,wall_ms. csv/human print 9 "
                "significant digits; json-lines keeps full precision and "
                "round-trips. See docs/formats.md for the field reference. "
-               "Exit status: 0 ok, 1 computation failure (or mismatch under "
-               "--strict), 2 usage error.",
+               "Exit status: 0 ok, 1 computation failure (or a reference "
+               "mismatch under table --strict), 2 usage error.",
     )
+    parser.set_defaults(strict=False)
     subs = parser.add_subparsers(dest="command", required=True)
 
     eig = subs.add_parser("eig", help="optimize one eigenvalue bound over (A, B)")
@@ -106,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="pin B = a1 (one-parameter optimization)")
     eig.add_argument("--init-A", type=float, default=None)
     eig.add_argument("--init-B", type=float, default=None)
-    eig.add_argument("--tol", type=float, default=1e-6,
-                     help="oracle tolerance when cross-checking")
 
     orc = subs.add_parser("oracle", help="shooting-method eigenvalue")
     orc.set_defaults(run=_cmd_oracle)
@@ -122,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--include-slow", action="store_true")
     tab.add_argument("--tol", type=float, default=1e-6,
                      help="oracle tolerance for --with-oracle")
+    tab.add_argument("--strict", action="store_true",
+                     help="reference mismatch becomes exit status 1")
     _add_common(tab, potential=False)
 
     conv = subs.add_parser("converge", help="walk a D schedule to fixed digits")

@@ -125,8 +125,8 @@ def assemble(p: ModelParams, v: PotentialSpec, D: int) -> SymMatrix:
     terms += [(lam, inv_power_matrix, alpha) for alpha, lam in sorted(singular.items())]
     if lam2 != 0.0:
         terms.append((lam2, inv_power_matrix, 2.0))
-    n = np.arange(D)
-    H = np.diag(2.0 * p.beta * (2.0 * n + g))
+    H = np.zeros((D, D))
+    H.flat[:: D + 1] = 2.0 * p.beta * (2.0 * np.arange(D) + g)
     # each fresh term matrix is scaled and added in place; every term is
     # exactly symmetric, so the sum needs no mirroring.  M stays referenced
     # until the next term is built: freed first, it leaves two free D x D

@@ -19,6 +19,15 @@ moment matrices of one variational matrix share the vector ln h^(a).
 The constant Gamma(b + 1)/Gamma(a + 1) is `_gamma_ratio`: a short product
 when s/2 is an integer (every even power), else an upward shift plus
 Stirling's series.
+
+B enters only through the scalar beta^(-s/2): C C^T depends on gamma_N, s
+and D alone.  The unscaled products of the latest (gamma_N, D) are cached,
+one per exponent s, so an assembly at the A of the previous one (a bound
+search moving B alone) scales them instead of building them again.  A new
+(gamma_N, D) evicts every entry, so the cache holds at most the terms of
+one assembly, D x D floats each.  Every call returns a fresh scaled copy,
+made by the same single scalar multiply as an uncached build, so the
+elements carry the same bits either way.
 """
 
 from __future__ import annotations
@@ -50,17 +59,25 @@ def _check_indices(m: int, n: int) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _lower(D: int) -> np.ndarray:
-    """Mask of the j <= n triangle."""
-    mask = np.tri(D, dtype=bool)
+def _lower_ones(D: int) -> np.ndarray:
+    """Read-only 1.0 on the j <= n triangle and 0.0 above it."""
+    mask = np.tri(D)
     mask.setflags(write=False)
     return mask
+
+
+@functools.lru_cache(maxsize=8)
+def _counts(D: int) -> np.ndarray:
+    """Read-only 1.0, 2.0, ..., D - 1."""
+    i = np.arange(1.0, D)
+    i.setflags(write=False)
+    return i
 
 
 @functools.lru_cache(maxsize=32)
 def _binomial_toeplitz(half: float, D: int) -> np.ndarray:
     """Read-only view T[n, j] = binom(half, n - j), zero for j > n."""
-    i = np.arange(1.0, D)
+    i = _counts(D)
     binom = np.cumprod(np.concatenate(([1.0], (half + 1.0 - i) / i)))
     return sliding_window_view(np.concatenate((binom[::-1], np.zeros(D - 1))), D)[::-1]
 
@@ -69,7 +86,7 @@ def _binomial_toeplitz(half: float, D: int) -> np.ndarray:
 def _half_ln_h(c: float, D: int) -> np.ndarray:
     """Read-only 0.5 ln(h_k^(c) / Gamma(c + 1)) for k < D."""
     out = np.zeros(D)
-    np.add.accumulate(np.log1p(c / np.arange(1.0, D)), out=out[1:])
+    np.add.accumulate(np.log1p(c / _counts(D)), out=out[1:])
     out *= 0.5
     out.setflags(write=False)
     return out
@@ -118,18 +135,47 @@ def _gamma_ratio(x: float, h: float) -> float:
     return r * (y + h) ** h * math.exp(rest)
 
 
-def _moment_matrix(p: ModelParams, D: int, s: float) -> np.ndarray:
-    """Dense D x D matrix of <psi_m| r^s |psi_n>; requires gamma_N + s/2 > 0."""
-    a = p.gamma_N - 1.0
+def _connection_product(a: float, s: float, D: int) -> np.ndarray:
+    """C C^T of the connection matrix for a = gamma_N - 1: the moment matrix
+    of r^s without its scalar factor Gamma-ratio * beta^(-s/2)."""
     half = 0.5 * s
     ln_ratio = _half_ln_h(a + half, D)[None, :] - _half_ln_h(a, D)[:, None]
-    C = np.exp(ln_ratio, where=_lower(D), out=np.zeros((D, D)))
+    # exp(0) = 1 above the diagonal, where the binomial factor is exactly 0;
+    # the exponents there would overflow, and exp(-inf) is numpy's slow path
+    ln_ratio *= _lower_ones(D)
+    C = np.exp(ln_ratio, out=ln_ratio)
     C *= _binomial_toeplitz(half, D)
     # a product with its own transpose comes out exactly symmetric: numpy
     # evaluates it as a symmetric rank-k update and mirrors one triangle
-    M = C @ C.T
-    M *= _gamma_ratio(a + 1.0, half) * p.beta ** (-half)
+    return C @ C.T
+
+
+# (a, s, D) -> read-only C C^T, all for the one (a, D) in _products_aD: the
+# terms of the latest assembly, which the next one reuses when only B moved
+_products: dict[tuple[float, float, int], np.ndarray] = {}
+_products_aD: tuple[float, int] | None = None
+
+
+def _product(a: float, s: float, D: int) -> np.ndarray:
+    """Cached `_connection_product`; a new (a, D) evicts every entry."""
+    global _products_aD
+    M = _products.get((a, s, D))
+    if M is None:
+        if _products_aD != (a, D):
+            _products.clear()
+            _products_aD = (a, D)
+        M = _connection_product(a, s, D)
+        M.setflags(write=False)
+        _products[a, s, D] = M
     return M
+
+
+def _moment_matrix(p: ModelParams, D: int, s: float) -> np.ndarray:
+    """Fresh dense D x D matrix of <psi_m| r^s |psi_n>; requires
+    gamma_N + s/2 > 0."""
+    a = p.gamma_N - 1.0
+    half = 0.5 * s
+    return _product(a, s, D) * (_gamma_ratio(a + 1.0, half) * p.beta ** (-half))
 
 
 def inv_power_matrix(p: ModelParams, D: int, alpha: float) -> np.ndarray:

@@ -10,6 +10,7 @@ deterministic: fixed start lists, fixed restart policy, no randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ _XTOL = 1e-7      # simplex diameter in transformed coordinates
 _FTOL = 1e-10     # spread of objective values across the simplex
 _ALPHA_MARGIN = 1e-6
 _CLAMP = 50.0     # |u|, |w| cap; exp stays finite
+_MEMO_SIZE = 128  # objective values one search keeps, most recently used
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,16 @@ def _golden_polish(fn, x, f, budget, widths=(4.0, 0.8, 0.12), points=15,
 
 
 def _nelder_mead(fn, x0, scale, budget):
-    """Standard simplex search; returns (x_best, f_best, n_eval, converged)."""
+    """Standard simplex search; returns (x_best, f_best, n_eval, converged).
+
+    Vertices are lists of Python floats; fn receives such a list, and the
+    best vertex is returned as an ndarray.
+    """
     dim = len(x0)
     refl, expa, contr, shrink = _NM_COEFFS
-    pts = [np.array(x0, dtype=float)]
+    pts = [[float(t) for t in x0]]
     for i in range(dim):
-        q = np.array(x0, dtype=float)
+        q = list(pts[0])
         q[i] += scale
         pts.append(q)
     vals = []
@@ -149,43 +155,47 @@ def _nelder_mead(fn, x0, scale, budget):
         vals.append(fn(qx))
         nev += 1
         if nev >= budget:
-            i = int(np.argmin(vals))
-            return pts[i], vals[i], nev, False
+            i = min(range(len(vals)), key=vals.__getitem__)
+            return np.array(pts[i]), vals[i], nev, False
     while True:
         order = sorted(range(dim + 1), key=lambda i: vals[i])
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        diam = max(
-            float(np.max(np.abs(pts[i] - pts[0]))) for i in range(1, dim + 1)
-        )
+        best = pts[0]
+        diam = max(max(abs(a - b) for a, b in zip(p, best)) for p in pts[1:])
         if diam < _XTOL and vals[-1] - vals[0] < _FTOL:
-            return pts[0], vals[0], nev, True
+            return np.array(best), vals[0], nev, True
         if nev >= budget:
-            return pts[0], vals[0], nev, False
-        centroid = np.mean(pts[:-1], axis=0)
-        xr = centroid + refl * (centroid - pts[-1])
+            return np.array(best), vals[0], nev, False
+        # the vertex mean summed in vertex order, then divided, as np.mean
+        acc = best
+        for p in pts[1:-1]:
+            acc = [a + b for a, b in zip(acc, p)]
+        centroid = [a / dim for a in acc]
+        worst = pts[-1]
+        xr = [c + refl * (c - w) for c, w in zip(centroid, worst)]
         fr = fn(xr); nev += 1
         if vals[0] <= fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         elif fr < vals[0]:
-            xe = centroid + expa * (xr - centroid)
+            xe = [c + expa * (r - c) for c, r in zip(centroid, xr)]
             fe = fn(xe); nev += 1
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
             else:
                 pts[-1], vals[-1] = xr, fr
         else:
-            xc = centroid + contr * (pts[-1] - centroid)
+            xc = [c + contr * (w - c) for c, w in zip(centroid, worst)]
             fc = fn(xc); nev += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, dim + 1):
-                    pts[i] = pts[0] + shrink * (pts[i] - pts[0])
+                    pts[i] = [b + shrink * (p - b) for b, p in zip(best, pts[i])]
                     vals[i] = fn(pts[i]); nev += 1
                     if nev >= budget:
-                        j = int(np.argmin(vals))
-                        return pts[j], vals[j], nev, False
+                        j = min(range(len(vals)), key=vals.__getitem__)
+                        return np.array(pts[j]), vals[j], nev, False
 
 
 def minimize_bound(
@@ -206,6 +216,11 @@ def minimize_bound(
     start order.  Exhausting `budget` returns the best point found with
     converged=False.  `fix_B` pins B (one-parameter search), used for the
     A-only reproduction columns.
+
+    `evaluations` counts calls of the objective, and so does `budget`,
+    including the calls answered from the memo of the last _MEMO_SIZE
+    distinct (A, B) points: a repeated point costs no assembly, but it
+    still moves the search along the same path as before the memo.
     """
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
@@ -222,10 +237,10 @@ def minimize_bound(
 
     nev = 0
 
-    def objective(x) -> float:
-        nonlocal nev
-        nev += 1
-        A, B = decode(x)
+    # simplex restarts and shrinks and the polish's centre points come back
+    # to points already evaluated; they are answered from this memo
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def value(A: float, B: float) -> float:
         H = assemble(ModelParams(A, B, v.N, v.l), v, D)
         val = float(eigen_symmetric(H, k=target_level + 1).values[target_level])
         # eigenvalues computed from a matrix with huge entries (feasibility
@@ -233,8 +248,13 @@ def minimize_bound(
         # ||H|| * eps and can dip spuriously below the true bound; adding
         # twice that noise bound keeps the search out of the noise sink
         # while biasing legitimate points by < 1e-10
-        noise = float(np.max(np.abs(H.data))) * 2.3e-16 * D
+        noise = float(np.abs(H.data).max()) * 2.3e-16 * D
         return val + 2.0 * noise
+
+    def objective(x) -> float:
+        nonlocal nev
+        nev += 1
+        return value(*decode(x))
 
     starts = [(max(1.0, a_min + 1.0), v.a1), (a_min + 10.0, 4.0 * v.a1)]
     # the valley floor can carry several local minima a few 1e-7 apart with
@@ -285,7 +305,7 @@ def minimize_bound(
             best_x = x
     remaining = budget - nev
     if remaining > 0:
-        best_x, best_f, _ = _golden_polish(objective, list(best_x), best_f,
+        best_x, best_f, _ = _golden_polish(objective, best_x.tolist(), best_f,
                                            remaining)
     A_star, B_star = decode(best_x)
     H = assemble(ModelParams(A_star, B_star, v.N, v.l), v, D)

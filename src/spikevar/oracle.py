@@ -37,6 +37,7 @@ _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
 _BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
 _SPAN = 16           # RK4 steps per block product; a power of two
 _WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
+_WIDEN = 16.0        # the one retry's bracket is this many times wider
 
 BACKEND = "pure"     # the numpy-tabulated _sweep below is the only kernel
 
@@ -57,9 +58,9 @@ class OracleResult:
     The eigenvalue lies within a couple of bracket_width above `energy`, and
     bracket_width <= the requested tolerance, so the estimate is still
     accurate to tol.  sweeps counts the RK4 sweeps of the whole call, over
-    every grid it tried; fallbacks counts the refined grids whose warm
-    bracket around the previous grid's energy was rejected, so that their
-    search started from the potential floor.
+    every grid it tried; fallbacks counts the refined grids whose two warm
+    brackets around the previous grid's energy were both rejected, so that
+    their search started from the potential floor.
     """
 
     energy: float
@@ -355,10 +356,12 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     on the normalized matching Wronskian; return (energy, width, warm).
 
     With a prior (the energy found on the previous, coarser grid) the
-    bracket prior -/+ _WARM * tol is tried first.  When it holds exactly the
-    level-th node transition and the mismatch changes sign across it, false
-    position starts from it directly (warm is True); otherwise the search
-    starts from the potential floor as it does without a prior."""
+    bracket prior -/+ _WARM * tol is tried first, then once a bracket
+    _WIDEN times wider, for a coarse grid whose error exceeds the first.
+    When one holds exactly the level-th node transition and the mismatch
+    changes sign across it, false position starts from it directly (warm is
+    True); otherwise the search starts from the potential floor as it does
+    without a prior."""
 
     def nodes_of(energy: float) -> int:
         y1, y2 = _start_values(prob, grid.r[0], energy)
@@ -400,11 +403,14 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
 
     warm = False
     if prior is not None:
-        e_lo, e_hi = prior - _WARM * tol, prior + _WARM * tol
-        if nodes_of(e_lo) == level and nodes_of(e_hi) == level + 1:
-            f_lo = mismatch(e_lo)
-            f_hi = mismatch(e_hi)
-            warm = sign_change(f_lo, f_hi)
+        for half in (_WARM * tol, _WIDEN * _WARM * tol):
+            e_lo, e_hi = prior - half, prior + half
+            if nodes_of(e_lo) == level and nodes_of(e_hi) == level + 1:
+                f_lo = mismatch(e_lo)
+                f_hi = mismatch(e_hi)
+                warm = sign_change(f_lo, f_hi)
+            if warm:
+                break
     if not warm:
         floor = grid.w_floor
         e_lo = floor + 1e-12 * (1.0 + abs(floor))

@@ -32,6 +32,20 @@ class TestParseRoundTrip:
             cli.main(["eig", "--term", "nonsense"])
         assert e.value.code == 2
 
+    # eig never ran the oracle, and only table rows carry a reference
+    @pytest.mark.parametrize("argv, flag", [
+        (["eig", "--tol", "1e-6"], "--tol"),
+        (["eig", "--strict"], "--strict"),
+        (["oracle", "--strict"], "--strict"),
+        (["converge", "--strict"], "--strict"),
+        (["first-order", "--lambda", "1000", "--strict"], "--strict"),
+    ])
+    def test_removed_flag_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 def _row(**kw) -> RowResult:
     base = dict(
@@ -172,6 +186,11 @@ class TestMain:
         assert cli.main(["table", "--id", "table3"]) == 0
         capsys.readouterr()
         assert cli.main(["table", "--id", "table3", "--strict"]) == 1
+
+    def test_strict_table_without_mismatch_exits_0(self, monkeypatch, capsys):
+        passing = TableReport("table3", (_row(passed=True), _row(passed=None)))
+        monkeypatch.setattr(cli, "run_table", lambda *a, **k: passing)
+        assert cli.main(["table", "--id", "table3", "--strict"]) == 0
 
     def test_level_beyond_outer_cap_exits_1(self, capsys):
         assert cli.main(["oracle", "--a1", "1", "--level", "200"]) == 1

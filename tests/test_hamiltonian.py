@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quadref import element_quad, kinetic_quad
+from spikevar import matelem
 from spikevar.basis import ModelParams, gk_energy
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, SymMatrix, assemble
@@ -122,6 +123,31 @@ class TestAssemble:
                 H = H + lam2 * inv_power_matrix(p, D, 2.0)
             H = np.triu(H) + np.triu(H, 1).T
             assert np.array_equal(assemble(p, v, D).data, H)
+
+    # a1 = 1: B1 then B2 covers B != a1 twice, B = a1 first and B = a1 last
+    @pytest.mark.parametrize("B1, B2", [(0.6, 1.7), (1.0, 2.3), (1.7, 1.0)])
+    @pytest.mark.parametrize("terms", [((1.0, 4.0), (1.0, 6.0)),
+                                       ((0.1, 3.3), (0.5, 4.0), (2.0, 2.0))])
+    def test_same_A_reuses_products_bit_for_bit(self, terms, B1, B2, monkeypatch):
+        v = PotentialSpec(a1=1.0, terms=terms)
+        A, D = 6.0, 20
+        monkeypatch.setattr(matelem, "_products", {})
+        monkeypatch.setattr(matelem, "_products_aD", None)
+        assemble(ModelParams(A, B1), v, D)
+        built = []
+        real = matelem._connection_product
+
+        def counted(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(matelem, "_connection_product", counted)
+        warm = assemble(ModelParams(A, B2), v, D)
+        # only the r^2 term is new, and only when B1 = a1 dropped it
+        assert built == ([2] if B1 == v.a1 else [])
+        monkeypatch.setattr(matelem, "_product", real)
+        cold = assemble(ModelParams(A, B2), v, D)
+        assert np.array_equal(warm.data, cold.data)
 
     def test_basis_sign_invariance(self):
         # flipping the (-1)^n convention conjugates H by diag(+-1): same spectrum

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from nmref import nelder_mead as nelder_mead_ref
+from spikevar import matelem, optimizer
 from spikevar.basis import ModelParams, gk_energy
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, assemble
@@ -14,6 +16,7 @@ from spikevar.optimizer import (
     ground_state_first_order,
     minimize_bound,
 )
+from spikevar.tables import builtin_job
 
 SPIKE_01_4 = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
 
@@ -207,3 +210,81 @@ class TestBudget:
         assert r1.A_star == r2.A_star
         assert r1.B_star == r2.B_star
         assert np.array_equal(r1.bounds, r2.bounds)
+
+
+def _rippled_bowl(seed: int, dim: int):
+    """Seeded quadratic bowl plus a sine ripple; the ripple makes contraction
+    fail now and then, so the simplex also takes its shrink branch."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-2.0, 2.0, dim).tolist()
+    w = rng.uniform(0.5, 3.0, dim).tolist()
+    amp, freq = rng.uniform(0.5, 2.0), rng.uniform(5.0, 20.0)
+
+    def f(x):
+        x = [float(t) for t in x]
+        bowl = sum(wi * (xi - ci) ** 2 for wi, xi, ci in zip(w, x, c))
+        return bowl + amp * math.sin(freq * sum(x))
+
+    return f
+
+
+class TestSimplexReference:
+    """The float simplex repeats the numpy reference (tests/nmref.py) exactly."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_at_every_budget(self, seed, dim):
+        f = _rippled_bowl(seed, dim)
+        x0 = np.random.default_rng(100 + seed).uniform(-3.0, 3.0, dim).tolist()
+        full = nelder_mead_ref(f, x0, 0.5, 2000)
+        assert full[3]
+        # every budget up to the full run's count: exhaustion at each step,
+        # inside the initial simplex and inside a shrink
+        for budget in [*range(1, full[2] + 2), 2000]:
+            want = nelder_mead_ref(f, x0, 0.5, budget)
+            got = optimizer._nelder_mead(f, x0, 0.5, budget)
+            assert isinstance(got[0], np.ndarray)
+            assert got[0].tobytes() == want[0].tobytes(), budget
+            assert got[1:] == want[1:], budget
+
+    @pytest.mark.parametrize("lam", [0.001, 0.1, 1.0, 1000.0])
+    def test_first_order_ab_unchanged(self, lam, monkeypatch):
+        got = ground_state_first_order(lam, "ab")
+        monkeypatch.setattr(optimizer, "_nelder_mead", nelder_mead_ref)
+        assert got.hex() == ground_state_first_order(lam, "ab").hex()
+
+
+class TestEvaluationCaches:
+    """The product cache and the objective memo change no bit of a search."""
+
+    @pytest.mark.parametrize("table", ["table3", "table5"])
+    def test_search_bitwise_equal_without_caches(self, table, monkeypatch):
+        row = builtin_job(table).rows[0]
+        v = row.potential
+
+        def search():
+            return minimize_bound(v, row.D, row.level, budget=max(2000, 40 * row.D))
+
+        cached = search()
+        monkeypatch.setattr(matelem, "_product", matelem._connection_product)
+        monkeypatch.setattr(optimizer, "_MEMO_SIZE", 0)
+        bare = search()
+        assert cached.A_star.hex() == bare.A_star.hex()
+        assert cached.B_star.hex() == bare.B_star.hex()
+        assert cached.bounds.tobytes() == bare.bounds.tobytes()
+        assert (cached.evaluations, cached.converged) == (bare.evaluations,
+                                                           bare.converged)
+
+    def test_memo_answers_repeated_points(self, monkeypatch):
+        calls = []
+        real = optimizer.assemble
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "assemble", counted)
+        res = minimize_bound(SPIKE_01_4, 6)
+        # every evaluation is counted, answered from the memo or not; the
+        # final re-evaluation of the optimum is one assembly more
+        assert len(calls) - 1 < res.evaluations

@@ -207,6 +207,14 @@ class TestWarmStart:
         assert abs(warm[0] - cold[0]) <= 0.25 * tol
         assert exact - 2.0 * tol <= warm[0] <= exact
 
+    def test_wide_retry_covers_a_coarse_grid_error_beyond_the_bracket(self):
+        # the scale-1 grid is ~94 tol off, outside the +-16 tol bracket: the
+        # +-256 tol retry holds the level, where the floor search took 99 sweeps
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0), 2, tol=1e-8)
+        assert res.fallbacks == 0
+        assert res.sweeps < 99
+        assert 11.0 - 2e-8 <= res.energy <= 11.0
+
     def test_fallback_counted(self, monkeypatch):
         # a bracket of zero width never holds the node transition
         monkeypatch.setattr(oracle, "_WARM", 0.0)
