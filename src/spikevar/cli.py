@@ -65,7 +65,8 @@ def _add_common(sub, potential=True):
                          help="coefficient of r^2 (default 1)")
         sub.add_argument("--term", type=_term, action="append", default=[],
                          metavar="LAM:ALPHA",
-                         help="singular term lam r^(-alpha); repeatable")
+                         help="singular term lam r^(-alpha); repeatable; a "
+                              "negative lam needs the = form, --term=-7:4")
         sub.add_argument("--dim", type=int, default=3, help="spatial dimension N")
         sub.add_argument("--ell", type=int, default=0, help="angular momentum l")
         sub.add_argument("--level", type=int, default=0, help="eigenvalue index")

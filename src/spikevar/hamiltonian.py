@@ -24,48 +24,61 @@ __all__ = ["PotentialSpec", "SymMatrix", "assemble"]
 class PotentialSpec:
     """Target potential: a1 r^2 plus singular power terms lam_k r^(-alpha_k).
 
-    The quadratic coefficient must confine (a1 > 0).  A negative singular
-    coefficient is allowed only when a stronger singularity with positive
-    coefficient dominates it near the origin, so the potential stays bounded
-    below (Table-style cases like (1, -7, 49)).
+    Split once, as the solvable model splits it: `inv_square` sums the
+    r^(-2) coefficients, which join the centrifugal and counter-terms, and
+    `singular` holds the other nonzero ones merged per alpha, as (lam, alpha)
+    in ascending alpha.  Inputs must be finite, a1 > 0 (confining), and the
+    operator bounded below near 0: a negative coefficient needs a stronger
+    positive term (Table-style cases like (1, -7, 49)), and without a
+    positive term at alpha > 2, Lambda(Lambda+1) + inv_square >= -1/4 (Hardy).
     """
 
     a1: float
     terms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
     N: int = 3
     l: int = 0
+    inv_square: float = field(init=False, repr=False, compare=False)
+    singular: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((float(lam), float(alpha)) for lam, alpha in self.terms)
-        )
-        if not self.a1 > 0.0:
-            raise ValueError(f"a1 must be > 0 (confining), got {self.a1}")
+        terms = tuple((float(lam), float(alpha)) for lam, alpha in self.terms)
+        object.__setattr__(self, "terms", terms)
+        if not (self.a1 > 0.0 and math.isfinite(self.a1)):
+            raise ValueError(f"a1 must be finite and > 0 (confining), got {self.a1}")
         if self.N < 1:
             raise ValueError(f"dimension N must be >= 1, got {self.N}")
         if self.l < 0:
             raise ValueError(f"angular momentum l must be >= 0, got {self.l}")
-        for lam, alpha in self.terms:
-            if not alpha > 0.0:
-                raise ValueError(f"singular exponent must be > 0, got {alpha}")
-            if not math.isfinite(lam):
-                raise ValueError(f"non-finite coefficient {lam}")
-        for lam, alpha in self.terms:
-            if lam < 0.0 and not any(
-                a2 > alpha and l2 > 0.0 for l2, a2 in self.terms
-            ):
+        merged: dict[float, float] = {}
+        for lam, alpha in terms:
+            if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(lam)):
+                raise ValueError(f"term {lam} r^(-{alpha}): need a finite "
+                                 "coefficient and a finite exponent > 0")
+            merged[alpha] = merged.get(alpha, 0.0) + lam
+        inv_square = merged.pop(2.0, 0.0)
+        singular = tuple((lam, a) for a, lam in sorted(merged.items()) if lam != 0.0)
+        object.__setattr__(self, "inv_square", inv_square)
+        object.__setattr__(self, "singular", singular)
+        positive = [a for lam, a in singular + ((inv_square, 2.0),) if lam > 0.0]
+        for lam, alpha in singular:
+            if lam < 0.0 and not any(a > alpha for a in positive):
                 raise ValueError(
                     f"term {lam} r^(-{alpha}) makes the potential unbounded below "
-                    "near 0: no stronger positive singular term present"
-                )
+                    "near 0: no stronger positive singular term present" if alpha > 2.0
+                    else f"term {lam} r^(-{alpha}) is not supported: no stronger "
+                    "positive term dominates it")
+        c2 = self.Lambda * (self.Lambda + 1.0) + inv_square
+        if c2 < -0.25 and not any(a > 2.0 for a in positive):
+            raise ValueError(f"inverse-square coefficient {c2:.6g} < -1/4 makes the "
+                             "operator unbounded below near the origin")
 
     @property
     def Lambda(self) -> float:
         return 0.5 * (self.N + 2 * self.l - 3)
 
     def max_alpha(self) -> float:
-        """Largest singular exponent with a nonzero coefficient (0.0 if none)."""
-        return max((a for lam, a in self.terms if lam != 0.0), default=0.0)
+        """Largest exponent in `singular` (0.0 if none)."""
+        return self.singular[-1][1] if self.singular else 0.0
 
 
 @dataclass(frozen=True)
@@ -91,9 +104,10 @@ def assemble(p: ModelParams, v: PotentialSpec, D: int) -> SymMatrix:
     H_mn = 2*beta*(2n + gamma_N) delta_mn + (a1 - B) r^2_mn
            + sum_k lam_k r^(-alpha_k)_mn - A r^(-2)_mn,
 
-    where an explicit user r^(-2) term and the counter-term combine into a
-    single (a2 - A) coefficient.  Preconditions: p and v share (N, l), and
-    every singular power actually present satisfies 2*gamma_N > alpha.
+    with the terms as `PotentialSpec` splits them: `inv_square` and the
+    counter-term combine into one (inv_square - A) coefficient.  p and v
+    must share (N, l); every power present needs 2*gamma_N > alpha, which
+    `inv_power_matrix` checks.
     """
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
@@ -102,31 +116,13 @@ def assemble(p: ModelParams, v: PotentialSpec, D: int) -> SymMatrix:
             f"basis channel (N={p.N}, l={p.l}) differs from potential "
             f"channel (N={v.N}, l={v.l})"
         )
-    g = p.gamma_N
-    lam2 = -p.A
-    singular: dict[float, float] = {}
-    for lam, alpha in v.terms:
-        if alpha == 2.0:
-            lam2 += lam
-        elif lam != 0.0:
-            singular[alpha] = singular.get(alpha, 0.0) + lam
-    for alpha, lam in singular.items():
-        if not 2.0 * g > alpha:
-            raise ValueError(
-                f"term {lam} r^(-{alpha}): need 2*gamma_N > {alpha}, "
-                f"have gamma_N = {g:.6g}"
-            )
-    if lam2 != 0.0 and not g > 1.0:
-        raise ValueError(
-            f"net r^(-2) coefficient {lam2:.6g} requires gamma_N > 1, "
-            f"have gamma_N = {g:.6g}"
-        )
     terms = [(v.a1 - p.B, power_matrix, 2)] if v.a1 != p.B else []
-    terms += [(lam, inv_power_matrix, alpha) for alpha, lam in sorted(singular.items())]
+    terms += [(lam, inv_power_matrix, alpha) for lam, alpha in v.singular]
+    lam2 = v.inv_square - p.A
     if lam2 != 0.0:
         terms.append((lam2, inv_power_matrix, 2.0))
     H = np.zeros((D, D))
-    H.flat[:: D + 1] = 2.0 * p.beta * (2.0 * np.arange(D) + g)
+    H.flat[:: D + 1] = 2.0 * p.beta * (2.0 * np.arange(D) + p.gamma_N)
     # each fresh term matrix is scaled and added in place; every term is
     # exactly symmetric, so the sum needs no mirroring.  M stays referenced
     # until the next term is built: freed first, it leaves two free D x D

@@ -68,12 +68,11 @@ def feasible_A_min(v: PotentialSpec) -> float:
     """Smallest A keeping every singular element finite, with a small margin.
 
     2*gamma_N > alpha is equivalent to A > ((alpha-2)/2)^2 - (Lambda+1/2)^2;
-    the returned floor uses alpha_max plus a 1e-6 margin and never goes
-    below 0.
+    the returned floor uses the largest alpha, at least the alpha = 2 of the
+    counter-term that every assembly carries, plus a 1e-6 margin, and never
+    goes below 0.
     """
-    alpha_eff = v.max_alpha() + _ALPHA_MARGIN
-    if alpha_eff <= 2.0:
-        return 0.0
+    alpha_eff = max(v.max_alpha(), 2.0) + _ALPHA_MARGIN
     return max(0.0, ((alpha_eff - 2.0) / 2.0) ** 2 - (v.Lambda + 0.5) ** 2)
 
 
@@ -241,7 +240,10 @@ def minimize_bound(
     # to points already evaluated; they are answered from this memo
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def value(A: float, B: float) -> float:
-        H = assemble(ModelParams(A, B, v.N, v.l), v, D)
+        try:
+            H = assemble(ModelParams(A, B, v.N, v.l), v, D)
+        except OverflowError:  # beta^(-alpha/2) at a steep term and small B
+            return math.inf  # a point that bounds nothing
         val = float(eigen_symmetric(H, k=target_level + 1).values[target_level])
         # eigenvalues computed from a matrix with huge entries (feasibility
         # boundary, where singular elements blow up) carry roundoff of order
@@ -334,16 +336,16 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
     gamma/beta + beta + lam*beta^2/((gamma-1)(gamma-2)) + beta/(4(gamma-1))
     numerically over gamma > 2, beta > 0.
     """
-    if not lam > 0.0:
-        raise ValueError(f"coupling must be > 0, got {lam}")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"coupling must be finite and > 0, got {lam}")
     if mode == "a":
-        disc = 4.0 * lam * lam - lam
         if lam <= 0.25:
             raise ValueError(
                 f"closed-form A-only bound needs lam > 1/4 (sqrt(4*lam^2 - lam) "
                 f"real); got lam={lam}"
             )
-        u = 8.0 * lam - 1.0 + 4.0 * math.sqrt(disc)
+        # sqrt(4 lam^2 - lam) as a product: 4 lam^2 overflows past lam ~ 1e154
+        u = 8.0 * lam - 1.0 + 4.0 * math.sqrt(lam) * math.sqrt(4.0 * lam - 1.0)
         cbrt = u ** (1.0 / 3.0)
         x = 0.5 * (cbrt + 1.0 / cbrt)
         g = x + 1.5

@@ -38,6 +38,7 @@ _BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
 _SPAN = 16           # RK4 steps per block product; a power of two
 _WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
 _WIDEN = 16.0        # the one retry's bracket is this many times wider
+_MAX_STEPS = 4_000_000  # RK4 steps of one grid; ~0.3 GB of tabulated arrays
 
 BACKEND = "pure"     # the numpy-tabulated _sweep below is the only kernel
 
@@ -198,14 +199,12 @@ class _RadialProblem:
     def __init__(self, v: PotentialSpec):
         self.a1 = v.a1
         lam = v.Lambda
-        self.c2 = lam * (lam + 1.0) + sum(l for l, a in v.terms if a == 2.0)
-        self.terms = tuple((l, a) for l, a in v.terms if a != 2.0 and l != 0.0)
+        self.c2 = lam * (lam + 1.0) + v.inv_square
+        self.terms = v.singular
         self.strong = any(a > 2.0 and l > 0.0 for l, a in self.terms)
-        if not self.strong and self.c2 < -0.25:
-            raise ValueError(
-                f"inverse-square coefficient {self.c2:.6g} < -1/4 makes the "
-                "operator unbounded below near the origin"
-            )
+        # Hardy, -y'' >= y / (4 r^2): W + hardy / r^2 bounds the spectrum
+        # below, and stays finite near 0 where c2 < 0 sends W to -inf
+        self.hardy = min(max(-self.c2, 0.0), 0.25)
 
     def w(self, r: np.ndarray) -> np.ndarray:
         out = self.a1 * r * r
@@ -214,6 +213,20 @@ class _RadialProblem:
         for lam, alpha in self.terms:
             out = out + lam * r ** (-alpha)
         return out
+
+    def probe(self, r: np.ndarray) -> np.ndarray:
+        """W on a probe grid; a steep barrier overflows to inf quietly."""
+        with np.errstate(over="ignore"):
+            return self.w(r)
+
+    def floor(self, r: np.ndarray, w: np.ndarray | None = None) -> float:
+        """Lower bound on the spectrum over the points r: the least
+        W + hardy / r^2, from W tabulated as w, or probed."""
+        if w is None:
+            w = self.probe(r)
+        if self.hardy:
+            w = w + self.hardy / (r * r)
+        return float(w.min())
 
     def w_prime(self, r: float) -> float:
         out = 2.0 * self.a1 * r - 2.0 * self.c2 / r**3
@@ -230,15 +243,21 @@ class _Grid:
                  e_cap: float, scale: float, tally: _Tally):
         self._tally = tally
         r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
-        w_floor_est = float(np.min(prob.w(np.geomspace(r_min, r_max, 512))))
+        w_floor_est = prob.floor(np.geomspace(r_min, r_max, 512))
         k_est = math.sqrt(max(e_cap - w_floor_est, 1.0))
-        h_uni = min(0.03 / k_est, 0.25 / math.sqrt(max(prob.w(np.array([r_sw]))[0], 1.0)))
+        w_sw = prob.probe(np.array([r_sw]))[0]
+        h_uni = min(0.03 / k_est, 0.25 / math.sqrt(max(w_sw, 1.0)))
         n_uni = max(600, int(math.ceil((r_max - r_sw) / h_uni)))
-        stiff = math.sqrt(max(prob.w(np.array([r_min]))[0], 1.0)) * r_min
+        stiff = math.sqrt(max(prob.probe(np.array([r_min]))[0], 1.0)) * r_min
         delta = min(0.08, 0.25 / max(stiff, 1.0))
         n_log = max(64, int(math.ceil(math.log(r_sw / r_min) / delta)))
         n_uni = int(math.ceil(n_uni * scale))
         n_log = int(math.ceil(n_log * scale))
+        if n_uni + n_log > _MAX_STEPS:
+            raise ShootingError(
+                f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would need "
+                f"{n_uni + n_log:.3g} steps, more than {_MAX_STEPS:.0e}: energies "
+                f"up to {e_cap:.3g} oscillate too fast to resolve there")
         g_log = np.geomspace(r_min, r_sw, n_log + 1)
         g_uni = np.linspace(r_sw, r_max, n_uni + 1)
         self.r = np.concatenate([g_log, g_uni[1:]])
@@ -246,7 +265,7 @@ class _Grid:
         mid = 0.5 * (self.r[:-1] + self.r[1:])
         self.wn = prob.w(self.r)
         self.wm = prob.w(mid)
-        self.w_floor = float(min(self.wn.min(), self.wm.min()))
+        self.w_floor = min(prob.floor(self.r, self.wn), prob.floor(mid, self.wm))
         self.steps = len(self.h)
         # contiguous reversed copies for inward sweeps
         self._wn_r = np.ascontiguousarray(self.wn[::-1])
@@ -268,11 +287,20 @@ class _Grid:
                       self._h_r[: n - stop], energy, y1, y2, False)
 
 
+def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
+    """Index of the first point of r whose WKB action from r[0], the
+    trapezoid sum of q = sqrt(max(W - E, 0)), reaches `action`; None if none
+    does.  The sum runs outward from r[0], the turning point, so that a
+    barrier soaring further out cannot swamp it in rounding."""
+    reached = np.cumsum(0.5 * (q[1:] + q[:-1]) * np.abs(np.diff(r))) >= action
+    return 1 + int(np.argmax(reached)) if reached.any() else None
+
+
 def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
     if not prob.strong:
         return _RMIN_CAP
     rr = np.geomspace(_RMIN_CAP, 2.0, 4000)
-    wv = prob.w(rr)
+    wv = prob.probe(rr)
     under = wv > e_cap
     if not under[0]:
         return _RMIN_CAP
@@ -280,26 +308,20 @@ def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
     if turn == 0:
         turn = len(rr) - 1
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(rr))])
-    action_to_turn = s[turn] - s
-    ok = np.nonzero(action_to_turn[: turn + 1] >= _CORE_ACTION)[0]
-    if len(ok) == 0:
-        return _RMIN_CAP
-    return float(rr[ok[-1]])
+    k = _action_reach(rr[turn::-1], q[turn::-1], _CORE_ACTION)
+    return _RMIN_CAP if k is None else float(rr[turn - k])
 
 
 def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float) -> float:
     hi = min(cap, 2.0 * math.sqrt(e_cap / prob.a1) + 10.0)
     rr = np.linspace(0.25, hi, 4000)
-    wv = prob.w(rr)
+    wv = prob.probe(rr)
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
     outer = len(rr) - 1 - int(np.argmax((wv < e_cap)[::-1]))
     if wv[outer] >= e_cap:  # no allowed region this far out; keep everything
         return hi
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(rr))])
-    tail = s - s[outer]
-    ok = np.nonzero(tail >= _TAIL_ACTION)[0]
-    if len(ok) == 0:
+    k = _action_reach(rr[outer:], q[outer:], _TAIL_ACTION)
+    if k is None:
         if hi >= cap - 1e-12:
             raise ShootingError(
                 f"energies near {e_cap:.3g} lie beyond the default outer "
@@ -307,7 +329,7 @@ def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float) -> float:
                 f"(a larger cutoff is the r_max argument of shoot_eigenvalue)"
             )
         return hi
-    return float(rr[ok[0]])
+    return float(rr[outer + k])
 
 
 def _start_values(prob: _RadialProblem, r0: float, energy: float):
@@ -483,7 +505,7 @@ def shoot_eigenvalue(
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     prob = _RadialProblem(v)
-    w_probe = float(np.min(prob.w(np.geomspace(1e-3, 10.0, 1024))))
+    w_probe = prob.floor(np.geomspace(1e-3, 10.0, 1024))
     e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)
     tally = _Tally()
     fallbacks = 0  # refined grids whose warm bracket was rejected

@@ -221,6 +221,50 @@ class TestMain:
         assert cli.main(["table", "--id", "table3"]) == 1
 
 
+# extreme or newly admitted inputs: (argv, value printed, tolerance), or
+# (argv, None, text of the one error line)
+EDGE_CASES = [
+    (["eig", "--dim", "2"], 2.0, 1e-6),
+    (["oracle", "--dim", "2"], 2.0, 2e-6),
+    (["eig", "--dim", "5", "--term=-1:2"], 2.0 + 5.0 ** 0.5, 5e-3),
+    (["oracle", "--dim", "5", "--term=-1:2"], 2.0 + 5.0 ** 0.5, 2e-6),
+    (["eig", "--term", "1:inf"], None, "finite exponent"),
+    (["oracle", "--term", "1:inf"], None, "finite exponent"),
+    (["eig", "--a1", "inf"], None, "a1 must be finite"),
+    (["oracle", "--a1", "inf"], None, "a1 must be finite"),
+    (["oracle", "--term", "1000:10"], 8.3655150, 2e-6),
+    (["oracle", "--term", "1000:12"], 7.6397213, 2e-6),
+    (["oracle", "--term", "1:20"], 5.2255396, 2e-6),
+    (["oracle", "--term", "1:100"], 5.7717191, 2e-6),
+    (["eig", "--term", "1:300"], 12.1914163, 1e-7),
+    (["oracle", "--a1", "1e308"], None, "would need"),
+    (["eig", "--term=-1:1"], None, "not supported"),
+    (["oracle", "--term=-0.3:2"], None, "< -1/4"),
+    (["first-order", "--lambda", "1e200"], 8.77205321e66, 1e58),
+    (["first-order", "--lambda", "inf", "--mode", "ab"], None, "finite"),
+]
+
+
+class TestEdgeCases:
+    """Each input prints its value or exits 1 with one error line; a
+    RuntimeWarning fails the test (pytest's filterwarnings setting)."""
+
+    @pytest.mark.parametrize("argv, value, tol", EDGE_CASES,
+                             ids=[" ".join(c[0]) for c in EDGE_CASES])
+    def test_value_or_one_error_line(self, argv, value, tol, capsys):
+        code = cli.main([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        if value is None:
+            assert code == 1 and out == ""
+            (line,) = err.splitlines()
+            assert line.startswith("error: ") and tol in line
+            return
+        assert code == 0 and err == ""
+        row = json.loads(out)
+        printed = row["oracle"] if argv[0] == "oracle" else row["bound"]
+        assert printed == pytest.approx(value, abs=tol)
+
+
 class TestCachedParser:
     """main reuses one parser; no call may see another call's arguments."""
 

@@ -30,6 +30,45 @@ class TestPotentialSpec:
         with pytest.raises(ValueError):
             PotentialSpec(a1=1.0, terms=((-7.0, 6.0), (1.0, 4.0)))
 
+    def test_rejects_non_finite_inputs(self):
+        for kw in ({"a1": np.inf}, {"a1": 1.0, "terms": ((1.0, np.inf),)},
+                   {"a1": 1.0, "terms": ((np.inf, 4.0),)}):
+            with pytest.raises(ValueError, match="finite"):
+                PotentialSpec(**kw)
+
+    def test_merges_terms_per_alpha(self):
+        split = PotentialSpec(a1=1.0, terms=((2.0, 6.0), (1.0, 4.0), (0.5, 2.0),
+                                             (2.0, 4.0), (0.25, 2.0)))
+        whole = PotentialSpec(a1=1.0, terms=((3.0, 4.0), (0.75, 2.0), (2.0, 6.0)))
+        assert split.singular == whole.singular == ((3.0, 4.0), (2.0, 6.0))
+        assert split.inv_square == whole.inv_square == 0.75
+        p = ModelParams(A=6.0, B=1.5)  # gamma_N = 3.5: r^-6 is finite
+        assert np.array_equal(assemble(p, split, 12).data, assemble(p, whole, 12).data)
+        # a coefficient that merges to zero is no term at all
+        gone = PotentialSpec(a1=1.0, terms=((1.0, 6.0), (-1.0, 6.0), (1.0, 4.0)))
+        assert gone.singular == ((1.0, 4.0),)
+        assert gone.max_alpha() == 4.0
+
+    @pytest.mark.parametrize("N, terms", [
+        (5, ((-1.0, 2.0),)),                # net coefficient 2 - 1 = 1
+        (3, ((-0.2, 2.0),)),                # -0.2 >= -1/4
+        (2, ()),                            # Lambda(Lambda+1) = -1/4 itself
+        (3, ((-1.0, 2.0), (1.0, 4.0))),     # r^-4 dominates near 0
+    ])
+    def test_admits_bounded_inverse_square(self, N, terms):
+        PotentialSpec(a1=1.0, terms=terms, N=N)
+
+    def test_hardy_rule(self):
+        with pytest.raises(ValueError, match=r"-0\.3 < -1/4"):
+            PotentialSpec(a1=1.0, terms=((-0.3, 2.0),))
+        with pytest.raises(ValueError, match=r"-1\.25 < -1/4"):
+            PotentialSpec(a1=1.0, terms=((-1.0, 2.0),), N=2)
+
+    def test_negative_term_below_two_not_supported(self):
+        with pytest.raises(ValueError, match="not supported"):
+            PotentialSpec(a1=1.0, terms=((-1.0, 1.0),), N=5)
+        PotentialSpec(a1=1.0, terms=((-1.0, 1.0), (1.0, 1.5)))
+
     def test_max_alpha_skips_zero_coefficients(self):
         v = PotentialSpec(a1=1.0, terms=((0.0, 6.0), (1.0, 4.0)))
         assert v.max_alpha() == 4.0

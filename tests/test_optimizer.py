@@ -32,6 +32,14 @@ class TestFeasibility:
         v = PotentialSpec(a1=1.0, terms=((1.0, 2.0),))
         assert feasible_A_min(v) == 0.0
 
+    def test_floor_counts_the_counter_term(self):
+        # N = 2 puts gamma_N = 1 at A = 0, where the -A r^-2 element diverges
+        v = PotentialSpec(a1=1.0, N=2)
+        a_min = feasible_A_min(v)
+        assert 0.0 < a_min < 1e-12
+        assert ModelParams(a_min, 1.0, 2, 0).gamma_N > 1.0
+        assert feasible_A_min(PotentialSpec(a1=1.0, N=2, l=1)) == 0.0
+
     def test_probes_stay_feasible(self):
         v = PotentialSpec(a1=1.0, terms=((10.0, 6.0),))
         res = minimize_bound(v, 4)
@@ -126,6 +134,25 @@ class TestFirstOrder:
             math.sqrt(10.0), abs=1e-12
         )
 
+    def test_large_coupling_stays_finite(self):
+        assert ground_state_first_order(1e200, "a") == pytest.approx(
+            8.77205321e66, rel=1e-8)
+
+    def test_radical_as_a_product_moves_at_most_one_ulp(self):
+        def former(lam):  # the radical written as sqrt(4 lam^2 - lam)
+            u = 8.0 * lam - 1.0 + 4.0 * math.sqrt(4.0 * lam * lam - lam)
+            cbrt = u ** (1.0 / 3.0)
+            x = 0.5 * (cbrt + 1.0 / cbrt)
+            g = x + 1.5
+            return g + 1.0 + lam / ((g - 1.0) * (g - 2.0)) + 1.0 / (4.0 * (g - 1.0))
+
+        assert ground_state_first_order(1000.0, "a") == former(1000.0)
+        for lam in np.concatenate([0.25 + np.geomspace(1e-9, 1.0, 40),
+                                   np.geomspace(1.0, 1e12, 60)]):
+            lam = float(lam)
+            value = ground_state_first_order(lam, "a")
+            assert abs(value - former(lam)) <= math.ulp(value)
+
     def test_validity_range(self):
         with pytest.raises(ValueError):
             ground_state_first_order(0.25, "a")
@@ -135,6 +162,9 @@ class TestFirstOrder:
             ground_state_first_order(-1.0, "ab")
         with pytest.raises(ValueError):
             ground_state_first_order(1.0, "weird")
+        for mode in ("a", "ab"):
+            with pytest.raises(ValueError, match="finite"):
+                ground_state_first_order(math.inf, mode)
         # the two-parameter route has no such restriction
         assert ground_state_first_order(0.1, "ab") > 0
 

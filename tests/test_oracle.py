@@ -223,6 +223,46 @@ class TestWarmStart:
         assert res.energy == pytest.approx(3.0, abs=1e-6)
 
 
+class TestAttractiveInverseSquare:
+    """c2 = Lambda(Lambda+1) + inv_square < 0 sends W to -inf near 0: the
+    energy floor is taken from W + min(-c2, 1/4) / r^2 (Hardy)."""
+
+    # W = r^2 + (nu^2 - 1/4) / r^2 has E_n = 2 (2n + 1 + nu)
+    @pytest.mark.parametrize("N, terms, exact", [
+        (2, (), 2.0),
+        (3, ((-0.2, 2.0),), 2.0 + 2.0 * np.sqrt(0.05)),
+        (5, ((-1.0, 2.0),), 2.0 + np.sqrt(5.0)),
+    ])
+    def test_oracle_below_exact_and_bound_above(self, N, terms, exact):
+        tol = 1e-6
+        v = PotentialSpec(a1=1.0, terms=terms, N=N)
+        res = shoot_eigenvalue(v, 0, tol=tol)
+        assert exact - 2.0 * tol <= res.energy <= exact
+        bound = minimize_bound(v, 20).bound
+        assert bound >= exact
+        if N == 2:
+            assert bound - exact < 1e-6
+
+    def test_two_dimensional_excited_level(self):
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0, N=2), 1, tol=1e-6)
+        assert 6.0 - 2e-6 <= res.energy <= 6.0
+
+
+class TestSteepBarrier:
+    """The cutoffs sum the WKB action outward from each turning point, so a
+    barrier that overflows further in leaves them where the action is
+    reached."""
+
+    @pytest.mark.parametrize("lam", [1.0, 1000.0])
+    @pytest.mark.parametrize("alpha", [10.0, 20.0, 50.0, 100.0, 200.0])
+    def test_small_grid_and_below_the_bound(self, alpha, lam):
+        tol = 1e-6
+        v = PotentialSpec(a1=1.0, terms=((lam, alpha),))
+        res = shoot_eigenvalue(v, 0, tol=tol)
+        assert res.steps < 20_000
+        assert res.energy <= minimize_bound(v, 30).bound + 2.0 * tol
+
+
 def _random_grid(seed: int, steps: int = 3000, r0: float = 0.05, r1: float = 6.0):
     """Seeded random steps on [r0, r1], W = r^2 + 2/r^2 + a random ripple
     tabulated at the step ends and midpoints."""
