@@ -4,7 +4,7 @@ solvable basis and an independent shooting-method check."""
 
 from .basis import ModelParams, gk_energy, gk_wavefunction, hyp1f1_terminating
 from .eigensolver import Spectrum, eigen_symmetric
-from .hamiltonian import PotentialSpec, SymMatrix, assemble
+from .hamiltonian import PotentialSpec, assemble
 from .matelem import inv_power_element, power_element
 from .optimizer import (
     BoundResult,
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams",
     "PotentialSpec",
-    "SymMatrix",
     "Spectrum",
     "BoundResult",
     "ConvergenceRun",

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SymMatrix
-
 __all__ = ["Spectrum", "eigen_symmetric"]
 
 
@@ -27,30 +25,31 @@ class Spectrum:
 
 
 def eigen_symmetric(H, k: int | None = None, want_vectors: bool = False) -> Spectrum:
-    """The k algebraically smallest eigenvalues of a symmetric matrix.
+    """The k algebraically smallest eigenvalues of a symmetric matrix, or of
+    each matrix of a (K, D, D) stack.
 
-    Accepts a SymMatrix or a plain square ndarray (which must be exactly
-    symmetric and finite).  Degenerate eigenvalues come out in ascending
-    order with a stable vector set.  LAPACK convergence failures surface as
-    numpy.linalg.LinAlgError rather than a silently truncated spectrum.
+    The matrices must be exactly symmetric and finite; one check of each
+    covers the whole stack.  A stack gives (K, k) values and (K, D, k)
+    vectors, each matrix solved by its own LAPACK call, so its values carry
+    the bits of a solve on its own.  Degenerate eigenvalues come out in
+    ascending order with a stable vector set.  LAPACK convergence failures
+    surface as numpy.linalg.LinAlgError rather than a silently truncated
+    spectrum.
     """
-    if isinstance(H, SymMatrix):
-        A = H.data
-    else:
-        A = np.asarray(H, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        if not np.array_equal(A, A.T):
-            raise ValueError("matrix is not exactly symmetric")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix has non-finite entries")
-    D = A.shape[0]
+    A = np.asarray(H, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if not (A == A.swapaxes(-1, -2)).all():
+        raise ValueError("matrix is not exactly symmetric")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
+    D = A.shape[-1]
     if k is None:
         k = D
     if not 1 <= k <= D:
         raise ValueError(f"need 1 <= k <= {D}, got k={k}")
     if want_vectors:
         vals, vecs = np.linalg.eigh(A)
-        return Spectrum(vals[:k].copy(), vecs[:, :k].copy())
+        return Spectrum(vals[..., :k].copy(), vecs[..., :k].copy())
     vals = np.linalg.eigvalsh(A)
-    return Spectrum(vals[:k].copy())
+    return Spectrum(vals[..., :k].copy())

@@ -10,14 +10,15 @@ user r^(-2) term simply adds to the counter-term coefficient.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import ModelParams
-from .matelem import inv_power_matrix, power_matrix
+from .matelem import _per_point, _points, inv_power_matrix, power_matrix
 
-__all__ = ["PotentialSpec", "SymMatrix", "assemble"]
+__all__ = ["PotentialSpec", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -81,55 +82,51 @@ class PotentialSpec:
         return self.singular[-1][1] if self.singular else 0.0
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense real symmetric matrix; entries validated finite on construction."""
-
-    dim: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.shape != (self.dim, self.dim):
-            raise ValueError(f"shape {self.data.shape} does not match dim {self.dim}")
-        if not (self.data == self.data.T).all():
-            raise ValueError("matrix is not exactly symmetric")
-        if not np.isfinite(self.data).all():
-            raise ValueError("matrix has non-finite entries")
-        self.data.setflags(write=False)
-
-
-def assemble(p: ModelParams, v: PotentialSpec, D: int) -> SymMatrix:
+def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,
+             D: int) -> np.ndarray:
     """Variational matrix H_mn of the target Hamiltonian in the (A, B) basis.
 
     H_mn = 2*beta*(2n + gamma_N) delta_mn + (a1 - B) r^2_mn
            + sum_k lam_k r^(-alpha_k)_mn - A r^(-2)_mn,
 
     with the terms as `PotentialSpec` splits them: `inv_square` and the
-    counter-term combine into one (inv_square - A) coefficient.  p and v
-    must share (N, l); every power present needs 2*gamma_N > alpha, which
-    `inv_power_matrix` checks.
+    counter-term combine into one (inv_square - A) coefficient.  p is one
+    ModelParams, which gives a D x D matrix, or a sequence of K, which gives
+    a (K, D, D) stack; every point must share (N, l) with v.  Every power
+    present needs 2*gamma_N > alpha, which `inv_power_matrix` checks, and a
+    term whose coefficient is zero at a point is left out there.  H is
+    exactly symmetric and finite by construction.
     """
+    ps, single = _points(p)
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
-    if (p.N, p.l) != (v.N, v.l):
-        raise ValueError(
-            f"basis channel (N={p.N}, l={p.l}) differs from potential "
-            f"channel (N={v.N}, l={v.l})"
-        )
-    terms = [(v.a1 - p.B, power_matrix, 2)] if v.a1 != p.B else []
-    terms += [(lam, inv_power_matrix, alpha) for lam, alpha in v.singular]
-    lam2 = v.inv_square - p.A
-    if lam2 != 0.0:
-        terms.append((lam2, inv_power_matrix, 2.0))
-    H = np.zeros((D, D))
-    H.flat[:: D + 1] = 2.0 * p.beta * (2.0 * np.arange(D) + p.gamma_N)
+    for q in ps:
+        if (q.N, q.l) != (v.N, v.l):
+            raise ValueError(
+                f"basis channel (N={q.N}, l={q.l}) differs from potential "
+                f"channel (N={v.N}, l={v.l})"
+            )
+    K = len(ps)
+    terms = [([v.a1 - q.B for q in ps], power_matrix, 2)]
+    terms += [([lam] * K, inv_power_matrix, alpha) for lam, alpha in v.singular]
+    terms.append(([v.inv_square - q.A for q in ps], inv_power_matrix, 2.0))
+    H = np.zeros((K, D, D))
+    diag = np.add.outer([q.gamma_N for q in ps], 2.0 * np.arange(D))
+    diag *= np.array([2.0 * q.beta for q in ps])[:, None]
+    H.reshape(K, D * D)[:, :: D + 1] = diag
     # each fresh term matrix is scaled and added in place; every term is
     # exactly symmetric, so the sum needs no mirroring.  M stays referenced
     # until the next term is built: freed first, it leaves two free D x D
     # blocks on top of the heap for glibc to return to the OS, and assembly
     # at D = 350 then page-faults two to three times as often
-    for lam, build, s in terms:
-        M = build(p, D, s)
-        M *= lam
-        H += M
-    return SymMatrix(D, H)
+    for coef, build, s in terms:
+        if 0.0 not in coef:
+            M = build(ps, D, s)
+            M *= _per_point(coef)
+            H += M
+        elif any(coef):
+            keep = [k for k in range(K) if coef[k] != 0.0]
+            M = build([ps[k] for k in keep], D, s)
+            M *= _per_point([coef[k] for k in keep])
+            H[keep] += M
+    return H[0] if single else H

@@ -14,26 +14,36 @@ has the same sign and nothing cancels at any D.  For even q = s > 0 the
 binomials vanish exactly past k = q/2, which makes r^q exactly banded.
 
 ln h_k is accumulated as a sum of log1p(c/i) rather than a log-gamma
-difference, whose rounding grows with the argument, and is memoized: the
-moment matrices of one variational matrix share the vector ln h^(a).
+difference, whose rounding grows with the argument, one row per point of a
+stack, and is memoized: the moment matrices of one variational matrix, or
+one stack of them, share the rows ln h^(a).
 The constant Gamma(b + 1)/Gamma(a + 1) is `_gamma_ratio`: a short product
 when s/2 is an integer (every even power), else an upward shift plus
 Stirling's series.
 
+Every builder takes one ModelParams and returns a D x D matrix, or a
+sequence of K of them, a stack of parameter points, and returns a (K, D, D)
+stack; one point is built as a stack of one.  The stacked operations are
+elementwise, the product runs per slice, and every scalar factor is
+computed per point, so each matrix of a stack carries the bits of its own
+single-point build.
+
 B enters only through the scalar beta^(-s/2): C C^T depends on gamma_N, s
-and D alone.  The unscaled products of the latest (gamma_N, D) are cached,
-one per exponent s, so an assembly at the A of the previous one (a bound
-search moving B alone) scales them instead of building them again.  A new
+and D alone.  The unscaled products of the latest single point are cached,
+one per exponent s, so an assembly of one point at the A of the previous
+one (a bound search moving B alone) scales them instead of building them
+again; a stack is built afresh and leaves the cache as it was.  A new
 (gamma_N, D) evicts every entry, so the cache holds at most the terms of
 one assembly, D x D floats each.  Every call returns a fresh scaled copy,
-made by the same single scalar multiply as an uncached build, so the
-elements carry the same bits either way.
+made by the same scalar multiply as an uncached build, so the elements
+carry the same bits either way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,8 +70,9 @@ def _check_indices(m: int, n: int) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _lower_ones(D: int) -> np.ndarray:
-    """Read-only 1.0 on the j <= n triangle and 0.0 above it."""
-    mask = np.tri(D)
+    """Read-only 1.0 on the j <= n triangle and 0.0 above it, as a stack of
+    one (1, D, D)."""
+    mask = np.tri(D)[None]
     mask.setflags(write=False)
     return mask
 
@@ -76,17 +87,22 @@ def _counts(D: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _binomial_toeplitz(half: float, D: int) -> np.ndarray:
-    """Read-only view T[n, j] = binom(half, n - j), zero for j > n."""
+    """Read-only view T[0, n, j] = binom(half, n - j), zero for j > n, as a
+    stack of one (1, D, D)."""
     i = _counts(D)
     binom = np.cumprod(np.concatenate(([1.0], (half + 1.0 - i) / i)))
-    return sliding_window_view(np.concatenate((binom[::-1], np.zeros(D - 1))), D)[::-1]
+    return sliding_window_view(np.concatenate((binom[::-1], np.zeros(D - 1))), D)[None, ::-1]
 
 
 @functools.lru_cache(maxsize=8)
-def _half_ln_h(c: float, D: int) -> np.ndarray:
-    """Read-only 0.5 ln(h_k^(c) / Gamma(c + 1)) for k < D."""
-    out = np.zeros(D)
-    np.add.accumulate(np.log1p(c / _counts(D)), out=out[1:])
+def _half_ln_h(c: tuple[float, ...], D: int) -> np.ndarray:
+    """Read-only 0.5 ln(h_k^(c) / Gamma(c + 1)) for k < D, one row per c."""
+    out = np.zeros((len(c), D))
+    if len(c) == 1:  # as a vector: the same sums, at less cost per call
+        np.add.accumulate(np.log1p(c[0] / _counts(D)), out=out[0, 1:])
+    else:
+        np.add.accumulate(np.log1p(np.divide.outer(c, _counts(D))), axis=1,
+                          out=out[:, 1:])
     out *= 0.5
     out.setflags(write=False)
     return out
@@ -135,19 +151,36 @@ def _gamma_ratio(x: float, h: float) -> float:
     return r * (y + h) ** h * math.exp(rest)
 
 
-def _connection_product(a: float, s: float, D: int) -> np.ndarray:
-    """C C^T of the connection matrix for a = gamma_N - 1: the moment matrix
-    of r^s without its scalar factor Gamma-ratio * beta^(-s/2)."""
+def _points(p: ModelParams | Sequence[ModelParams]
+            ) -> tuple[tuple[ModelParams, ...], bool]:
+    """(stack, single): a lone ModelParams is a stack of one point."""
+    if isinstance(p, ModelParams):
+        return (p,), True
+    return tuple(p), False
+
+
+def _per_point(values: list[float]):
+    """One scalar per point of a stack, in a form that multiplies a
+    (K, D, D) stack point by point: the float itself for one point."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+
+
+def _connection_product(a: tuple[float, ...], s: float, D: int) -> np.ndarray:
+    """C C^T of the connection matrix for each a = gamma_N - 1 of a stack:
+    the (K, D, D) moment matrices of r^s without their scalar factors
+    Gamma-ratio * beta^(-s/2)."""
     half = 0.5 * s
-    ln_ratio = _half_ln_h(a + half, D)[None, :] - _half_ln_h(a, D)[:, None]
+    hb = _half_ln_h(tuple([ak + half for ak in a]), D)
+    ha = _half_ln_h(a, D)
+    ln_ratio = hb[:, None, :] - ha[:, :, None]
     # exp(0) = 1 above the diagonal, where the binomial factor is exactly 0;
     # the exponents there would overflow, and exp(-inf) is numpy's slow path
     ln_ratio *= _lower_ones(D)
     C = np.exp(ln_ratio, out=ln_ratio)
     C *= _binomial_toeplitz(half, D)
     # a product with its own transpose comes out exactly symmetric: numpy
-    # evaluates it as a symmetric rank-k update and mirrors one triangle
-    return C @ C.T
+    # evaluates each slice as a symmetric rank-k update and mirrors one triangle
+    return C @ C.transpose(0, 2, 1)
 
 
 # (a, s, D) -> read-only C C^T, all for the one (a, D) in _products_aD: the
@@ -156,47 +189,60 @@ _products: dict[tuple[float, float, int], np.ndarray] = {}
 _products_aD: tuple[float, int] | None = None
 
 
-def _product(a: float, s: float, D: int) -> np.ndarray:
-    """Cached `_connection_product`; a new (a, D) evicts every entry."""
+def _product(a: tuple[float, ...], s: float, D: int) -> np.ndarray:
+    """`_connection_product`, cached for a lone point; a new (a, D) evicts
+    every entry."""
     global _products_aD
-    M = _products.get((a, s, D))
+    if len(a) > 1:
+        return _connection_product(a, s, D)
+    M = _products.get((a[0], s, D))
     if M is None:
-        if _products_aD != (a, D):
+        if _products_aD != (a[0], D):
             _products.clear()
-            _products_aD = (a, D)
+            _products_aD = (a[0], D)
         M = _connection_product(a, s, D)
         M.setflags(write=False)
-        _products[a, s, D] = M
+        _products[a[0], s, D] = M
     return M
 
 
-def _moment_matrix(p: ModelParams, D: int, s: float) -> np.ndarray:
-    """Fresh dense D x D matrix of <psi_m| r^s |psi_n>; requires
-    gamma_N + s/2 > 0."""
-    a = p.gamma_N - 1.0
+def _moment_matrices(ps: tuple[ModelParams, ...], D: int, s: float) -> np.ndarray:
+    """Fresh (K, D, D) stack of <psi_m| r^s |psi_n>; requires
+    gamma_N + s/2 > 0 at every point."""
     half = 0.5 * s
-    return _product(a, s, D) * (_gamma_ratio(a + 1.0, half) * p.beta ** (-half))
+    a = tuple([p.gamma_N - 1.0 for p in ps])
+    scale = [_gamma_ratio(ak + 1.0, half) * p.beta ** (-half) for ak, p in zip(a, ps)]
+    return _product(a, s, D) * _per_point(scale)
 
 
-def inv_power_matrix(p: ModelParams, D: int, alpha: float) -> np.ndarray:
-    """Dense D x D matrix of r^(-alpha) elements, exactly symmetric."""
+def inv_power_matrix(p: ModelParams | Sequence[ModelParams], D: int,
+                     alpha: float) -> np.ndarray:
+    """Dense D x D matrix of r^(-alpha) elements, exactly symmetric; a
+    (K, D, D) stack for a sequence of K points."""
+    ps, single = _points(p)
     _check_dim(D)
     if not alpha > 0.0:
         raise ValueError(f"singular exponent alpha must be > 0, got {alpha}")
-    if not 2.0 * p.gamma_N > alpha:
-        raise ValueError(
-            f"r^(-{alpha}) element diverges: need 2*gamma_N > alpha, "
-            f"have gamma_N = {p.gamma_N:.6g}"
-        )
-    return _moment_matrix(p, D, -alpha)
+    for q in ps:
+        if not 2.0 * q.gamma_N > alpha:
+            raise ValueError(
+                f"r^(-{alpha}) element diverges: need 2*gamma_N > alpha, "
+                f"have gamma_N = {q.gamma_N:.6g}"
+            )
+    M = _moment_matrices(ps, D, -alpha)
+    return M[0] if single else M
 
 
-def power_matrix(p: ModelParams, D: int, q: int) -> np.ndarray:
-    """Dense D x D matrix of r^q elements, exactly zero outside |m-n| <= q/2."""
+def power_matrix(p: ModelParams | Sequence[ModelParams], D: int,
+                 q: int) -> np.ndarray:
+    """Dense D x D matrix of r^q elements, exactly zero outside |m-n| <= q/2;
+    a (K, D, D) stack for a sequence of K points."""
+    ps, single = _points(p)
     _check_dim(D)
     if q <= 0 or q % 2:
         raise ValueError(f"power exponent q must be an even positive integer, got {q}")
-    return _moment_matrix(p, D, q)
+    M = _moment_matrices(ps, D, q)
+    return M[0] if single else M
 
 
 def inv_power_element(p: ModelParams, m: int, n: int, alpha: float) -> float:

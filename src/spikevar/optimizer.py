@@ -6,6 +6,13 @@ assembled D x D matrix, viewed as a function of (A, B).  Feasibility
 optimizing in transformed coordinates A = A_min + e^u, B = e^w, so a plain
 derivative-free simplex search runs unconstrained.  All searches are
 deterministic: fixed start lists, fixed restart policy, no randomness.
+
+The simplex and its restarts are generators: they yield each point to
+evaluate and receive its value.  The chains of one search are independent
+until their results are compared, so a speculative pass runs them side by
+side first and evaluates each round's pending points as one stacked batch;
+the search proper then reads those values from a table.  A value depends on
+its point alone, so the table changes no bit of a result.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ _FTOL = 1e-10     # spread of objective values across the simplex
 _ALPHA_MARGIN = 1e-6
 _CLAMP = 50.0     # |u|, |w| cap; exp stays finite
 _MEMO_SIZE = 128  # objective values one search keeps, most recently used
+# bytes of one stacked (K, D, D) array of a batch: K = 4 up to D = 64, and
+# from D = 91 one point at a time, which leaves nothing to stack.  The
+# stacked temporaries raised the peak RSS of the `tables` benchmark by 6.7%
+# at 1 MiB (one run) and by 1.3% at 128 KiB (median of ten)
+_BATCH_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -79,8 +91,8 @@ def feasible_A_min(v: PotentialSpec) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_polish(fn, x, f, budget, widths=(4.0, 0.8, 0.12), points=15,
-                   iters=35):
+def _golden_polish(fn, x, f, budget, prefetch, widths=(4.0, 0.8, 0.12),
+                   points=15, iters=35):
     """Axis-wise scan-then-golden line searches around the incumbent.
 
     The bound surface is a long shallow valley whose floor is terraced:
@@ -88,6 +100,8 @@ def _golden_polish(fn, x, f, budget, widths=(4.0, 0.8, 0.12), points=15,
     along each transformed axis hops terraces the simplex cannot leave, and
     a golden section around the best sample finishes the line.  Rounds with
     shrinking width keep the polish deterministic and budget-bounded.
+    The points of a scan are independent; each scan hands them to
+    `prefetch` before asking fn for them one by one.
     Returns (x, f, evaluations_used).
     """
     used = 0
@@ -103,6 +117,7 @@ def _golden_polish(fn, x, f, budget, widths=(4.0, 0.8, 0.12), points=15,
 
             ts = [x[axis] + hw * (2.0 * i / (points - 1) - 1.0)
                   for i in range(points)]
+            prefetch([x[:axis] + [t] + x[axis + 1:] for t in ts])
             fs = [g(t) for t in ts]
             used += points
             k = min(range(points), key=lambda i: fs[i])
@@ -135,11 +150,12 @@ def _golden_polish(fn, x, f, budget, widths=(4.0, 0.8, 0.12), points=15,
     return x, f, used
 
 
-def _nelder_mead(fn, x0, scale, budget):
-    """Standard simplex search; returns (x_best, f_best, n_eval, converged).
+def _nelder_mead(x0, scale, budget):
+    """Standard simplex search as a generator.
 
-    Vertices are lists of Python floats; fn receives such a list, and the
-    best vertex is returned as an ndarray.
+    Yields each point to evaluate, a list of Python floats, and receives its
+    value by `send`.  Returns (x_best, f_best, n_eval, converged), the best
+    vertex as an ndarray.
     """
     dim = len(x0)
     refl, expa, contr, shrink = _NM_COEFFS
@@ -151,7 +167,7 @@ def _nelder_mead(fn, x0, scale, budget):
     vals = []
     nev = 0
     for qx in pts:
-        vals.append(fn(qx))
+        vals.append((yield qx))
         nev += 1
         if nev >= budget:
             i = min(range(len(vals)), key=vals.__getitem__)
@@ -173,28 +189,132 @@ def _nelder_mead(fn, x0, scale, budget):
         centroid = [a / dim for a in acc]
         worst = pts[-1]
         xr = [c + refl * (c - w) for c, w in zip(centroid, worst)]
-        fr = fn(xr); nev += 1
+        fr = yield xr
+        nev += 1
         if vals[0] <= fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         elif fr < vals[0]:
             xe = [c + expa * (r - c) for c, r in zip(centroid, xr)]
-            fe = fn(xe); nev += 1
+            fe = yield xe
+            nev += 1
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
             else:
                 pts[-1], vals[-1] = xr, fr
         else:
             xc = [c + contr * (w - c) for c, w in zip(centroid, worst)]
-            fc = fn(xc); nev += 1
+            fc = yield xc
+            nev += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, dim + 1):
                     pts[i] = [b + shrink * (p - b) for b, p in zip(best, pts[i])]
-                    vals[i] = fn(pts[i]); nev += 1
+                    vals[i] = yield pts[i]
+                    nev += 1
                     if nev >= budget:
                         j = min(range(len(vals)), key=vals.__getitem__)
                         return np.array(pts[j]), vals[j], nev, False
+
+
+def _restarts(x, budget):
+    """One chain: a simplex run plus up to 3 shrinking restarts, over
+    `budget` evaluations.
+
+    A generator like `_nelder_mead`; returns (x, f, converged), converged
+    if any run converged.
+    """
+    scale = 0.5
+    f_prev = math.inf
+    used = 0
+    converged = False
+    for _ in range(4):  # initial run + up to 3 shrinking restarts
+        if used >= budget:
+            break
+        x, f, n, ok = yield from _nelder_mead(x, scale, budget - used)
+        used += n
+        converged = converged or ok
+        if f_prev - f < 1e-11:
+            f_prev = f
+            break
+        f_prev = f
+        scale /= 4.0
+    return x, f_prev, converged
+
+
+def _ask(x):
+    """A search that asks for the one point x and returns its value."""
+    return (yield x)
+
+
+def _drive(search, fn):
+    """Run a search generator to its end, answering each point with fn;
+    returns what the search returns."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fn(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(searches, evaluate, limit):
+    """Values of the points that independent searches ask for.
+
+    Advances the searches side by side.  Each round evaluates the pending
+    points not yet in the table, at most one per search, as one batch
+    (`evaluate` maps a list of points to their values); a point already in
+    the table is answered at once.  `limit` is what the searches may ask
+    between them when they run one after another in list order: a search
+    stops here once it has asked for what the searches before it leave.
+    Returns {tuple(x): value}.
+    """
+    table = {}
+    pending = {}
+    for i, search in enumerate(searches):
+        try:
+            pending[i] = next(search)
+        except StopIteration:
+            pass
+    asked = [0] * len(searches)
+    while pending:
+        todo = list(dict.fromkeys(tuple(x) for x in pending.values()
+                                  if tuple(x) not in table))
+        table.update(zip(todo, evaluate(todo)))
+        for i, x in list(pending.items()):
+            try:
+                while tuple(x) in table:
+                    asked[i] += 1
+                    x = searches[i].send(table[tuple(x)])
+                pending[i] = x
+            except StopIteration:
+                del pending[i]
+        left = limit
+        for i, n in enumerate(asked):
+            if n >= left:
+                pending.pop(i, None)
+            left -= min(n, left)
+    return table
+
+
+def _values(v: PotentialSpec, D: int, level: int, points) -> list[float]:
+    """Search objective at a list of (A, B) points: the level-th eigenvalue
+    of each D x D matrix plus its roundoff penalty, assembled and solved as
+    one stack.  Each value carries the bits of its point computed alone."""
+    try:
+        H = assemble([ModelParams(A, B, v.N, v.l) for A, B in points], v, D)
+    except OverflowError:  # beta^(alpha/2) at a steep term and large B
+        if len(points) > 1:  # the other points of the stack still count
+            return [f for point in points for f in _values(v, D, level, [point])]
+        return [math.inf]  # a point that bounds nothing
+    lows = eigen_symmetric(H, k=level + 1).values[:, level].tolist()
+    # eigenvalues computed from a matrix with huge entries (feasibility
+    # boundary, where singular elements blow up) carry roundoff of order
+    # ||H|| * eps * D and can dip spuriously below the true bound; adding
+    # twice that noise bound keeps the search out of the noise sink while
+    # biasing legitimate points by < 1e-10
+    peaks = np.abs(H).max(axis=(1, 2)).tolist()
+    return [low + 2.0 * (peak * 2.3e-16 * D) for low, peak in zip(lows, peaks)]
 
 
 def minimize_bound(
@@ -220,6 +340,14 @@ def minimize_bound(
     including the calls answered from the memo of the last _MEMO_SIZE
     distinct (A, B) points: a repeated point costs no assembly, but it
     still moves the search along the same path as before the memo.
+
+    Before the prescan, the chains and each polish scan, a speculative
+    lockstep pass evaluates the points they will ask for, a batch per
+    round, and the search reads them from a table; a point it asks for
+    that the pass did not reach is evaluated then.  The pass stops a chain
+    once it has asked for what the budget leaves after the chains before
+    it, and is skipped where a batch holds one matrix (D > 90).  It
+    changes no value, path or count.
     """
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
@@ -234,29 +362,39 @@ def minimize_bound(
         B = fix_B if fix_B is not None else math.exp(min(float(x[1]), _CLAMP))
         return A, B
 
+    evaluate = functools.partial(_values, v, D, target_level)
     nev = 0
 
     # simplex restarts and shrinks and the polish's centre points come back
     # to points already evaluated; they are answered from this memo
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def value(A: float, B: float) -> float:
-        try:
-            H = assemble(ModelParams(A, B, v.N, v.l), v, D)
-        except OverflowError:  # beta^(-alpha/2) at a steep term and small B
-            return math.inf  # a point that bounds nothing
-        val = float(eigen_symmetric(H, k=target_level + 1).values[target_level])
-        # eigenvalues computed from a matrix with huge entries (feasibility
-        # boundary, where singular elements blow up) carry roundoff of order
-        # ||H|| * eps and can dip spuriously below the true bound; adding
-        # twice that noise bound keeps the search out of the noise sink
-        # while biasing legitimate points by < 1e-10
-        noise = float(np.abs(H.data).max()) * 2.3e-16 * D
-        return val + 2.0 * noise
+        return evaluate([(A, B)])[0]
+
+    # values the speculative passes computed, by transformed point
+    table: dict[tuple[float, ...], float] = {}
+    per_batch = max(1, _BATCH_BYTES // (8 * D * D))
+
+    def batch(xs) -> list[float]:
+        points = [decode(x) for x in xs]
+        return [f for i in range(0, len(points), per_batch)
+                for f in evaluate(points[i:i + per_batch])]
+
+    def prefetch(searches, limit):
+        """Fill `table` with a speculative lockstep pass over the searches;
+        with one matrix per batch there is nothing to stack, and no pass."""
+        if per_batch > 1:
+            table.update(_lockstep(searches, batch, limit))
 
     def objective(x) -> float:
         nonlocal nev
         nev += 1
-        return value(*decode(x))
+        f = table.get(tuple(x))
+        return f if f is not None else value(*decode(x))
+
+    def chain_start(A0, B0) -> list[float]:
+        u0 = math.log(max(A0 - a_min, 1e-12))
+        return [u0] if fix_B is not None else [u0, math.log(max(B0, 1e-12))]
 
     starts = [(max(1.0, a_min + 1.0), v.a1), (a_min + 10.0, 4.0 * v.a1)]
     # the valley floor can carry several local minima a few 1e-7 apart with
@@ -270,45 +408,31 @@ def minimize_bound(
             for sb in (0.5, 2.0, 8.0, 32.0, 128.0):
                 prescan.append((a_min + da, v.a1 * sb))
     if budget >= 4 * len(prescan):
-        best_probe = min(
-            prescan,
-            key=lambda ab: objective(
-                [math.log(ab[0] - a_min)]
-                if fix_B is not None
-                else [math.log(ab[0] - a_min), math.log(ab[1])]
-            ),
-        )
-        starts.append(best_probe)
+        probes = [[math.log(A - a_min)] if fix_B is not None
+                  else [math.log(A - a_min), math.log(B)] for A, B in prescan]
+        prefetch([_ask(x) for x in probes], len(probes))
+        k = min(range(len(prescan)), key=lambda i: objective(probes[i]))
+        starts.append(prescan[k])
     if init is not None:
         starts.append((float(init[0]), float(init[1])))
 
+    # each chain gets at most the budget left now, as below
+    prefetch([_restarts(chain_start(A0, B0), budget - nev) for A0, B0 in starts],
+             budget - nev)
     best_x = None
     best_f = math.inf
     any_converged = False
     for A0, B0 in starts:
-        u0 = math.log(max(A0 - a_min, 1e-12))
-        x = [u0] if fix_B is not None else [u0, math.log(max(B0, 1e-12))]
-        scale = 0.5
-        f_prev = math.inf
-        for _ in range(4):  # initial run + up to 3 shrinking restarts
-            remaining = budget - nev
-            if remaining <= 0:
-                break
-            x, f, _, ok = _nelder_mead(objective, x, scale, remaining)
-            if ok:
-                any_converged = True
-            if f_prev - f < 1e-11:
-                f_prev = f
-                break
-            f_prev = f
-            scale /= 4.0
-        if f_prev < best_f:
-            best_f = f_prev
+        x, f, ok = _drive(_restarts(chain_start(A0, B0), budget - nev), objective)
+        any_converged = any_converged or ok
+        if f < best_f:
+            best_f = f
             best_x = x
     remaining = budget - nev
     if remaining > 0:
-        best_x, best_f, _ = _golden_polish(objective, best_x.tolist(), best_f,
-                                           remaining)
+        best_x, best_f, _ = _golden_polish(
+            objective, best_x.tolist(), best_f, remaining,
+            lambda xs: prefetch([_ask(x) for x in xs], len(xs)))
     A_star, B_star = decode(best_x)
     H = assemble(ModelParams(A_star, B_star, v.N, v.l), v, D)
     bounds = eigen_symmetric(H).values
@@ -366,7 +490,7 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
             scale = 0.5
             f_prev = math.inf
             for _ in range(4):
-                x, f, _, _ = _nelder_mead(fn, x, scale, 2000)
+                x, f, _, _ = _drive(_nelder_mead(x, scale, 2000), fn)
                 if f_prev - f < 1e-13:
                     f_prev = f
                     break

@@ -215,9 +215,19 @@ class _RadialProblem:
         return out
 
     def probe(self, r: np.ndarray) -> np.ndarray:
-        """W on a probe grid; a steep barrier overflows to inf quietly."""
-        with np.errstate(over="ignore"):
-            return self.w(r)
+        """W on a probe grid; a steep barrier overflows to inf quietly.
+        Terms of opposite sign that both overflow leave inf - inf, which
+        no probe can use: that is an error naming the radius."""
+        try:
+            with np.errstate(over="ignore", invalid="raise"):
+                return self.w(r)
+        except FloatingPointError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = np.isnan(self.w(r))
+        raise ShootingError(
+            f"the potential is inf - inf at r = {r[bad].max():.3g}: singular "
+            "terms of opposite sign both overflow there, so it cannot be "
+            "tabulated")
 
     def floor(self, r: np.ndarray, w: np.ndarray | None = None) -> float:
         """Lower bound on the spectrum over the points r: the least

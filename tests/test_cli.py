@@ -238,6 +238,7 @@ EDGE_CASES = [
     (["oracle", "--term", "1:100"], 5.7717191, 2e-6),
     (["eig", "--term", "1:300"], 12.1914163, 1e-7),
     (["oracle", "--a1", "1e308"], None, "would need"),
+    (["oracle", "--term=-1:1000", "--term", "1:2000"], None, "inf - inf"),
     (["eig", "--term=-1:1"], None, "not supported"),
     (["oracle", "--term=-0.3:2"], None, "< -1/4"),
     (["first-order", "--lambda", "1e200"], 8.77205321e66, 1e58),
@@ -263,6 +264,20 @@ class TestEdgeCases:
         row = json.loads(out)
         printed = row["oracle"] if argv[0] == "oracle" else row["bound"]
         assert printed == pytest.approx(value, abs=tol)
+
+
+def test_opposite_overflowing_terms_give_one_error_line_under_W_error():
+    # r^-1000 and r^-2000 both overflow inside the oracle's probe, with
+    # opposite signs; a RuntimeWarning raised as an error would end in a
+    # traceback instead of the one line
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "spikevar.cli",
+         "oracle", "--term=-1:1000", "--term", "1:2000", "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: the potential is inf - inf at r = ")
 
 
 class TestCachedParser:

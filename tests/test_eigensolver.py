@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spikevar.eigensolver import eigen_symmetric
-from spikevar.hamiltonian import SymMatrix
 
 
 def _count_below(A, x):
@@ -106,10 +105,23 @@ class TestContract:
             assert full[i] <= sub[i] + 1e-12
             assert sub[i] <= full[i + 1] + 1e-12
 
-    def test_accepts_symmatrix(self):
-        M = SymMatrix(2, np.array([[2.0, 1.0], [1.0, 2.0]]))
-        s = eigen_symmetric(M, k=1)
-        assert s.values[0] == pytest.approx(1.0, abs=1e-14)
+    def test_accepts_a_stack(self):
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((3, 6, 6))
+        stack = M + M.transpose(0, 2, 1)
+        s = eigen_symmetric(stack, k=2, want_vectors=True)
+        assert s.values.shape == (3, 2) and s.vectors.shape == (3, 6, 2)
+        for A, vals, vecs in zip(stack, s.values, s.vectors):
+            alone = eigen_symmetric(A, k=2, want_vectors=True)
+            assert vals.tobytes() == alone.values.tobytes()
+            assert vecs.tobytes() == alone.vectors.tobytes()
+
+    def test_rejects_a_stack_with_one_bad_matrix(self):
+        good = np.eye(2)
+        for bad in (np.array([[1.0, 2.0], [3.0, 4.0]]),
+                    np.array([[1.0, np.inf], [np.inf, 1.0]])):
+            with pytest.raises(ValueError):
+                eigen_symmetric(np.stack([good, bad, good]))
 
     def test_rejects_asymmetric_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from quadref import element_quad, kinetic_quad
 from spikevar import matelem
 from spikevar.basis import ModelParams, gk_energy
 from spikevar.eigensolver import eigen_symmetric
-from spikevar.hamiltonian import PotentialSpec, SymMatrix, assemble
+from spikevar.hamiltonian import PotentialSpec, assemble
 
 
 class TestPotentialSpec:
@@ -43,7 +43,7 @@ class TestPotentialSpec:
         assert split.singular == whole.singular == ((3.0, 4.0), (2.0, 6.0))
         assert split.inv_square == whole.inv_square == 0.75
         p = ModelParams(A=6.0, B=1.5)  # gamma_N = 3.5: r^-6 is finite
-        assert np.array_equal(assemble(p, split, 12).data, assemble(p, whole, 12).data)
+        assert np.array_equal(assemble(p, split, 12), assemble(p, whole, 12))
         # a coefficient that merges to zero is no term at all
         gone = PotentialSpec(a1=1.0, terms=((1.0, 6.0), (-1.0, 6.0), (1.0, 4.0)))
         assert gone.singular == ((1.0, 4.0),)
@@ -74,19 +74,6 @@ class TestPotentialSpec:
         assert v.max_alpha() == 4.0
 
 
-class TestSymMatrix:
-    def test_requires_symmetry_and_finiteness(self):
-        with pytest.raises(ValueError):
-            SymMatrix(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(ValueError):
-            SymMatrix(2, np.array([[1.0, np.inf], [np.inf, 1.0]]))
-
-    def test_readonly(self):
-        M = SymMatrix(3, np.eye(3))
-        with pytest.raises(ValueError):
-            M.data[0, 0] = 7.0
-
-
 class TestAssemble:
     def test_one_by_one_matches_first_order_objective(self):
         # H_00 = g/beta + beta + lam beta^2/((g-1)(g-2)) + beta/(4(g-1))
@@ -96,17 +83,17 @@ class TestAssemble:
         g, b = p.gamma_N, p.beta
         expect = g / b + b + lam * b * b / ((g - 1) * (g - 2)) + b / (4 * (g - 1))
         H = assemble(p, v, 1)
-        assert H.data[0, 0] == pytest.approx(expect, rel=1e-13)
+        assert H[0, 0] == pytest.approx(expect, rel=1e-13)
 
     def test_model_exact_case_is_diagonal(self):
         # potential identical to the basis model: exact spectrum on the diagonal
         p = ModelParams(A=3.0, B=2.5, N=3, l=0)
         v = PotentialSpec(a1=2.5, terms=((3.0, 2.0),))
         H = assemble(p, v, 6)
-        off = H.data - np.diag(np.diag(H.data))
+        off = H - np.diag(np.diag(H))
         assert np.max(np.abs(off)) < 1e-12
         for n in range(6):
-            assert H.data[n, n] == pytest.approx(gk_energy(p, n), rel=1e-13)
+            assert H[n, n] == pytest.approx(gk_energy(p, n), rel=1e-13)
 
     def test_entries_match_quadrature(self):
         # kinetic via integration by parts + potential terms by quadrature
@@ -121,7 +108,7 @@ class TestAssemble:
                     + element_quad(A, B, m, n, 2.0)
                     + 0.1 * element_quad(A, B, m, n, -4.0)
                 )
-                assert H.data[m, n] == pytest.approx(ref, abs=1e-8)
+                assert H[m, n] == pytest.approx(ref, abs=1e-8)
 
     def test_explicit_inverse_square_term_combines_with_counterterm(self):
         p = ModelParams(A=2.0, B=1.0, N=3, l=0)
@@ -134,7 +121,7 @@ class TestAssemble:
         expect = np.diag(2 * p.beta * (2 * n + p.gamma_N))
         expect = expect + (1.0 - p.B) * power_matrix(p, 4, 2)
         expect = expect + (3.0 - 2.0) * inv_power_matrix(p, 4, 2.0)
-        assert np.allclose(H.data, expect, rtol=0, atol=1e-14)
+        assert np.allclose(H, expect, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("A, B, terms, N, D", [
         (105.5, 1.92, ((1.0, 4.0), (1.0, 6.0)), 3, 10),
@@ -161,7 +148,7 @@ class TestAssemble:
             if lam2 != 0.0:
                 H = H + lam2 * inv_power_matrix(p, D, 2.0)
             H = np.triu(H) + np.triu(H, 1).T
-            assert np.array_equal(assemble(p, v, D).data, H)
+            assert np.array_equal(assemble(p, v, D), H)
 
     # a1 = 1: B1 then B2 covers B != a1 twice, B = a1 first and B = a1 last
     @pytest.mark.parametrize("B1, B2", [(0.6, 1.7), (1.0, 2.3), (1.7, 1.0)])
@@ -186,7 +173,26 @@ class TestAssemble:
         assert built == ([2] if B1 == v.a1 else [])
         monkeypatch.setattr(matelem, "_product", real)
         cold = assemble(ModelParams(A, B2), v, D)
-        assert np.array_equal(warm.data, cold.data)
+        assert np.array_equal(warm, cold)
+
+    # B = a1 drops the r^2 term at the first two points, A = inv_square the
+    # counter-term at the first and the fourth; the second and the last
+    # share gamma_N, and so one moment product per exponent
+    STACK = ((5.0, 1.0), (6.3, 1.0), (7.1, 1.7), (5.0, 0.6), (6.3, 2.4))
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+    @pytest.mark.parametrize("D", [1, 10, 30])
+    def test_stack_matches_each_point_bit_for_bit(self, alpha, D):
+        v = PotentialSpec(a1=1.0, terms=((0.7, alpha), (5.0, 2.0)))
+        ps = [ModelParams(A, B) for A, B in self.STACK]
+        stack = assemble(ps, v, D)
+        assert stack.shape == (len(ps), D, D)
+        lows = eigen_symmetric(stack, k=1).values
+        assert lows.shape == (len(ps), 1)
+        for p, H, low in zip(ps, stack, lows):
+            alone = assemble(p, v, D)
+            assert H.tobytes() == alone.tobytes()
+            assert low.tobytes() == eigen_symmetric(alone, k=1).values.tobytes()
 
     def test_basis_sign_invariance(self):
         # flipping the (-1)^n convention conjugates H by diag(+-1): same spectrum
@@ -194,9 +200,9 @@ class TestAssemble:
         v = PotentialSpec(a1=1.0, terms=((0.5, 4.0), (2.0, 6.0)))
         H = assemble(p, v, 12)
         s = np.diag([(-1.0) ** k for k in range(12)])
-        flipped = s @ H.data @ s
+        flipped = s @ H @ s
         e1 = eigen_symmetric(H).values
-        e2 = eigen_symmetric(SymMatrix(12, flipped)).values
+        e2 = eigen_symmetric(flipped).values
         assert np.max(np.abs(e1 - e2)) < 1e-12 * max(1.0, np.max(np.abs(e1)))
 
     def test_channel_mismatch_rejected(self):
@@ -241,4 +247,4 @@ class TestAssemble:
                     + 0.7 * element_quad(A, B, m, n, -4.0)
                     - A * element_quad(A, B, m, n, -2.0)
                 )
-                assert H.data[m, n] == pytest.approx(e_split, abs=1e-8)
+                assert H[m, n] == pytest.approx(e_split, abs=1e-8)

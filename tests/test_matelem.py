@@ -280,11 +280,12 @@ class TestGammaRatio:
 
 class TestHalfLnHMemo:
     def test_memoized_arrays_are_read_only(self):
-        h = _half_ln_h(2.5, 8)
-        assert _half_ln_h(2.5, 8) is h
+        h = _half_ln_h((2.5, 4.0), 8)
+        assert _half_ln_h((2.5, 4.0), 8) is h
+        assert h.shape == (2, 8)
         assert not h.flags.writeable
         with pytest.raises(ValueError):
-            h[1] = 0.0
+            h[0, 1] = 0.0
 
     def test_interleaved_builds_match_fresh_builds(self, monkeypatch):
         # gamma_1, gamma_2, gamma_1 through the memos, against cold builds
