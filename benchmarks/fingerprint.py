@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Print the exact results of the bound searches and oracle calls, so that
+two revisions of the package can be compared bit for bit with `diff`.
+
+One line per `minimize_bound` call, warm-up searches included, with A*, B*
+and the bound as float.hex, the evaluation count and `converged`, for
+
+- every non-slow row of tables 1-5, run as `run_table` runs it;
+- the `series` benchmark's converge calls of seeds 0-2;
+- `eig --term 0.1:4 -D 120`, two-parameter and A-only (`--fix-B`);
+
+then one line per `oracle` benchmark call of seeds 0-2 with its exit code
+and energy as float.hex.  Calls that two seeds share are run once.  The
+package is imported from `src/` of the script's own checkout, with BLAS
+pinned to one thread as in `perfbench/run.py`.  Takes ~30 s on a 2-vCPU
+x86-64 host.
+
+Usage (from the repository root of each revision):
+
+    python benchmarks/fingerprint.py > fingerprint.txt
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from spikevar import cli, optimizer, tables  # noqa: E402
+
+SEEDS = (0, 1, 2)
+EIG_ARGV = ["eig", "--term", "0.1:4", "-D", "120", "--format", "json"]
+
+
+def _recording():
+    """Route every minimize_bound call through a wrapper that appends
+    (D, result) to the returned list."""
+    calls = []
+    real = optimizer.minimize_bound
+
+    def recorded(v, D, *args, **kwargs):
+        res = real(v, D, *args, **kwargs)
+        calls.append((D, res))
+        return res
+
+    for module in (optimizer, tables, cli):
+        module.minimize_bound = recorded
+    return calls
+
+
+def _cli(argv):
+    """(exit code, stdout) of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+def main() -> None:
+    calls = _recording()
+
+    def searches(label):
+        for D, res in calls:
+            print(f"{label} D={D}: {res.A_star.hex()} {res.B_star.hex()} "
+                  f"{res.bound.hex()} {res.evaluations} {res.converged}")
+        calls.clear()
+
+    for tid in tables.BUILTIN_TABLE_IDS:
+        for row in tables.builtin_job(tid).rows:
+            if row.slow:
+                continue
+            (res,) = tables.run_table(tables.TableJob(tid, (row,))).rows
+            searches(f"{tid} {row.label}" + (f" error {res.error}" if res.error else ""))
+    cases = {c["key"]: c for seed in SEEDS for c in workloads.build_series(seed)}
+    for key, case in cases.items():
+        rc, _ = _cli(workloads.series_argv(case))
+        searches(f"series {key} rc={rc}")
+    for extra in ([], ["--fix-B"]):
+        rc, _ = _cli(EIG_ARGV + extra)
+        searches(" ".join(["eig -D 120", *extra, f"rc={rc}"]))
+    cases = {c["key"]: c for seed in SEEDS for c in workloads.build_oracle(seed)}
+    for key, case in cases.items():
+        rc, out = _cli(workloads.oracle_argv(case))
+        energy = json.loads(out)["oracle"] if rc == 0 else None
+        print(f"oracle {key} rc={rc}: {energy.hex() if energy is not None else None}")
+
+
+if __name__ == "__main__":
+    main()

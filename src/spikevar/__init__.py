@@ -2,10 +2,9 @@
 anharmonic potentials, with closed-form matrix elements in a two-parameter
 solvable basis and an independent shooting-method check."""
 
-from .basis import ModelParams, gk_energy, gk_wavefunction, hyp1f1_terminating
+from .basis import ModelParams
 from .eigensolver import Spectrum, eigen_symmetric
 from .hamiltonian import PotentialSpec, assemble
-from .matelem import inv_power_element, power_element
 from .optimizer import (
     BoundResult,
     ConvergenceRun,
@@ -33,13 +32,8 @@ __all__ = [
     "builtin_job",
     "converge_to_digits",
     "eigen_symmetric",
-    "gk_energy",
-    "gk_wavefunction",
     "ground_state_first_order",
-    "hyp1f1_terminating",
-    "inv_power_element",
     "minimize_bound",
-    "power_element",
     "run_table",
     "shoot_eigenvalue",
     "__version__",

@@ -50,22 +50,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import ModelParams
 
-__all__ = [
-    "inv_power_element",
-    "power_element",
-    "inv_power_matrix",
-    "power_matrix",
-]
+__all__ = ["inv_power_matrix", "power_matrix"]
 
 
 def _check_dim(D: int) -> None:
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
-
-
-def _check_indices(m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise ValueError("basis indices must be >= 0")
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,15 +233,3 @@ def power_matrix(p: ModelParams | Sequence[ModelParams], D: int,
         raise ValueError(f"power exponent q must be an even positive integer, got {q}")
     M = _moment_matrices(ps, D, q)
     return M[0] if single else M
-
-
-def inv_power_element(p: ModelParams, m: int, n: int, alpha: float) -> float:
-    """Element <psi_m| r^(-alpha) |psi_n>, any real 0 < alpha < 2*gamma_N."""
-    _check_indices(m, n)
-    return float(inv_power_matrix(p, max(m, n) + 1, alpha)[m, n])
-
-
-def power_element(p: ModelParams, m: int, n: int, q: int) -> float:
-    """Element <psi_m| r^q |psi_n> for even positive q; 0 for |m-n| > q/2."""
-    _check_indices(m, n)
-    return float(power_matrix(p, max(m, n) + 1, q)[m, n])

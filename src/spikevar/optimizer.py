@@ -8,16 +8,16 @@ derivative-free simplex search runs unconstrained.  All searches are
 deterministic: fixed start lists, fixed restart policy, no randomness.
 
 The simplex and its restarts are generators: they yield each point to
-evaluate and receive its value.  The chains of one search are independent
-until their results are compared, so a speculative pass runs them side by
-side first and evaluates each round's pending points as one stacked batch;
-the search proper then reads those values from a table.  A value depends on
-its point alone, so the table changes no bit of a result.
+evaluate and receive its value.  A search keeps every value it computes in
+one table keyed on the transformed point, so no point is evaluated twice.
+Independent points -- the prescan grid, a polish scan, and the pending
+points of chains advanced side by side in a speculative pass -- are
+evaluated together as stacked batches.  A value depends on its point
+alone, so neither the table nor the batches change a bit of a result.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +42,6 @@ _XTOL = 1e-7      # simplex diameter in transformed coordinates
 _FTOL = 1e-10     # spread of objective values across the simplex
 _ALPHA_MARGIN = 1e-6
 _CLAMP = 50.0     # |u|, |w| cap; exp stays finite
-_MEMO_SIZE = 128  # objective values one search keeps, most recently used
 # bytes of one stacked (K, D, D) array of a batch: K = 4 up to D = 64, and
 # from D = 91 one point at a time, which leaves nothing to stack.  The
 # stacked temporaries raised the peak RSS of the `tables` benchmark by 6.7%
@@ -91,7 +90,7 @@ def feasible_A_min(v: PotentialSpec) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_polish(fn, x, f, budget, prefetch, widths=(4.0, 0.8, 0.12),
+def _golden_polish(fn, x, f, budget, evaluate, widths=(4.0, 0.8, 0.12),
                    points=15, iters=35):
     """Axis-wise scan-then-golden line searches around the incumbent.
 
@@ -101,7 +100,7 @@ def _golden_polish(fn, x, f, budget, prefetch, widths=(4.0, 0.8, 0.12),
     a golden section around the best sample finishes the line.  Rounds with
     shrinking width keep the polish deterministic and budget-bounded.
     The points of a scan are independent; each scan hands them to
-    `prefetch` before asking fn for them one by one.
+    `evaluate` as one list before asking fn for them one by one.
     Returns (x, f, evaluations_used).
     """
     used = 0
@@ -117,7 +116,7 @@ def _golden_polish(fn, x, f, budget, prefetch, widths=(4.0, 0.8, 0.12),
 
             ts = [x[axis] + hw * (2.0 * i / (points - 1) - 1.0)
                   for i in range(points)]
-            prefetch([x[:axis] + [t] + x[axis + 1:] for t in ts])
+            evaluate([x[:axis] + [t] + x[axis + 1:] for t in ts])
             fs = [g(t) for t in ts]
             used += points
             k = min(range(points), key=lambda i: fs[i])
@@ -242,11 +241,6 @@ def _restarts(x, budget):
     return x, f_prev, converged
 
 
-def _ask(x):
-    """A search that asks for the one point x and returns its value."""
-    return (yield x)
-
-
 def _drive(search, fn):
     """Run a search generator to its end, answering each point with fn;
     returns what the search returns."""
@@ -258,18 +252,17 @@ def _drive(search, fn):
         return stop.value
 
 
-def _lockstep(searches, evaluate, limit):
-    """Values of the points that independent searches ask for.
+def _lockstep(searches, known, evaluate, limit):
+    """Advance independent searches side by side, filling `known`.
 
-    Advances the searches side by side.  Each round evaluates the pending
-    points not yet in the table, at most one per search, as one batch
-    (`evaluate` maps a list of points to their values); a point already in
-    the table is answered at once.  `limit` is what the searches may ask
-    between them when they run one after another in list order: a search
-    stops here once it has asked for what the searches before it leave.
-    Returns {tuple(x): value}.
+    `known` maps tuple(x) to the value of x, and `evaluate` stores there
+    the values of a list of points, skipping those it already holds.  Each
+    round hands `evaluate` the pending points, at most one per search, as
+    one list, then answers every search from `known` until it asks for a
+    point not there.  `limit` is what the searches may ask between them
+    when they run one after another in list order: a search stops here
+    once it has asked for what the searches before it leave.
     """
-    table = {}
     pending = {}
     for i, search in enumerate(searches):
         try:
@@ -278,14 +271,12 @@ def _lockstep(searches, evaluate, limit):
             pass
     asked = [0] * len(searches)
     while pending:
-        todo = list(dict.fromkeys(tuple(x) for x in pending.values()
-                                  if tuple(x) not in table))
-        table.update(zip(todo, evaluate(todo)))
+        evaluate(list(pending.values()))
         for i, x in list(pending.items()):
             try:
-                while tuple(x) in table:
+                while tuple(x) in known:
                     asked[i] += 1
-                    x = searches[i].send(table[tuple(x)])
+                    x = searches[i].send(known[tuple(x)])
                 pending[i] = x
             except StopIteration:
                 del pending[i]
@@ -294,7 +285,6 @@ def _lockstep(searches, evaluate, limit):
             if n >= left:
                 pending.pop(i, None)
             left -= min(n, left)
-    return table
 
 
 def _values(v: PotentialSpec, D: int, level: int, points) -> list[float]:
@@ -336,18 +326,21 @@ def minimize_bound(
     converged=False.  `fix_B` pins B (one-parameter search), used for the
     A-only reproduction columns.
 
-    `evaluations` counts calls of the objective, and so does `budget`,
-    including the calls answered from the memo of the last _MEMO_SIZE
-    distinct (A, B) points: a repeated point costs no assembly, but it
-    still moves the search along the same path as before the memo.
+    Every value the search computes goes into one table keyed on the
+    transformed point, and the objective reads it from there, evaluating a
+    point only on a miss.  `evaluations` counts calls of the objective, and
+    so does `budget`, including the calls the table answers: a repeated
+    point costs no assembly, but it still moves the search along the same
+    path as without the table.
 
-    Before the prescan, the chains and each polish scan, a speculative
-    lockstep pass evaluates the points they will ask for, a batch per
-    round, and the search reads them from a table; a point it asks for
-    that the pass did not reach is evaluated then.  The pass stops a chain
-    once it has asked for what the budget leaves after the chains before
-    it, and is skipped where a batch holds one matrix (D > 90).  It
-    changes no value, path or count.
+    The prescan grid and each polish scan are evaluated as stacked
+    batches before the search asks for their points one by one.  Before
+    the chains, a speculative lockstep pass advances them side by side and
+    evaluates each round's pending points as one batch; a point the chains
+    ask for that the pass did not reach is evaluated then.  The pass stops
+    a chain once it has asked for what the budget leaves after the chains
+    before it, and is skipped where a batch holds one matrix (D > 90).
+    None of this changes a value, path or count.
     """
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
@@ -362,35 +355,28 @@ def minimize_bound(
         B = fix_B if fix_B is not None else math.exp(min(float(x[1]), _CLAMP))
         return A, B
 
-    evaluate = functools.partial(_values, v, D, target_level)
+    # every value the search has computed, by transformed point: simplex
+    # restarts and shrinks and the polish's centre points come back to them
+    known: dict[tuple[float, ...], float] = {}
+    per_batch = max(1, _BATCH_BYTES // (8 * D * D))
     nev = 0
 
-    # simplex restarts and shrinks and the polish's centre points come back
-    # to points already evaluated; they are answered from this memo
-    @functools.lru_cache(maxsize=_MEMO_SIZE)
-    def value(A: float, B: float) -> float:
-        return evaluate([(A, B)])[0]
-
-    # values the speculative passes computed, by transformed point
-    table: dict[tuple[float, ...], float] = {}
-    per_batch = max(1, _BATCH_BYTES // (8 * D * D))
-
-    def batch(xs) -> list[float]:
-        points = [decode(x) for x in xs]
-        return [f for i in range(0, len(points), per_batch)
-                for f in evaluate(points[i:i + per_batch])]
-
-    def prefetch(searches, limit):
-        """Fill `table` with a speculative lockstep pass over the searches;
-        with one matrix per batch there is nothing to stack, and no pass."""
-        if per_batch > 1:
-            table.update(_lockstep(searches, batch, limit))
+    def evaluate(xs) -> None:
+        """Store the values of the points of xs not yet known, stacked
+        per_batch at a time."""
+        todo = list(dict.fromkeys(tuple(x) for x in xs if tuple(x) not in known))
+        for i in range(0, len(todo), per_batch):
+            chunk = todo[i:i + per_batch]
+            known.update(zip(chunk, _values(v, D, target_level,
+                                            [decode(x) for x in chunk])))
 
     def objective(x) -> float:
         nonlocal nev
         nev += 1
-        f = table.get(tuple(x))
-        return f if f is not None else value(*decode(x))
+        x = tuple(x)
+        if x not in known:
+            evaluate([x])
+        return known[x]
 
     def chain_start(A0, B0) -> list[float]:
         u0 = math.log(max(A0 - a_min, 1e-12))
@@ -410,15 +396,18 @@ def minimize_bound(
     if budget >= 4 * len(prescan):
         probes = [[math.log(A - a_min)] if fix_B is not None
                   else [math.log(A - a_min), math.log(B)] for A, B in prescan]
-        prefetch([_ask(x) for x in probes], len(probes))
+        evaluate(probes)
         k = min(range(len(prescan)), key=lambda i: objective(probes[i]))
         starts.append(prescan[k])
     if init is not None:
         starts.append((float(init[0]), float(init[1])))
 
-    # each chain gets at most the budget left now, as below
-    prefetch([_restarts(chain_start(A0, B0), budget - nev) for A0, B0 in starts],
-             budget - nev)
+    # each chain gets at most the budget left now, as below; with one
+    # matrix per batch the pass has nothing to stack, and only wastes
+    # evaluations on a search that runs out of budget
+    if per_batch > 1:
+        _lockstep([_restarts(chain_start(A0, B0), budget - nev) for A0, B0 in starts],
+                  known, evaluate, budget - nev)
     best_x = None
     best_f = math.inf
     any_converged = False
@@ -431,8 +420,7 @@ def minimize_bound(
     remaining = budget - nev
     if remaining > 0:
         best_x, best_f, _ = _golden_polish(
-            objective, best_x.tolist(), best_f, remaining,
-            lambda xs: prefetch([_ask(x) for x in xs], len(xs)))
+            objective, best_x.tolist(), best_f, remaining, evaluate)
     A_star, B_star = decode(best_x)
     H = assemble(ModelParams(A_star, B_star, v.N, v.l), v, D)
     bounds = eigen_symmetric(H).values

@@ -343,13 +343,14 @@ def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float) -> float:
 
 
 def _start_values(prob: _RadialProblem, r0: float, energy: float):
-    """(y, y') at r_min: Frobenius form r^s (1 + c r^2) for inverse-square
-    leading behavior, WKB log-derivative under a stronger singular barrier."""
+    """(y, y') at r_min: WKB log-derivative where a stronger singular barrier
+    is classically forbidden at r_min, else the Frobenius form r^s (1 + c r^2)
+    of inverse-square leading behavior (a barrier too weak to rise above E
+    at r_min leaves the solution there close to it)."""
     if prob.strong:
         q = prob.w(np.array([r0]))[0] - energy
-        if q <= 0.0:
-            return 1.0, 0.0
-        return 1.0, math.sqrt(q) - prob.w_prime(r0) / (4.0 * q)
+        if q > 0.0:
+            return 1.0, math.sqrt(q) - prob.w_prime(r0) / (4.0 * q)
     s = 0.5 + math.sqrt(max(0.25 + prob.c2, 0.0))
     c = -energy / (4.0 * s + 2.0)
     return 1.0 + c * r0 * r0, (s + (s + 2.0) * c * r0 * r0) / r0

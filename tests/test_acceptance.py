@@ -19,7 +19,7 @@ from test_eigensolver import sturm_eigenvalues
 from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, assemble
-from spikevar.matelem import inv_power_element, power_element
+from spikevar.matelem import inv_power_matrix, power_matrix
 from spikevar.optimizer import (
     converge_to_digits,
     feasible_A_min,
@@ -254,10 +254,11 @@ def test_criterion_7_matrix_element_properties():
             a_floor = max(0.0, (alpha / 2.0 - 0.9) ** 2 - 0.25)
             p = ModelParams(a_floor + 10.0 ** rng.uniform(-1, 1.6),
                             10.0 ** rng.uniform(-0.7, 1.5), 3, 0)
+            M = inv_power_matrix(p, 31, float(alpha))
             for m in range(0, 31, 2):
                 for n in range(m, 31, 3):
                     c = inv_power_element_closed(p, m, n, alpha)
-                    gen = inv_power_element(p, m, n, float(alpha))
+                    gen = M[m, n]
                     if c != 0.0:
                         worst = max(worst, abs(c - gen) / abs(c))
     closed_ok = worst <= 1e-11
@@ -271,18 +272,18 @@ def test_criterion_7_matrix_element_properties():
         m, n = int(rng.integers(0, 9)), int(rng.integers(0, 9))
         if rng.random() < 0.6:
             alpha = float(rng.uniform(0.2, 2.0 * p.gamma_N - 0.2))
-            got = inv_power_element(p, m, n, alpha)
+            got = inv_power_matrix(p, max(m, n) + 1, alpha)[m, n]
             ref = element_quad(A, B, m, n, -alpha)
         else:
             q = int(rng.choice([2, 4, 6]))
-            got = power_element(p, m, n, q)
+            got = power_matrix(p, max(m, n) + 1, q)[m, n]
             ref = element_quad(A, B, m, n, float(q))
         quad_ok &= abs(got - ref) <= max(1e-8, 1e-8 * abs(ref))
     # exact bandedness
     p = ModelParams(6.0, 1.0, 3, 0)
     band_ok = all(
-        power_element(p, m, n, q) == 0.0
-        for q in (2, 4, 6)
+        M[m, n] == 0.0
+        for q, M in ((q, power_matrix(p, 51, q)) for q in (2, 4, 6))
         for m in range(0, 51, 3)
         for n in range(0, 51, 4)
         if abs(m - n) > q // 2

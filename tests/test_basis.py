@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spikevar.basis import ModelParams, gk_energy, gk_wavefunction
+from modelref import gk_energy, gk_wavefunction
+from spikevar.basis import ModelParams
 
 
 class TestModelParams:

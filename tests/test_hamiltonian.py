@@ -4,9 +4,10 @@
 import numpy as np
 import pytest
 
+from modelref import gk_energy
 from quadref import element_quad, kinetic_quad
 from spikevar import matelem
-from spikevar.basis import ModelParams, gk_energy
+from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, assemble
 

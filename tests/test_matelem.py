@@ -13,14 +13,7 @@ from closedref import inv_power_element_closed
 from quadref import element_quad
 from spikevar import matelem
 from spikevar.basis import ModelParams
-from spikevar.matelem import (
-    _gamma_ratio,
-    _half_ln_h,
-    inv_power_element,
-    inv_power_matrix,
-    power_element,
-    power_matrix,
-)
+from spikevar.matelem import _gamma_ratio, _half_ln_h, inv_power_matrix, power_matrix
 
 P = ModelParams(A=6.0, B=1.0, N=3, l=0)  # gamma_N = 3.5
 
@@ -28,28 +21,31 @@ P = ModelParams(A=6.0, B=1.0, N=3, l=0)  # gamma_N = 3.5
 class TestInvPowerClosedForms:
     def test_alpha2_diagonal(self):
         g, b = P.gamma_N, P.beta
+        M = inv_power_matrix(P, 12, 2.0)
         for n in (0, 3, 11):
-            assert inv_power_element(P, n, n, 2.0) == pytest.approx(
+            assert M[n, n] == pytest.approx(
                 b / (g - 1.0), rel=1e-14
             )
 
     def test_alpha4_diagonal(self):
         g, b = P.gamma_N, P.beta
+        M = inv_power_matrix(P, 8, 4.0)
         for n in (0, 2, 7):
             expect = b**2 * (g + 2 * n) / (g * (g - 1) * (g - 2))
-            assert inv_power_element(P, n, n, 4.0) == pytest.approx(
+            assert M[n, n] == pytest.approx(
                 expect, rel=1e-13
             )
 
     def test_alpha6_diagonal(self):
         g, b = P.gamma_N, P.beta
+        M = inv_power_matrix(P, 6, 6.0)
         for n in (0, 1, 5):
             expect = (
                 b**3
                 * (g + g * g + 6 * g * n + 6 * n * n)
                 / ((g + 1) * g * (g - 1) * (g - 2) * (g - 3))
             )
-            assert inv_power_element(P, n, n, 6.0) == pytest.approx(
+            assert M[n, n] == pytest.approx(
                 expect, rel=1e-13
             )
 
@@ -57,7 +53,7 @@ class TestInvPowerClosedForms:
         # (m, n) = (0, 1): -(beta/(g-1)) sqrt(1/g), cross-checked vs the radical
         g, b = P.gamma_N, P.beta
         expect = -b / (g - 1.0) * math.sqrt(1.0 / g)
-        got = inv_power_element(P, 0, 1, 2.0)
+        got = inv_power_matrix(P, 2, 2.0)[0, 1]
         assert got == pytest.approx(expect, rel=1e-14)
         assert got == pytest.approx(inv_power_element_closed(P, 0, 1, 2), rel=1e-13)
 
@@ -65,13 +61,13 @@ class TestInvPowerClosedForms:
         # gamma from A ~ 6.076 (the large-matrix one-parameter optimum region)
         p = ModelParams(6.076, 1.0, 3, 0)
         a = inv_power_element_closed(p, 3, 3, 4)
-        b = inv_power_element(p, 3, 3, 4.0)
+        b = inv_power_matrix(p, 4, 4.0)[3, 3]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_high_even_alpha_routes_to_series(self):
         p = ModelParams(30.0, 2.0, 3, 0)  # gamma_N ~ 6.5 > 4
         a = inv_power_element_closed(p, 2, 4, 8)
-        b = inv_power_element(p, 2, 4, 8.0)
+        b = inv_power_matrix(p, 5, 8.0)[2, 4]
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_odd_alpha_rejected(self):
@@ -83,7 +79,7 @@ class TestInvPowerClosedForms:
         with pytest.raises(ValueError):
             inv_power_element_closed(shallow, 0, 0, 4)
         with pytest.raises(ValueError):
-            inv_power_element(shallow, 0, 0, 4.0)
+            inv_power_matrix(shallow, 1, 4.0)
 
 
 class TestClosedVsGeneralSweep:
@@ -97,10 +93,11 @@ class TestClosedVsGeneralSweep:
             B = 10.0 ** rng.uniform(-0.7, 1.5)
             p = ModelParams(A, B, 3, 0)
             assert p.gamma_N > alpha / 2 + 0.1
+            M = inv_power_matrix(p, 31, float(alpha))
             for m in range(0, 31, 3):
                 for n in range(m, 31, 4):
                     c = inv_power_element_closed(p, m, n, alpha)
-                    gfrm = inv_power_element(p, m, n, float(alpha))
+                    gfrm = M[m, n]
                     assert c == pytest.approx(gfrm, rel=1e-11, abs=1e-280), (
                         alpha, m, n, A, B,
                     )
@@ -108,22 +105,22 @@ class TestClosedVsGeneralSweep:
 
 class TestSymmetry:
     def test_exact_symmetry_by_canonicalization(self):
-        for m, n in [(0, 5), (3, 8), (2, 2)]:
-            assert inv_power_element(P, m, n, 3.3) == inv_power_element(P, n, m, 3.3)
-            assert inv_power_element(P, m, n, 4.0) == inv_power_element(P, n, m, 4.0)
-            assert power_element(P, m, n, 4) == power_element(P, n, m, 4)
+        for M in (inv_power_matrix(P, 9, 3.3), inv_power_matrix(P, 9, 4.0),
+                  power_matrix(P, 9, 4)):
+            for m, n in [(0, 5), (3, 8), (2, 2)]:
+                assert M[m, n] == M[n, m]
 
 
 class TestQuadratureAgreement:
     def test_spec_case_alpha35(self):
         p = ModelParams(2.0, 1.0, 3, 0)
-        got = inv_power_element(p, 2, 5, 3.5)
+        got = inv_power_matrix(p, 6, 3.5)[2, 5]
         ref = element_quad(2.0, 1.0, 2, 5, -3.5)
         assert got == pytest.approx(ref, abs=1e-9)
 
     def test_spec_case_power6(self):
         p = ModelParams(1.0, 2.0, 3, 0)
-        got = power_element(p, 4, 2, 6)
+        got = power_matrix(p, 5, 6)[4, 2]
         ref = element_quad(1.0, 2.0, 4, 2, 6.0)
         assert got == pytest.approx(ref, rel=1e-9)
 
@@ -139,11 +136,11 @@ class TestQuadratureAgreement:
             n = int(rng.integers(0, 9))
             if rng.random() < 0.6:
                 alpha = float(rng.uniform(0.2, 2.0 * p.gamma_N - 0.2))
-                got = inv_power_element(p, m, n, alpha)
+                got = inv_power_matrix(p, max(m, n) + 1, alpha)[m, n]
                 ref = element_quad(A, B, m, n, -alpha)
             else:
                 q = int(rng.choice([2, 4, 6]))
-                got = power_element(p, m, n, q)
+                got = power_matrix(p, max(m, n) + 1, q)[m, n]
                 ref = element_quad(A, B, m, n, float(q))
             tol = max(1e-8, 1e-8 * abs(ref))
             assert abs(got - ref) <= tol, (A, B, m, n)
@@ -153,7 +150,7 @@ class TestQuadratureAgreement:
         # the N-dimensional lift: same formulas with the channel's gamma_N
         for N, l in [(5, 0), (2, 1), (9, 2)]:
             p = ModelParams(3.0, 2.0, N, l)
-            got = inv_power_element(p, 1, 3, 2.7)
+            got = inv_power_matrix(p, 4, 2.7)[1, 3]
             ref = element_quad(3.0, 2.0, 1, 3, -2.7, N=N, l=l)
             assert got == pytest.approx(ref, abs=1e-9)
 
@@ -161,43 +158,44 @@ class TestQuadratureAgreement:
 class TestPowerBandedness:
     @pytest.mark.parametrize("q", [2, 4, 6])
     def test_exact_zero_outside_band(self, q):
+        M = power_matrix(P, 51, q)
         for m in range(0, 51, 7):
             for n in range(0, 51, 5):
                 if abs(m - n) > q // 2:
-                    assert power_element(P, m, n, q) == 0.0
+                    assert M[m, n] == 0.0
 
     def test_q2_explicit_forms(self):
         g, b = P.gamma_N, P.beta
         n = np.arange(1000.0)
-        diag = np.diag(power_matrix(P, 1000, 2))
+        M = power_matrix(P, 1000, 2)
+        diag = np.diag(M)
         assert np.max(np.abs(diag / ((g + 2 * n) / b) - 1.0)) <= 1e-13
-        assert power_element(P, 4, 4, 2) == pytest.approx((g + 8) / b, rel=1e-13)
-        assert power_element(P, 4, 5, 2) == pytest.approx(
-            math.sqrt(5 * (g + 4)) / b, rel=1e-13
-        )
-        assert power_element(P, 2, 4, 2) == 0.0
+        assert M[4, 4] == pytest.approx((g + 8) / b, rel=1e-13)
+        assert M[4, 5] == pytest.approx(math.sqrt(5 * (g + 4)) / b, rel=1e-13)
+        assert M[2, 4] == 0.0
 
     def test_q4_explicit_forms(self):
         g, b = P.gamma_N, P.beta
         n = np.arange(1000.0)
-        diag = np.diag(power_matrix(P, 1000, 4))
+        M = power_matrix(P, 1000, 4)
+        diag = np.diag(M)
         expect = (g * g + g + 6 * g * n + 6 * n * n) / b**2
         assert np.max(np.abs(diag / expect - 1.0)) <= 1e-13
         m = 3
-        assert power_element(P, m, m, 4) == pytest.approx(
+        assert M[m, m] == pytest.approx(
             (g + 6 * m * m + 6 * g * m + g * g) / b**2, rel=1e-12
         )
-        assert power_element(P, m, m + 1, 4) == pytest.approx(
+        assert M[m, m + 1] == pytest.approx(
             2 * (g + 2 * m + 1) * math.sqrt((m + 1) * (g + m)) / b**2, rel=1e-12
         )
-        assert power_element(P, m, m + 2, 4) == pytest.approx(
+        assert M[m, m + 2] == pytest.approx(
             math.sqrt((m + 1) * (m + 2) * (g + m) * (g + m + 1)) / b**2, rel=1e-12
         )
 
     def test_odd_or_nonpositive_rejected(self):
         for q in (-2, 0, 3):
             with pytest.raises(ValueError):
-                power_element(P, 0, 0, q)
+                power_matrix(P, 1, q)
 
 
 class TestCompletenessSumRule:
@@ -234,8 +232,9 @@ class TestMatrixBuilders:
             assert np.array_equal(M, M.T)
             for m in range(D):
                 for n in range(m, D):
+                    # the entry of the smallest matrix that holds it
                     assert M[m, n] == pytest.approx(
-                        power_element(P, m, n, q), rel=1e-13, abs=0.0
+                        power_matrix(P, n + 1, q)[m, n], rel=1e-13, abs=0.0
                     )
 
     def test_large_index_normalization_stays_finite(self):
@@ -247,9 +246,9 @@ class TestMatrixBuilders:
         M = inv_power_matrix(p, 1000, 3.3)
         assert np.all(np.isfinite(M))
         assert np.array_equal(M, M.T)
-        big = inv_power_element(p, 990, 995, 4.0)
+        big = inv_power_matrix(p, 996, 4.0)[990, 995]
         assert math.isfinite(big)
-        assert power_element(p, 999, 1000, 2) > 0.0
+        assert power_matrix(p, 1001, 2)[999, 1000] > 0.0
 
 
 class TestGammaRatio:

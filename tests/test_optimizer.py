@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from modelref import gk_energy
 from nmref import nelder_mead as nelder_mead_ref
 from spikevar import matelem, optimizer
-from spikevar.basis import ModelParams, gk_energy
+from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, assemble
 from spikevar.optimizer import (
@@ -304,7 +305,8 @@ class TestSimplexReference:
 
 
 class TestEvaluationCaches:
-    """The product cache and the objective memo change no bit of a search."""
+    """The product cache changes no bit of a search, and neither do the
+    values the lockstep pass puts in the search's value table."""
 
     @pytest.mark.parametrize("table", ["table3", "table5"])
     def test_search_bitwise_equal_without_caches(self, table, monkeypatch):
@@ -316,7 +318,8 @@ class TestEvaluationCaches:
 
         cached = search()
         monkeypatch.setattr(matelem, "_product", matelem._connection_product)
-        monkeypatch.setattr(optimizer, "_MEMO_SIZE", 0)
+        # without the lockstep pass the table holds only what the search asked
+        monkeypatch.setattr(optimizer, "_lockstep", lambda *args: None)
         bare = search()
         assert cached.A_star.hex() == bare.A_star.hex()
         assert cached.B_star.hex() == bare.B_star.hex()
@@ -334,8 +337,8 @@ class TestEvaluationCaches:
 
         monkeypatch.setattr(optimizer, "assemble", counted)
         res = minimize_bound(SPIKE_01_4, 6)
-        # every evaluation is counted, answered from the memo or not; the
-        # final re-evaluation of the optimum is one assembly more
+        # every evaluation is counted, answered from the value table or not;
+        # the final re-evaluation of the optimum is one assembly more
         assert len(calls) - 1 < res.evaluations
 
 
@@ -365,15 +368,15 @@ class TestLockstep:
         passes = []
         real = optimizer._lockstep
 
-        def counted(*args):
-            table = real(*args)
-            passes.append(len(table))
-            return table
+        def counted(searches, known, *args):
+            before = len(known)
+            real(searches, known, *args)
+            passes.append(len(known) - before)
 
         monkeypatch.setattr(optimizer, "_lockstep", counted)
         on = minimize_bound(v, D, **kw)
         assert passes and max(passes) > 0
-        monkeypatch.setattr(optimizer, "_lockstep", lambda *args: {})
+        monkeypatch.setattr(optimizer, "_lockstep", lambda *args: None)
         off = minimize_bound(v, D, **kw)
         assert _search_bits(on) == _search_bits(off)
         if case == "warm_table4":
@@ -395,13 +398,15 @@ class TestLockstep:
         searches = [optimizer._restarts([0.3, -0.2], 400),
                     optimizer._restarts([1.5, 0.7], 400)]
         f = _rippled_bowl(3, 2)
+        known = {}
         batches = []
 
         def evaluate(xs):
-            batches.append(len(xs))
-            return [f(x) for x in xs]
+            todo = [tuple(x) for x in xs if tuple(x) not in known]
+            batches.append(len(todo))
+            known.update((x, f(x)) for x in todo)
 
-        table = optimizer._lockstep(searches, evaluate, 800)
+        optimizer._lockstep(searches, known, evaluate, 800)
         assert max(batches) == 2
         for x0 in ([0.3, -0.2], [1.5, 0.7]):
             asked = []
@@ -411,4 +416,41 @@ class TestLockstep:
                 return f(x)
 
             optimizer._drive(optimizer._restarts(x0, 400), fn)
-            assert all(table[x] == f(x) for x in asked)
+            assert all(known[x] == f(x) for x in asked)
+
+
+class TestValueTable:
+    """A search evaluates each transformed point once: every value it
+    computes stays in its table, which every later request reads."""
+
+    @pytest.mark.parametrize("case", ["table3_N2", "table2_lam10_D30", "a_only_D20"])
+    def test_no_point_reaches_values_twice(self, case, monkeypatch):
+        if case == "table3_N2":
+            row = builtin_job("table3").rows[0]
+            v, D, kw = row.potential, row.D, {"budget": max(2000, 40 * row.D)}
+        elif case == "table2_lam10_D30":
+            row = next(r for r in builtin_job("table2").rows
+                       if r.label == "lam=10 D=30 (A,B)")
+            v, D, kw = row.potential, 30, {}
+        else:
+            v, D, kw = SPIKE_01_4, 20, {"fix_B": 1.0}
+        tables = []
+        real_lockstep = optimizer._lockstep
+
+        def lockstep(searches, known, *args):
+            tables.append(known)
+            real_lockstep(searches, known, *args)
+
+        points = []
+        real_values = optimizer._values
+
+        def values(v, D, level, batch):
+            points.extend(batch)
+            return real_values(v, D, level, batch)
+
+        monkeypatch.setattr(optimizer, "_lockstep", lockstep)
+        monkeypatch.setattr(optimizer, "_values", values)
+        minimize_bound(v, D, **kw)
+        (known,) = tables  # the one table of the search, filled to the end
+        # each point evaluated went into the table under a key of its own
+        assert len(points) == len(known)

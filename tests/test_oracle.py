@@ -6,9 +6,10 @@ import logging
 import numpy as np
 import pytest
 
+from modelref import gk_energy
 from rk4ref import rk4_sweep
 from spikevar import oracle
-from spikevar.basis import ModelParams, gk_energy
+from spikevar.basis import ModelParams
 from spikevar.hamiltonian import PotentialSpec
 from spikevar.optimizer import minimize_bound
 from spikevar.oracle import BACKEND, ShootingError, shoot_eigenvalue
@@ -261,6 +262,18 @@ class TestSteepBarrier:
         res = shoot_eigenvalue(v, 0, tol=tol)
         assert res.steps < 20_000
         assert res.energy <= minimize_bound(v, 30).bound + 2.0 * tol
+
+
+class TestVanishingBarrier:
+    """A strong term too weak to rise above E at r_min leaves the solution
+    there close to the oscillator's: the start is Frobenius, not WKB."""
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-100, 1e-20])
+    def test_tiny_coupling_gives_the_oscillator_level(self, lam):
+        # the level is 3 + (4/sqrt(pi)) sqrt(lam) + ..., within 3e-10 of 3
+        tol = 1e-8
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0, terms=((lam, 4.0),)), 0, tol=tol)
+        assert 3.0 - 2.0 * tol <= res.energy <= 3.0
 
 
 def _random_grid(seed: int, steps: int = 3000, r0: float = 0.05, r1: float = 6.0):

@@ -1,5 +1,5 @@
 """Terminating hypergeometric sums against exact-arithmetic references: the
-package's 1F1 (basis wavefunctions) and the reference 3F2 route in
+1F1 of the model eigenfunctions in `modelref` and the 3F2 route in
 `closedref`."""
 
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closedref import hyp3f2_terminating
-from spikevar import hyp1f1_terminating
+from modelref import hyp1f1_terminating
 
 
 class TestHyp1F1:
