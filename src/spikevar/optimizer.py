@@ -5,15 +5,15 @@ assembled D x D matrix, viewed as a function of (A, B).  Feasibility
 (2*gamma_N > alpha for every singular power) is built into the search by
 optimizing in transformed coordinates A = A_min + e^u, B = e^w, so a plain
 derivative-free simplex search runs unconstrained.  All searches are
-deterministic: fixed start lists, fixed restart policy, no randomness.
+deterministic: fixed start lists, one simplex run per start, no randomness.
 
-The simplex and its restarts are generators: they yield each point to
-evaluate and receive its value.  A search keeps every value it computes in
-one table keyed on the transformed point, so no point is evaluated twice.
-Independent points -- the prescan grid, a polish scan, and the pending
-points of chains advanced side by side in a speculative pass -- are
-evaluated together as stacked batches.  A value depends on its point
-alone, so neither the table nor the batches change a bit of a result.
+The simplex is a generator: it yields each point to evaluate and receives
+its value.  A search keeps every value it computes in one table keyed on
+the transformed point, so no point is evaluated twice.  Independent points
+-- the prescan grid, a polish scan, and the pending points of the starts'
+simplex runs advanced side by side in a speculative pass -- are evaluated
+together as stacked batches.  A value depends on its point alone, so
+neither the table nor the batches change a bit of a result.
 """
 
 from __future__ import annotations
@@ -38,8 +38,13 @@ __all__ = [
 
 # reflection / expansion / contraction / shrink
 _NM_COEFFS = (1.0, 2.0, 0.5, 0.5)
+_SCALE = 0.5      # initial simplex edge in transformed coordinates
 _XTOL = 1e-7      # simplex diameter in transformed coordinates
 _FTOL = 1e-10     # spread of objective values across the simplex
+# polish: scan half-widths per round, points per scan, golden steps per line
+_POLISH_WIDTHS = (4.0, 0.8, 0.12)
+_POLISH_POINTS = 15
+_POLISH_ITERS = 35
 _ALPHA_MARGIN = 1e-6
 _CLAMP = 50.0     # |u|, |w| cap; exp stays finite
 # bytes of one stacked (K, D, D) array of a batch: K = 4 up to D = 64, and
@@ -90,8 +95,7 @@ def feasible_A_min(v: PotentialSpec) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_polish(fn, x, f, budget, evaluate, widths=(4.0, 0.8, 0.12),
-                   points=15, iters=35):
+def _golden_polish(fn, x, f, budget, evaluate):
     """Axis-wise scan-then-golden line searches around the incumbent.
 
     The bound surface is a long shallow valley whose floor is terraced:
@@ -104,9 +108,9 @@ def _golden_polish(fn, x, f, budget, evaluate, widths=(4.0, 0.8, 0.12),
     Returns (x, f, evaluations_used).
     """
     used = 0
-    for hw in widths:
+    for hw in _POLISH_WIDTHS:
         for axis in range(len(x)):
-            if used + points + iters + 4 > budget:
+            if used + _POLISH_POINTS + _POLISH_ITERS + 4 > budget:
                 return x, f, used
 
             def g(t):
@@ -114,20 +118,20 @@ def _golden_polish(fn, x, f, budget, evaluate, widths=(4.0, 0.8, 0.12),
                 y[axis] = t
                 return fn(y)
 
-            ts = [x[axis] + hw * (2.0 * i / (points - 1) - 1.0)
-                  for i in range(points)]
+            ts = [x[axis] + hw * (2.0 * i / (_POLISH_POINTS - 1) - 1.0)
+                  for i in range(_POLISH_POINTS)]
             evaluate([x[:axis] + [t] + x[axis + 1:] for t in ts])
             fs = [g(t) for t in ts]
-            used += points
-            k = min(range(points), key=lambda i: fs[i])
+            used += _POLISH_POINTS
+            k = min(range(_POLISH_POINTS), key=lambda i: fs[i])
             best_t, best_f = ts[k], fs[k]
             a = ts[max(0, k - 1)]
-            b = ts[min(points - 1, k + 1)]
+            b = ts[min(_POLISH_POINTS - 1, k + 1)]
             c = b - _GOLDEN * (b - a)
             d = a + _GOLDEN * (b - a)
             fc, fd = g(c), g(d)
             used += 2
-            for _ in range(iters):
+            for _ in range(_POLISH_ITERS):
                 if fc < fd:
                     b, d, fd = d, c, fc
                     c = b - _GOLDEN * (b - a)
@@ -149,19 +153,29 @@ def _golden_polish(fn, x, f, budget, evaluate, widths=(4.0, 0.8, 0.12),
     return x, f, used
 
 
-def _nelder_mead(x0, scale, budget):
-    """Standard simplex search as a generator.
+def _best(pts, vals):
+    """The first vertex of least value, as an ndarray, and its value."""
+    i = min(range(len(vals)), key=vals.__getitem__)
+    return np.array(pts[i]), vals[i]
+
+
+def _nelder_mead(x0, budget):
+    """Standard simplex search as a generator, over at most `budget` points.
 
     Yields each point to evaluate, a list of Python floats, and receives its
     value by `send`.  Returns (x_best, f_best, n_eval, converged), the best
-    vertex as an ndarray.
+    vertex as an ndarray.  The budget is checked before every point, so an
+    exhausted run returns the best point evaluated, and a run with no budget
+    asks for nothing and returns +inf.
     """
+    if budget < 1:
+        return np.array(x0, dtype=float), math.inf, 0, False
     dim = len(x0)
     refl, expa, contr, shrink = _NM_COEFFS
     pts = [[float(t) for t in x0]]
     for i in range(dim):
         q = list(pts[0])
-        q[i] += scale
+        q[i] += _SCALE
         pts.append(q)
     vals = []
     nev = 0
@@ -169,8 +183,7 @@ def _nelder_mead(x0, scale, budget):
         vals.append((yield qx))
         nev += 1
         if nev >= budget:
-            i = min(range(len(vals)), key=vals.__getitem__)
-            return np.array(pts[i]), vals[i], nev, False
+            return (*_best(pts, vals), nev, False)
     while True:
         order = sorted(range(dim + 1), key=lambda i: vals[i])
         pts = [pts[i] for i in order]
@@ -193,6 +206,8 @@ def _nelder_mead(x0, scale, budget):
         if vals[0] <= fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         elif fr < vals[0]:
+            if nev >= budget:  # the reflection is the best point
+                return np.array(xr), fr, nev, False
             xe = [c + expa * (r - c) for c, r in zip(centroid, xr)]
             fe = yield xe
             nev += 1
@@ -201,6 +216,8 @@ def _nelder_mead(x0, scale, budget):
             else:
                 pts[-1], vals[-1] = xr, fr
         else:
+            if nev >= budget:  # the reflection is no better than the best
+                return np.array(best), vals[0], nev, False
             xc = [c + contr * (w - c) for c, w in zip(centroid, worst)]
             fc = yield xc
             nev += 1
@@ -208,37 +225,11 @@ def _nelder_mead(x0, scale, budget):
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, dim + 1):
+                    if nev >= budget:
+                        return (*_best(pts, vals), nev, False)
                     pts[i] = [b + shrink * (p - b) for b, p in zip(best, pts[i])]
                     vals[i] = yield pts[i]
                     nev += 1
-                    if nev >= budget:
-                        j = min(range(len(vals)), key=vals.__getitem__)
-                        return np.array(pts[j]), vals[j], nev, False
-
-
-def _restarts(x, budget):
-    """One chain: a simplex run plus up to 3 shrinking restarts, over
-    `budget` evaluations.
-
-    A generator like `_nelder_mead`; returns (x, f, converged), converged
-    if any run converged.
-    """
-    scale = 0.5
-    f_prev = math.inf
-    used = 0
-    converged = False
-    for _ in range(4):  # initial run + up to 3 shrinking restarts
-        if used >= budget:
-            break
-        x, f, n, ok = yield from _nelder_mead(x, scale, budget - used)
-        used += n
-        converged = converged or ok
-        if f_prev - f < 1e-11:
-            f_prev = f
-            break
-        f_prev = f
-        scale /= 4.0
-    return x, f_prev, converged
 
 
 def _drive(search, fn):
@@ -317,14 +308,15 @@ def minimize_bound(
 ) -> BoundResult:
     """Minimize the target-level eigenvalue bound over (A, B), or over A alone.
 
-    Runs the simplex search from a fixed multistart list -- two canned
-    points, the best point of a coarse deterministic prescan grid, and
-    `init` when given (a previous schedule step's optimum) -- with up to
-    three shrinking restarts per start, then finishes the incumbent with
-    scan-and-golden line sweeps.  Ties between starts keep the first in
-    start order.  Exhausting `budget` returns the best point found with
-    converged=False.  `fix_B` pins B (one-parameter search), used for the
-    A-only reproduction columns.
+    Runs the simplex search once from each start of a fixed multistart list
+    -- two canned points, the best point of a coarse deterministic prescan
+    grid, and `init` when given (a previous schedule step's optimum) -- each
+    over the budget the starts before it leave, then finishes the incumbent
+    with scan-and-golden line sweeps.  Ties between starts keep the first in
+    start order.  converged means that some start's simplex converged and
+    the budget was not used up; exhausting `budget` returns the best point
+    found with converged=False.  `fix_B` pins B (one-parameter search),
+    used for the A-only reproduction columns.
 
     Every value the search computes goes into one table keyed on the
     transformed point, and the objective reads it from there, evaluating a
@@ -335,10 +327,10 @@ def minimize_bound(
 
     The prescan grid and each polish scan are evaluated as stacked
     batches before the search asks for their points one by one.  Before
-    the chains, a speculative lockstep pass advances them side by side and
-    evaluates each round's pending points as one batch; a point the chains
-    ask for that the pass did not reach is evaluated then.  The pass stops
-    a chain once it has asked for what the budget leaves after the chains
+    the simplex runs, a speculative lockstep pass advances them side by
+    side and evaluates each round's pending points as one batch; a point a
+    run asks for that the pass did not reach is evaluated then.  The pass
+    stops a run once it has asked for what the budget leaves after the runs
     before it, and is skipped where a batch holds one matrix (D > 90).
     None of this changes a value, path or count.
     """
@@ -356,7 +348,7 @@ def minimize_bound(
         return A, B
 
     # every value the search has computed, by transformed point: simplex
-    # restarts and shrinks and the polish's centre points come back to them
+    # shrinks and the polish's centre points come back to them
     known: dict[tuple[float, ...], float] = {}
     per_batch = max(1, _BATCH_BYTES // (8 * D * D))
     nev = 0
@@ -378,14 +370,14 @@ def minimize_bound(
             evaluate([x])
         return known[x]
 
-    def chain_start(A0, B0) -> list[float]:
+    def start_point(A0, B0) -> list[float]:
         u0 = math.log(max(A0 - a_min, 1e-12))
         return [u0] if fix_B is not None else [u0, math.log(max(B0, 1e-12))]
 
     starts = [(max(1.0, a_min + 1.0), v.a1), (a_min + 10.0, 4.0 * v.a1)]
     # the valley floor can carry several local minima a few 1e-7 apart with
     # optima drifting to large A as the coupling grows; a coarse deterministic
-    # prescan seeds one extra chain in whichever basin looks deepest
+    # prescan seeds one extra start in whichever basin looks deepest
     prescan = []
     for da in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0):
         if fix_B is not None:
@@ -402,17 +394,18 @@ def minimize_bound(
     if init is not None:
         starts.append((float(init[0]), float(init[1])))
 
-    # each chain gets at most the budget left now, as below; with one
+    # each run gets at most the budget left now, as below; with one
     # matrix per batch the pass has nothing to stack, and only wastes
     # evaluations on a search that runs out of budget
     if per_batch > 1:
-        _lockstep([_restarts(chain_start(A0, B0), budget - nev) for A0, B0 in starts],
-                  known, evaluate, budget - nev)
+        _lockstep([_nelder_mead(start_point(A0, B0), budget - nev)
+                   for A0, B0 in starts], known, evaluate, budget - nev)
     best_x = None
     best_f = math.inf
     any_converged = False
     for A0, B0 in starts:
-        x, f, ok = _drive(_restarts(chain_start(A0, B0), budget - nev), objective)
+        x, f, _, ok = _drive(_nelder_mead(start_point(A0, B0), budget - nev),
+                             objective)
         any_converged = any_converged or ok
         if f < best_f:
             best_f = f
@@ -446,7 +439,8 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
 
     mode="ab" minimizes the two-parameter bound
     gamma/beta + beta + lam*beta^2/((gamma-1)(gamma-2)) + beta/(4(gamma-1))
-    numerically over gamma > 2, beta > 0.
+    numerically over gamma > 2, beta > 0: one simplex run of at most 2000
+    evaluations from each of two starts, keeping the lower value.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"coupling must be finite and > 0, got {lam}")
@@ -475,16 +469,7 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
         best = math.inf
         for g0, b0 in ((3.5, 1.0), (2.0 + 2.0 * lam ** (1.0 / 3.0), 1.0)):
             x = [math.log(max(g0 - 2.0, 1e-12)), math.log(b0)]
-            scale = 0.5
-            f_prev = math.inf
-            for _ in range(4):
-                x, f, _, _ = _drive(_nelder_mead(x, scale, 2000), fn)
-                if f_prev - f < 1e-13:
-                    f_prev = f
-                    break
-                f_prev = f
-                scale /= 4.0
-            best = min(best, f_prev)
+            best = min(best, _drive(_nelder_mead(x, 2000), fn)[1])
         return best
     raise ValueError(f"mode must be 'a' or 'ab', got {mode!r}")
 

@@ -3,7 +3,9 @@
 The simplex search as `spikevar.optimizer._nelder_mead` ran it on numpy
 vectors, before its vertex arithmetic moved to Python floats.  It performs
 the same floating-point operations in the same order, so the two searches
-must return identical points, values and evaluation counts.
+must return identical points, values and evaluation counts.  Like the
+package's, it checks the budget before every point after the first, so it
+never makes more than `budget` evaluations.
 """
 
 import numpy as np
@@ -48,6 +50,8 @@ def nelder_mead(fn, x0, scale, budget):
         if vals[0] <= fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         elif fr < vals[0]:
+            if nev >= budget:
+                return xr, fr, nev, False
             xe = centroid + expa * (xr - centroid)
             fe = fn(xe); nev += 1
             if fe < fr:
@@ -55,14 +59,16 @@ def nelder_mead(fn, x0, scale, budget):
             else:
                 pts[-1], vals[-1] = xr, fr
         else:
+            if nev >= budget:
+                return pts[0], vals[0], nev, False
             xc = centroid + contr * (pts[-1] - centroid)
             fc = fn(xc); nev += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, dim + 1):
-                    pts[i] = pts[0] + shrink * (pts[i] - pts[0])
-                    vals[i] = fn(pts[i]); nev += 1
                     if nev >= budget:
                         j = int(np.argmin(vals))
                         return pts[j], vals[j], nev, False
+                    pts[i] = pts[0] + shrink * (pts[i] - pts[0])
+                    vals[i] = fn(pts[i]); nev += 1

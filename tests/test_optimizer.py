@@ -235,6 +235,17 @@ class TestBudget:
         assert not res.converged
         assert res.evaluations <= 12
 
+    @pytest.mark.parametrize("budget", range(3, 61))
+    def test_evaluations_never_exceed_budget(self, budget):
+        # the simplex checks the budget before an expansion, a contraction
+        # and each shrink point, not only at the top of an iteration
+        assert minimize_bound(SPIKE_01_4, 6, budget=budget).evaluations <= budget
+
+    def test_simplex_without_budget_asks_nothing(self):
+        x, f, nev, ok = optimizer._drive(optimizer._nelder_mead([0.3, -0.2], 0),
+                                         lambda x: pytest.fail("asked a point"))
+        assert (x.tolist(), f, nev, ok) == ([0.3, -0.2], math.inf, 0, False)
+
     def test_deterministic_given_inputs(self):
         r1 = minimize_bound(SPIKE_01_4, 6)
         r2 = minimize_bound(SPIKE_01_4, 6)
@@ -267,20 +278,23 @@ class TestSimplexReference:
     def test_identical_at_every_budget(self, seed, dim):
         f = _rippled_bowl(seed, dim)
         x0 = np.random.default_rng(100 + seed).uniform(-3.0, 3.0, dim).tolist()
-        full = nelder_mead_ref(f, x0, 0.5, 2000)
+        scale = optimizer._SCALE
+        full = nelder_mead_ref(f, x0, scale, 2000)
         assert full[3]
         # every budget up to the full run's count: exhaustion at each step,
-        # inside the initial simplex and inside a shrink
+        # inside the initial simplex, before an expansion or a contraction
+        # and inside a shrink
         for budget in [*range(1, full[2] + 2), 2000]:
-            want = nelder_mead_ref(f, x0, 0.5, budget)
-            got = optimizer._drive(optimizer._nelder_mead(x0, 0.5, budget), f)
+            want = nelder_mead_ref(f, x0, scale, budget)
+            got = optimizer._drive(optimizer._nelder_mead(x0, budget), f)
             assert isinstance(got[0], np.ndarray)
             assert got[0].tobytes() == want[0].tobytes(), budget
             assert got[1:] == want[1:], budget
+            assert got[2] <= budget
 
     @pytest.mark.parametrize("lam", [0.001, 0.1, 1.0, 1000.0])
     def test_first_order_ab_unchanged(self, lam):
-        # the restart loop of mode "ab", run on the reference simplex
+        # mode "ab", one reference simplex run per start
         def fn(x):
             g = 2.0 + math.exp(min(float(x[0]), 50.0))
             if g == 2.0:
@@ -292,15 +306,7 @@ class TestSimplexReference:
         best = math.inf
         for g0, b0 in ((3.5, 1.0), (2.0 + 2.0 * lam ** (1.0 / 3.0), 1.0)):
             x = [math.log(max(g0 - 2.0, 1e-12)), math.log(b0)]
-            scale, f_prev = 0.5, math.inf
-            for _ in range(4):
-                x, f, _, _ = nelder_mead_ref(fn, x, scale, 2000)
-                if f_prev - f < 1e-13:
-                    f_prev = f
-                    break
-                f_prev = f
-                scale /= 4.0
-            best = min(best, f_prev)
+            best = min(best, nelder_mead_ref(fn, x, 0.5, 2000)[1])
         assert ground_state_first_order(lam, "ab").hex() == best.hex()
 
 
@@ -355,15 +361,16 @@ class TestLockstep:
         if case == "a_only":
             v, D, kw = SPIKE_01_4, 10, {"fix_B": 1.0}
         elif case == "warm_table4":
-            # the budget-800 warm search of (1,100,100), which runs out
+            # the warm search of (1,100,100) on a budget it runs out of
             row = next(r for r in builtin_job("table4").rows if r.label == "(1,100,100)")
-            v, D, kw = row.potential, 10, {"budget": 800}
+            v, D, kw = row.potential, 10, {"budget": 500}
         else:
-            # 1735 of its 2000 evaluations, warm-started as the table runs it
+            # warm-started as the table runs it, on a budget it runs out of
             row = next(r for r in builtin_job("table2").rows
                        if r.label == "lam=10 D=30 (A,B)")
             warm = minimize_bound(row.potential, 10, budget=800)
-            v, D, kw = row.potential, 30, {"init": (warm.A_star, warm.B_star)}
+            v, D, kw = row.potential, 30, {"init": (warm.A_star, warm.B_star),
+                                           "budget": 600}
 
         passes = []
         real = optimizer._lockstep
@@ -379,10 +386,8 @@ class TestLockstep:
         monkeypatch.setattr(optimizer, "_lockstep", lambda *args: None)
         off = minimize_bound(v, D, **kw)
         assert _search_bits(on) == _search_bits(off)
-        if case == "warm_table4":
-            assert on.evaluations == 801 and not on.converged
-        if case == "table2_lam10_D30":
-            assert on.evaluations == 1735
+        if case != "a_only":  # the pass's `limit` stops a run
+            assert on.evaluations == kw["budget"] and not on.converged
 
     def test_overflowing_point_becomes_inf_alone(self):
         v = PotentialSpec(a1=1.0, terms=((1.0, 40.0),))  # gamma_N > 20
@@ -395,8 +400,8 @@ class TestLockstep:
         assert got == [optimizer._values(v, 10, 0, [p])[0] for p in points]
 
     def test_lockstep_answers_every_point_each_search_asks(self):
-        searches = [optimizer._restarts([0.3, -0.2], 400),
-                    optimizer._restarts([1.5, 0.7], 400)]
+        searches = [optimizer._nelder_mead([0.3, -0.2], 400),
+                    optimizer._nelder_mead([1.5, 0.7], 400)]
         f = _rippled_bowl(3, 2)
         known = {}
         batches = []
@@ -415,7 +420,7 @@ class TestLockstep:
                 asked.append(tuple(x))
                 return f(x)
 
-            optimizer._drive(optimizer._restarts(x0, 400), fn)
+            optimizer._drive(optimizer._nelder_mead(x0, 400), fn)
             assert all(known[x] == f(x) for x in asked)
 
 
