@@ -1,5 +1,7 @@
 """Command-line parsing, serialization formats, and exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -68,6 +70,13 @@ class TestEmit:
         assert cells[7] == "3.582194"
         assert cells[12] == "0"  # timing suppressed by default
 
+    def test_csv_quotes_commas_and_quotes(self, capsys):
+        cli.emit_results([_row(label='(1,10,1) "x"')], "csv", None)
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].startswith('"(1,10,1) ""x""",3,')
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row["row"] == '(1,10,1) "x"' and row["bound"] == "3.582194"
+
     def test_empty_report_is_header_only(self, capsys):
         cli.emit_results([], "csv", None)
         out = capsys.readouterr().out.splitlines()
@@ -124,6 +133,16 @@ class TestMain:
         out = capsys.readouterr().out.splitlines()
         bound = float(out[1].split(",")[7])
         assert bound == pytest.approx(3.0, abs=1e-6)
+
+    def test_table_csv_reads_back_cell_for_cell(self, capsys):
+        # table4 labels such as (1,10,1) hold commas
+        assert cli.main(["table", "--id", "table4", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows
+        for row in rows:  # no cell left over (key None), none missing
+            assert len(row) == 13 and None not in row.values()
+        row = next(r for r in rows if r["row"] == "(1,10,1)")
+        assert (row["N"], row["D"], row["pass"]) == ("3", "50", "yes")
 
     def test_first_order_value(self, capsys):
         code = cli.main(["first-order", "--lambda", "1000", "--mode", "a",

@@ -7,6 +7,7 @@ import pytest
 
 from modelref import gk_energy
 from nmref import nelder_mead as nelder_mead_ref
+from polishref import golden_polish as golden_polish_ref
 from spikevar import matelem, optimizer
 from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
@@ -17,7 +18,7 @@ from spikevar.optimizer import (
     ground_state_first_order,
     minimize_bound,
 )
-from spikevar.tables import builtin_job
+from spikevar.tables import TableJob, builtin_job, run_table
 
 SPIKE_01_4 = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
 
@@ -459,3 +460,77 @@ class TestValueTable:
         (known,) = tables  # the one table of the search, filled to the end
         # each point evaluated went into the table under a key of its own
         assert len(points) == len(known)
+
+
+# searches the polish finishes: table rows as `run_table` runs them (a D=10
+# warm-up search first where D > 25), plus an A-only D=20 search and the
+# `series` benchmark's default converge call
+_POLISH_CASES = {
+    "table3_N2": ("table3", "N=2"),
+    "table4_111": ("table4", "(1,1,1)"),
+    "table2_lam1000_D15": ("table2", "lam=1000 D=15 (A,B)"),
+}
+
+
+def _run_polish_case(case):
+    """(bound, evaluations) of one case with the polish in place now."""
+    if case == "series":
+        run = converge_to_digits(PotentialSpec(a1=1.0, terms=((0.1, 2.5),)),
+                                 0, 6, (10, 20))
+        return run.bound, sum(res.evaluations for _, res in run.history)
+    if case == "a_only_D20":
+        res = minimize_bound(SPIKE_01_4, 20, fix_B=1.0)
+        return res.bound, res.evaluations
+    tid, label = _POLISH_CASES[case]
+    row = next(r for r in builtin_job(tid).rows if r.label == label)
+    (res,) = run_table(TableJob(tid, (row,))).rows
+    return res.bound, res.evaluations
+
+
+def _recorded_polish(monkeypatch):
+    """Record (x in, x out, evaluations used) of every polish call."""
+    calls = []
+    polish = optimizer._golden_polish
+
+    def recorded(fn, x, f, budget, evaluate):
+        out = polish(fn, x, f, budget, evaluate)
+        calls.append((x, out[0], out[2]))
+        return out
+
+    monkeypatch.setattr(optimizer, "_golden_polish", recorded)
+    return calls
+
+
+def _polish_lines(x):
+    """Line searches of a polish that its budget does not cut short."""
+    return len(optimizer._POLISH_WIDTHS) * len(x)
+
+
+class TestPolish:
+    """A line runs its golden section only after a scan has moved the
+    incumbent; the reference (tests/polishref.py) runs it on every line."""
+
+    @pytest.mark.parametrize("case", [*_POLISH_CASES, "a_only_D20", "series"])
+    def test_no_higher_and_no_dearer_than_every_line_golden(self, case,
+                                                            monkeypatch):
+        bound, evaluations = _run_polish_case(case)
+        monkeypatch.setattr(optimizer, "_golden_polish", golden_polish_ref)
+        ref_bound, ref_evaluations = _run_polish_case(case)
+        assert bound <= ref_bound + 1e-10
+        assert evaluations <= ref_evaluations
+
+    @pytest.mark.parametrize("case", ["table3_N2", "a_only_D20"])
+    def test_confirming_scans_cost_their_points_alone(self, case, monkeypatch):
+        calls = _recorded_polish(monkeypatch)
+        _run_polish_case(case)
+        ((x, x_out, used),) = calls
+        assert x_out == x
+        assert used == optimizer._POLISH_POINTS * _polish_lines(x)
+
+    @pytest.mark.parametrize("case", ["table4_111", "table2_lam1000_D15"])
+    def test_hop_rows_still_run_golden_steps(self, case, monkeypatch):
+        calls = _recorded_polish(monkeypatch)
+        _run_polish_case(case)
+        x, x_out, used = calls[-1]  # the row's own search, after any warm-up
+        assert x_out != x
+        assert used > optimizer._POLISH_POINTS * _polish_lines(x)
