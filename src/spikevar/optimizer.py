@@ -7,6 +7,13 @@ optimizing in transformed coordinates A = A_min + e^u, B = e^w, so a plain
 derivative-free simplex search runs unconstrained.  All searches are
 deterministic: fixed start lists, one simplex run per start, no randomness.
 
+A simplex run has converged once the values at its vertices spread by less
+than _FTOL = 1e-10 and its diameter in transformed coordinates is below
+_XTOL = sqrt(_FTOL) = 1e-5.  Near a quadratic minimum a value spread of
+_FTOL already spans a diameter of about sqrt(_FTOL), so the diameter test
+follows from the value test: shrinking on costs evaluations and moves no
+bound by more than that spread.
+
 The simplex is a generator: it yields each point to evaluate and receives
 its value.  A search keeps every value it computes in one table keyed on
 the transformed point, so no point is evaluated twice.  Independent points
@@ -44,8 +51,10 @@ __all__ = [
 # reflection / expansion / contraction / shrink
 _NM_COEFFS = (1.0, 2.0, 0.5, 0.5)
 _SCALE = 0.5      # initial simplex edge in transformed coordinates
-_XTOL = 1e-7      # simplex diameter in transformed coordinates
 _FTOL = 1e-10     # spread of objective values across the simplex
+# simplex diameter in transformed coordinates: near a quadratic minimum a
+# value spread of _FTOL already spans a diameter of about sqrt(_FTOL)
+_XTOL = math.sqrt(_FTOL)
 # polish: scan half-widths per round, points per scan, golden steps per line
 _POLISH_WIDTHS = (4.0, 0.8, 0.12)
 _POLISH_POINTS = 15
@@ -116,11 +125,12 @@ def _golden_polish(fn, x, f, budget, evaluate):
     this polish has moved the incumbent (by a hop or a golden gain).  Every
     other line costs its scan alone.  The polish gets budget only when
     every start's simplex converged, so the incumbent it starts from is a
-    converged simplex vertex: diameter < _XTOL and value spread < _FTOL.
-    A golden section around such a point, with no scan point below it, is
-    not expected to gain more than that spread: over the non-slow rows of
-    tables 1-5, the `series` benchmark calls and `eig -D 120`, 10 of the
-    408 such lines gained at all, by at most 4.2e-11.
+    converged simplex vertex: value spread < _FTOL and diameter < _XTOL =
+    sqrt(_FTOL).  A golden section around such a point, with no scan point
+    below it, is not expected to gain more than that spread: over the
+    non-slow rows of tables 1-5, the `series` benchmark calls and
+    `eig -D 120`, 42 of the 289 such lines gained at all, 41 of them by
+    less than 6e-13 and one by 4.2e-11.
     Returns (x, f, evaluations_used).
     """
     used = 0
@@ -184,9 +194,10 @@ def _nelder_mead(x0, budget):
 
     Yields each point to evaluate, a list of Python floats, and receives its
     value by `send`.  Returns (x_best, f_best, n_eval, converged), the best
-    vertex as an ndarray.  The budget is checked before every point, so an
-    exhausted run returns the best point evaluated, and a run with no budget
-    asks for nothing and returns +inf.
+    vertex as an ndarray.  A run converges once its vertex values spread by
+    less than _FTOL and its diameter is below _XTOL.  The budget is
+    checked before every point, so an exhausted run returns the best point
+    evaluated, and a run with no budget asks for nothing and returns +inf.
     """
     if budget < 1:
         return np.array(x0, dtype=float), math.inf, 0, False
@@ -335,11 +346,14 @@ def minimize_bound(
     with scan-and-golden line sweeps (`_golden_polish`).  The polish runs
     only when every start's simplex converged, and a line's golden section
     runs only once a scan's best point lies off that converged vertex.
-    Ties between starts keep the first in start order.  converged means
+    Ties between starts keep the first in start order.  A simplex run
+    converges once its vertex values spread by less than _FTOL = 1e-10 and
+    its diameter in (u, w) is below _XTOL = sqrt(_FTOL).  converged means
     that some start's simplex converged and the budget was not used up;
     exhausting `budget` returns the best point found with converged=False.
     `fix_B` pins B (one-parameter search), used for the A-only
-    reproduction columns.
+    reproduction columns.  A start whose transformed point is not finite
+    (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError.
 
     Every value the search computes goes into one table keyed on the
     transformed point, and the objective reads it from there, evaluating a
@@ -395,9 +409,14 @@ def minimize_bound(
 
     def start_point(A0, B0) -> list[float]:
         u0 = math.log(max(A0 - a_min, 1e-12))
-        return [u0] if fix_B is not None else [u0, math.log(max(B0, 1e-12))]
+        x = [u0] if fix_B is not None else [u0, math.log(max(B0, 1e-12))]
+        if not all(math.isfinite(t) for t in x):  # inf - inf in the simplex
+            raise ValueError(f"a1 = {v.a1:g} is too large for the bound search: "
+                             f"its start (A, B) = ({A0:g}, {B0:g}) overflows")
+        return x
 
-    starts = [(max(1.0, a_min + 1.0), v.a1), (a_min + 10.0, 4.0 * v.a1)]
+    starts = [start_point(max(1.0, a_min + 1.0), v.a1),
+              start_point(a_min + 10.0, 4.0 * v.a1)]
     # the valley floor can carry several local minima a few 1e-7 apart with
     # optima drifting to large A as the coupling grows; a coarse deterministic
     # prescan seeds one extra start in whichever basin looks deepest
@@ -413,22 +432,21 @@ def minimize_bound(
                   else [math.log(A - a_min), math.log(B)] for A, B in prescan]
         evaluate(probes)
         k = min(range(len(prescan)), key=lambda i: objective(probes[i]))
-        starts.append(prescan[k])
+        starts.append(start_point(*prescan[k]))
     if init is not None:
-        starts.append((float(init[0]), float(init[1])))
+        starts.append(start_point(float(init[0]), float(init[1])))
 
     # each run gets at most the budget left now, as below; with one
     # matrix per batch the pass has nothing to stack, and only wastes
     # evaluations on a search that runs out of budget
     if per_batch > 1:
-        _lockstep([_nelder_mead(start_point(A0, B0), budget - nev)
-                   for A0, B0 in starts], known, evaluate, budget - nev)
+        _lockstep([_nelder_mead(x0, budget - nev) for x0 in starts],
+                  known, evaluate, budget - nev)
     best_x = None
     best_f = math.inf
     any_converged = False
-    for A0, B0 in starts:
-        x, f, _, ok = _drive(_nelder_mead(start_point(A0, B0), budget - nev),
-                             objective)
+    for x0 in starts:
+        x, f, _, ok = _drive(_nelder_mead(x0, budget - nev), objective)
         any_converged = any_converged or ok
         if f < best_f:
             best_f = f

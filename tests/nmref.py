@@ -8,12 +8,14 @@ package's, it checks the budget before every point after the first, so it
 never makes more than `budget` evaluations.
 """
 
+import math
+
 import numpy as np
 
 # reflection / expansion / contraction / shrink
 NM_COEFFS = (1.0, 2.0, 0.5, 0.5)
-XTOL = 1e-7
 FTOL = 1e-10
+XTOL = math.sqrt(FTOL)  # the diameter a value spread of FTOL spans
 
 
 def nelder_mead(fn, x0, scale, budget):

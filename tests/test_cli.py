@@ -257,6 +257,8 @@ EDGE_CASES = [
     (["oracle", "--term", "1:100"], 5.7717191, 2e-6),
     (["eig", "--term", "1:300"], 12.1914163, 1e-7),
     (["oracle", "--a1", "1e308"], None, "would need"),
+    # the search's start B = 4 a1 overflows; the simplex would meet inf - inf
+    (["eig", "--a1", "1e308", "--term", "1:4"], None, "a1 = 1e+308"),
     (["oracle", "--term=-1:1000", "--term", "1:2000"], None, "inf - inf"),
     (["eig", "--term=-1:1"], None, "not supported"),
     (["oracle", "--term=-0.3:2"], None, "< -1/4"),
@@ -266,8 +268,9 @@ EDGE_CASES = [
 
 
 class TestEdgeCases:
-    """Each input prints its value or exits 1 with one error line; a
-    RuntimeWarning fails the test (pytest's filterwarnings setting)."""
+    """Each input prints its value or exits 1 with one error line that
+    names no nan; a RuntimeWarning fails the test (pytest's filterwarnings
+    setting)."""
 
     @pytest.mark.parametrize("argv, value, tol", EDGE_CASES,
                              ids=[" ".join(c[0]) for c in EDGE_CASES])
@@ -278,6 +281,7 @@ class TestEdgeCases:
             assert code == 1 and out == ""
             (line,) = err.splitlines()
             assert line.startswith("error: ") and tol in line
+            assert "nan" not in line
             return
         assert code == 0 and err == ""
         row = json.loads(out)

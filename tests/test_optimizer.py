@@ -50,6 +50,14 @@ class TestFeasibility:
         assert 2.0 * g > 6.0 + 1e-6
 
 
+    def test_overflowing_start_names_a1(self):
+        # the start B = 4 a1 overflows to inf, whose log the simplex would
+        # turn into inf - inf
+        v = PotentialSpec(a1=1e308, terms=((1.0, 4.0),))
+        with pytest.raises(ValueError, match=r"a1 = 1e\+308 .*overflows"):
+            minimize_bound(v, 10)
+
+
 class TestTableValues:
     def test_one_by_one_two_parameter(self):
         res = minimize_bound(SPIKE_01_4, 1)
@@ -362,16 +370,18 @@ class TestLockstep:
         if case == "a_only":
             v, D, kw = SPIKE_01_4, 10, {"fix_B": 1.0}
         elif case == "warm_table4":
-            # the warm search of (1,100,100) on a budget it runs out of
+            # the warm search of (1,100,100) on a budget it runs out of, on
+            # which the pass's `limit` stops a run
             row = next(r for r in builtin_job("table4").rows if r.label == "(1,100,100)")
-            v, D, kw = row.potential, 10, {"budget": 500}
+            v, D, kw = row.potential, 10, {"budget": 250}
         else:
-            # warm-started as the table runs it, on a budget it runs out of
+            # warm-started as the table runs it, on a budget it runs out of,
+            # on which the pass's `limit` stops a run
             row = next(r for r in builtin_job("table2").rows
                        if r.label == "lam=10 D=30 (A,B)")
             warm = minimize_bound(row.potential, 10, budget=800)
             v, D, kw = row.potential, 30, {"init": (warm.A_star, warm.B_star),
-                                           "budget": 600}
+                                           "budget": 350}
 
         passes = []
         real = optimizer._lockstep
@@ -470,10 +480,11 @@ _POLISH_CASES = {
     "table4_111": ("table4", "(1,1,1)"),
     "table2_lam1000_D15": ("table2", "lam=1000 D=15 (A,B)"),
 }
+_ROW_CASES = {**_POLISH_CASES, "table2_lam10_D30": ("table2", "lam=10 D=30 (A,B)")}
 
 
-def _run_polish_case(case):
-    """(bound, evaluations) of one case with the polish in place now."""
+def _run_case(case):
+    """(bound, evaluations) of one case with the search in place now."""
     if case == "series":
         run = converge_to_digits(PotentialSpec(a1=1.0, terms=((0.1, 2.5),)),
                                  0, 6, (10, 20))
@@ -481,7 +492,7 @@ def _run_polish_case(case):
     if case == "a_only_D20":
         res = minimize_bound(SPIKE_01_4, 20, fix_B=1.0)
         return res.bound, res.evaluations
-    tid, label = _POLISH_CASES[case]
+    tid, label = _ROW_CASES[case]
     row = next(r for r in builtin_job(tid).rows if r.label == label)
     (res,) = run_table(TableJob(tid, (row,))).rows
     return res.bound, res.evaluations
@@ -513,16 +524,16 @@ class TestPolish:
     @pytest.mark.parametrize("case", [*_POLISH_CASES, "a_only_D20", "series"])
     def test_no_higher_and_no_dearer_than_every_line_golden(self, case,
                                                             monkeypatch):
-        bound, evaluations = _run_polish_case(case)
+        bound, evaluations = _run_case(case)
         monkeypatch.setattr(optimizer, "_golden_polish", golden_polish_ref)
-        ref_bound, ref_evaluations = _run_polish_case(case)
+        ref_bound, ref_evaluations = _run_case(case)
         assert bound <= ref_bound + 1e-10
         assert evaluations <= ref_evaluations
 
     @pytest.mark.parametrize("case", ["table3_N2", "a_only_D20"])
     def test_confirming_scans_cost_their_points_alone(self, case, monkeypatch):
         calls = _recorded_polish(monkeypatch)
-        _run_polish_case(case)
+        _run_case(case)
         ((x, x_out, used),) = calls
         assert x_out == x
         assert used == optimizer._POLISH_POINTS * _polish_lines(x)
@@ -530,7 +541,23 @@ class TestPolish:
     @pytest.mark.parametrize("case", ["table4_111", "table2_lam1000_D15"])
     def test_hop_rows_still_run_golden_steps(self, case, monkeypatch):
         calls = _recorded_polish(monkeypatch)
-        _run_polish_case(case)
+        _run_case(case)
         x, x_out, used = calls[-1]  # the row's own search, after any warm-up
         assert x_out != x
         assert used > optimizer._POLISH_POINTS * _polish_lines(x)
+
+
+class TestStopRule:
+    """The simplex stops at the diameter its value test already sets,
+    sqrt(_FTOL); shrinking on to the former 1e-7 costs evaluations and
+    moves no bound by more than the value test's own spread."""
+
+    @pytest.mark.parametrize("case", ["table3_N2", "table4_111",
+                                      "table2_lam10_D30", "a_only_D20"])
+    def test_no_higher_and_cheaper_than_the_former_diameter(self, case,
+                                                            monkeypatch):
+        bound, evaluations = _run_case(case)
+        monkeypatch.setattr(optimizer, "_XTOL", 1e-7)
+        ref_bound, ref_evaluations = _run_case(case)
+        assert bound <= ref_bound + 1e-10
+        assert evaluations < ref_evaluations
