@@ -2,17 +2,18 @@
 """Print the exact results of the bound searches and oracle calls, so that
 two revisions of the package can be compared bit for bit with `diff`.
 
-One line per `minimize_bound` call, warm-up searches included, with A*, B*
-and the bound as float.hex, the evaluation count and `converged`, for
+One line per `minimize_bound` call with A*, B* and the bound as float.hex,
+the evaluation count and `converged`, for
 
-- every non-slow row of tables 1-5, run as `run_table` runs it;
+- every non-slow row of tables 1-5, run as `run_table` runs it (one search
+  per row);
 - the `series` benchmark's converge calls of seeds 0-2;
 - `eig --term 0.1:4 -D 120`, two-parameter and A-only (`--fix-B`);
 
 then one line per `oracle` benchmark call of seeds 0-2 with its exit code
 and energy as float.hex.  Calls that two seeds share are run once.  The
 package is imported from `src/` of the script's own checkout, with BLAS
-pinned to one thread as in `perfbench/run.py`.  Takes ~30 s on a 2-vCPU
+pinned to one thread as in `perfbench/run.py`.  Takes ~10 s on a 2-vCPU
 x86-64 host.
 
 Usage (from the repository root of each revision):

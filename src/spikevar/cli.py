@@ -34,7 +34,7 @@ from .tables import BUILTIN_TABLE_IDS, RowResult, builtin_job, run_table
 __all__ = ["emit_results", "rows_from_json_lines", "main"]
 
 _FIELDS = ("row", "N", "l", "D", "level", "A_star", "B_star", "bound",
-           "oracle", "reference", "deviation", "pass", "wall_ms")
+           "oracle", "reference", "deviation", "pass", "wall_ms", "evaluations")
 
 
 def _term(text: str) -> tuple[float, float]:
@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "singular anharmonic potentials, plus a shooting-method check.",
         epilog="Output rows share one schema in every format (human, csv, "
                "json-lines): row,N,l,D,level,A_star,B_star,bound,oracle,"
-               "reference,deviation,pass,wall_ms. csv/human print 9 "
-               "significant digits; json-lines keeps full precision and "
+               "reference,deviation,pass,wall_ms,evaluations. csv/human "
+               "print 9 significant digits; json-lines keeps full precision and "
                "round-trips. See docs/formats.md for the field reference. "
                "Exit status: 0 ok, 1 computation failure (or a reference "
                "mismatch under table --strict), 2 usage error.",
@@ -148,7 +148,7 @@ def _row_dict(r: RowResult, timing: bool) -> dict:
         "A_star": r.A_star, "B_star": r.B_star, "bound": r.bound,
         "oracle": r.oracle, "reference": r.reference, "deviation": r.deviation,
         "pass": r.passed, "wall_ms": r.wall_ms if timing else 0.0,
-        "error": r.error,
+        "evaluations": r.evaluations, "error": r.error,
     }
 
 
@@ -173,7 +173,7 @@ def emit_results(rows, fmt: str, destination, timing: bool = False) -> None:
         import csv
 
         # RFC 4180 quoting: a cell holding a comma, quote or line break, such
-        # as the label (1,10,1), is quoted, so every row keeps its 13 cells
+        # as the label (1,10,1), is quoted, so every row keeps its 14 cells
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_FIELDS)
@@ -213,7 +213,7 @@ def rows_from_json_lines(text: str) -> list[RowResult]:
             A_star=d["A_star"], B_star=d["B_star"], bound=d["bound"],
             oracle=d["oracle"], reference=d["reference"],
             deviation=d["deviation"], passed=d["pass"], wall_ms=d["wall_ms"],
-            error=d.get("error"),
+            evaluations=d["evaluations"], error=d.get("error"),
         ))
     return out
 

@@ -525,8 +525,12 @@ def converge_to_digits(
 ) -> ConvergenceRun:
     """Walk an increasing D schedule until successive bounds agree to `digits`.
 
-    Each step warm-starts from the previous optimum.  Agreement means the
-    bounds differ by less than half a unit in the requested decimal place.
+    Each step also starts from the previous step's optimum.  At the same
+    (A, B) the D-term basis contains the smaller one, so by interlacing that
+    start's bound is at or below the previous step's, and the search keeps
+    its best start: the history never rises in D, up to roundoff.  Agreement
+    means the bounds differ by less than half a unit in the requested
+    decimal place.
     An exhausted schedule returns the last bound with converged=False.
     """
     schedule = [int(D) for D in D_schedule]

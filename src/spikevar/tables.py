@@ -242,17 +242,13 @@ def builtin_job(identifier: str) -> TableJob:
 
 
 def _run_row(row: TableRow, oracle_requested: bool, oracle_tol: float) -> RowResult:
+    """One bound search at the row's own D, so the row's `evaluations` is its
+    whole search cost; then the oracle, if requested, and the comparison."""
     t0 = time.perf_counter()
     v = row.potential
     try:
-        fix_B = v.a1 if row.mode == "a" else None
-        init = None
-        if row.D > 25:
-            warm = minimize_bound(v, 10, row.level, budget=800, fix_B=fix_B)
-            init = (warm.A_star, warm.B_star)
-        budget = max(2000, 40 * row.D)
-        res = minimize_bound(v, row.D, row.level, init=init, budget=budget,
-                             fix_B=fix_B)
+        res = minimize_bound(v, row.D, row.level, budget=max(2000, 40 * row.D),
+                             fix_B=v.a1 if row.mode == "a" else None)
         oracle_val = None
         if oracle_requested:
             oracle_val = shoot_eigenvalue(v, row.level, tol=oracle_tol).energy
@@ -289,7 +285,9 @@ def run_table(
 ) -> TableReport:
     """Execute a job row by row; failures are recorded per row.
 
-    Rows flagged slow are skipped unless include_slow is set.
+    Each row runs one `minimize_bound` search at its D, with a budget of
+    max(2000, 40 * D) evaluations.  Rows flagged slow are skipped unless
+    include_slow is set.
     """
     rows = [r for r in job.rows if include_slow or not r.slow]
     results = [_run_row(r, with_oracle, oracle_tol) for r in rows]

@@ -2,14 +2,14 @@
 the bounds and the oracle are checked against.
 
 Energies 2*beta*(2n + gamma_N), and eigenfunctions from the terminating
-confluent series 1F1(-n; gamma_N; beta r^2) summed with compensation.
+confluent series 1F1(-n; gamma_N; beta r^2) summed exactly.
 Nothing in the package calls these: the bound search assembles its
 matrices from the Laguerre connection formula in `spikevar.matelem`.
 """
 
 import math
+from fractions import Fraction
 
-from closedref import _neumaier_step
 from spikevar.basis import ModelParams
 
 
@@ -18,21 +18,21 @@ def hyp1f1_terminating(n: int, gamma: float, z: float) -> float:
 
     Sum_{k=0}^{n} (-n)_k z^k / ((gamma)_k k!), an n-degree polynomial in z.
     Terms are generated by the ratio recurrence
-    t_{k+1} = t_k (k - n) z / ((gamma + k)(k + 1)) and accumulated with
-    compensation, which keeps the alternating sums accurate for large n.
+    t_{k+1} = t_k (k - n) z / ((gamma + k)(k + 1)) exactly, as Fractions of
+    the float inputs, and the sum is rounded once: the alternating terms can
+    exceed the result more than 1e5-fold, so rounded terms would carry that
+    factor times their own error into the sum.
     """
     if n < 0:
         raise ValueError("polynomial degree n must be >= 0")
     if not gamma > 0.0:
         raise ValueError(f"lower parameter must be > 0, got {gamma}")
-    s, comp = 1.0, 0.0
-    term = 1.0
+    g, x = Fraction(gamma), Fraction(z)
+    total = term = Fraction(1)
     for k in range(n):
-        term *= (k - n) * z / ((gamma + k) * (k + 1))
-        if term == 0.0:
-            break
-        s, comp = _neumaier_step(s, comp, term)
-    return s + comp
+        term *= (k - n) * x / ((g + k) * (k + 1))
+        total += term
+    return float(total)
 
 
 def gk_energy(p: ModelParams, n: int) -> float:

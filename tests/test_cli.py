@@ -64,11 +64,12 @@ class TestEmit:
         cli.emit_results([_row()], "csv", None)
         out = capsys.readouterr().out.splitlines()
         assert out[0] == ("row,N,l,D,level,A_star,B_star,bound,oracle,"
-                          "reference,deviation,pass,wall_ms")
+                          "reference,deviation,pass,wall_ms,evaluations")
         cells = out[1].split(",")
         assert cells[0] == "r"
         assert cells[7] == "3.582194"
         assert cells[12] == "0"  # timing suppressed by default
+        assert cells[13] == "100"
 
     def test_csv_quotes_commas_and_quotes(self, capsys):
         cli.emit_results([_row(label='(1,10,1) "x"')], "csv", None)
@@ -108,16 +109,17 @@ class TestEmit:
         deviation=opt_float,
         passed=st.none() | st.booleans(),
         wall=st.floats(0, 1e6, allow_nan=False),
+        evaluations=st.integers(0, 10**6),
         label=st.text(
             alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=20,
         ),
     )
     @settings(max_examples=60, deadline=None)
     def test_json_lines_round_trip(self, bound, oracle, reference, deviation,
-                                   passed, wall, label):
+                                   passed, wall, evaluations, label):
         row = _row(label=label, bound=bound, oracle=oracle, reference=reference,
                    deviation=deviation, passed=passed, wall_ms=wall,
-                   evaluations=0)
+                   evaluations=evaluations)
         lines = []
         for d in [cli._row_dict(row, timing=True)]:
             lines.append(json.dumps(d))
@@ -140,7 +142,8 @@ class TestMain:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows
         for row in rows:  # no cell left over (key None), none missing
-            assert len(row) == 13 and None not in row.values()
+            assert len(row) == 14 and None not in row.values()
+            assert int(row["evaluations"]) > 0  # the row's own search
         row = next(r for r in rows if r["row"] == "(1,10,1)")
         assert (row["N"], row["D"], row["pass"]) == ("3", "50", "yes")
 

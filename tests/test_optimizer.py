@@ -370,13 +370,14 @@ class TestLockstep:
         if case == "a_only":
             v, D, kw = SPIKE_01_4, 10, {"fix_B": 1.0}
         elif case == "warm_table4":
-            # the warm search of (1,100,100) on a budget it runs out of, on
+            # a D=10 search of (1,100,100) on a budget it runs out of, on
             # which the pass's `limit` stops a run
             row = next(r for r in builtin_job("table4").rows if r.label == "(1,100,100)")
             v, D, kw = row.potential, 10, {"budget": 250}
         else:
-            # warm-started as the table runs it, on a budget it runs out of,
-            # on which the pass's `limit` stops a run
+            # with an `init` start (a D=10 optimum, as `converge` passes the
+            # previous step's), on a budget it runs out of, on which the
+            # pass's `limit` stops a run
             row = next(r for r in builtin_job("table2").rows
                        if r.label == "lam=10 D=30 (A,B)")
             warm = minimize_bound(row.potential, 10, budget=800)
@@ -472,9 +473,9 @@ class TestValueTable:
         assert len(points) == len(known)
 
 
-# searches the polish finishes: table rows as `run_table` runs them (a D=10
-# warm-up search first where D > 25), plus an A-only D=20 search and the
-# `series` benchmark's default converge call
+# searches the polish finishes: table rows as `run_table` runs them (one
+# search at the row's D), plus an A-only D=20 search and the `series`
+# benchmark's default converge call
 _POLISH_CASES = {
     "table3_N2": ("table3", "N=2"),
     "table4_111": ("table4", "(1,1,1)"),
@@ -542,7 +543,7 @@ class TestPolish:
     def test_hop_rows_still_run_golden_steps(self, case, monkeypatch):
         calls = _recorded_polish(monkeypatch)
         _run_case(case)
-        x, x_out, used = calls[-1]  # the row's own search, after any warm-up
+        ((x, x_out, used),) = calls  # the row's one search
         assert x_out != x
         assert used > optimizer._POLISH_POINTS * _polish_lines(x)
 

@@ -2,9 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from spikevar import tables
 from spikevar.hamiltonian import PotentialSpec
+from spikevar.optimizer import BoundResult
 from spikevar.tables import (
     BUILTIN_TABLE_IDS,
     RowResult,
@@ -129,3 +132,22 @@ class TestRunTable:
         ).rows
         assert len(report_rows) == 2
         assert len(fast) == 8
+
+    @pytest.mark.parametrize("table_id", BUILTIN_TABLE_IDS)
+    def test_one_search_per_row_at_its_own_D(self, table_id, monkeypatch):
+        # the row's search is its whole cost: no smaller-D search feeds it
+        calls = []
+
+        def search(v, D, level=0, **kwargs):
+            calls.append((v, D, level, kwargs))
+            return BoundResult(1.0, v.a1, np.full(D, 3.0), level, 7, True)
+
+        monkeypatch.setattr(tables, "minimize_bound", search)
+        job = builtin_job(table_id)
+        report = run_table(job, include_slow=True)
+        assert [r.evaluations for r in report.rows] == [7] * len(job.rows)
+        assert len(calls) == len(job.rows)
+        for row, (v, D, level, kwargs) in zip(job.rows, calls):
+            assert (v, D, level) == (row.potential, row.D, row.level)
+            assert kwargs == {"budget": max(2000, 40 * row.D),
+                              "fix_B": v.a1 if row.mode == "a" else None}
