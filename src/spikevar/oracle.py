@@ -6,9 +6,11 @@ composite log-uniform / uniform grid, each step applied as its exact 2x2
 transfer matrix on (y, y'), tabulated with numpy and multiplied together
 16 steps at a time, so that Python touches the state once per 16 steps.
 The energy is located by bisection on the interior node count down to a
-bracket holding one node transition, then refined by false position
-(Illinois) on the mismatch of logarithmic derivatives of outward and inward
-sweeps at the outer classical turning point.  The grid density is doubled
+bracket holding one node transition, then refined by Brent's method on the
+mismatch of logarithmic derivatives of outward and inward sweeps at the
+outer classical turning point.  The outer cutoff leaves a tail of WKB action
+8 + ln(1/tol)/2 beyond it, so a looser tolerance integrates a shorter
+domain.  The grid density is doubled
 until the eigenvalue moves by less than tol/4 under step halving (Richardson
 self-consistency); each refined grid first tries a narrow bracket around the
 previous grid's eigenvalue and searches from the potential floor only when
@@ -32,7 +34,11 @@ __all__ = ["OracleResult", "ShootingError", "shoot_eigenvalue", "BACKEND"]
 
 _RMIN_CAP = 1e-4     # default inner cutoff floor
 _RMAX_CAP = 20.0     # default outer cutoff ceiling (override via r_max)
-_TAIL_ACTION = 41.5  # WKB action making the neglected tail < 1e-18
+# the tail beyond r_max keeps a WKB action of _TAIL_ACTION + ln(1/tol)/2:
+# the wall at r_max then shifts the level by exp(-2 action) = e^-16 tol
+# times an O(1) prefactor, below 1e-4 tol while the prefactor is under ~900
+_TAIL_ACTION = 8.0
+_TAIL_MAX = 41.5     # the longest tail asked for, a 1e-18 one
 _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
 _BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
 _SPAN = 16           # RK4 steps per block product; a power of two
@@ -322,7 +328,13 @@ def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
     return _RMIN_CAP if k is None else float(rr[turn - k])
 
 
-def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float) -> float:
+def _tail_action(tol: float) -> float:
+    """WKB action of the tail neglected beyond r_max for tolerance tol."""
+    return min(_TAIL_ACTION + 0.5 * math.log(1.0 / tol), _TAIL_MAX)
+
+
+def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float,
+                  tol: float) -> float:
     hi = min(cap, 2.0 * math.sqrt(e_cap / prob.a1) + 10.0)
     rr = np.linspace(0.25, hi, 4000)
     wv = prob.probe(rr)
@@ -330,13 +342,15 @@ def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float) -> float:
     outer = len(rr) - 1 - int(np.argmax((wv < e_cap)[::-1]))
     if wv[outer] >= e_cap:  # no allowed region this far out; keep everything
         return hi
-    k = _action_reach(rr[outer:], q[outer:], _TAIL_ACTION)
+    action = _tail_action(tol)
+    k = _action_reach(rr[outer:], q[outer:], action)
     if k is None:
         if hi >= cap - 1e-12:
             raise ShootingError(
                 f"energies near {e_cap:.3g} lie beyond the default outer "
-                f"cutoff cap {cap}: the tail does not decay to 1e-18 inside it "
-                f"(a larger cutoff is the r_max argument of shoot_eigenvalue)"
+                f"cutoff cap {cap}: the tail does not reach the WKB action "
+                f"{action:.3g} that tol = {tol:.3g} needs inside it (a larger "
+                f"cutoff is the r_max argument of shoot_eigenvalue)"
             )
         return hi
     return float(rr[outer + k])
@@ -356,45 +370,66 @@ def _start_values(prob: _RadialProblem, r0: float, energy: float):
     return 1.0 + c * r0 * r0, (s + (s + 2.0) * c * r0 * r0) / r0
 
 
-def _false_position(f, a: float, fa: float, b: float, fb: float, width: float):
-    """Shrink a sign-change bracket [a, b] of f to at most `width` by the
-    Illinois variant of false position, which halves the weight of an end
-    kept twice running so that both ends close in on the root."""
-    kept = 0  # +1 / -1 while b / a was kept by the last step
+def _brent(f, a: float, fa: float, b: float, fb: float, width: float):
+    """Shrink a sign-change bracket [a, b] of f to at most `width` by Brent's
+    method (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps while they shrink the
+    bracket fast enough, bisection otherwise, and never a step shorter than
+    width/4.  So an iterate that lands on the root is followed by one step
+    across it, and the bracket closes there.  A zero of f counts as positive,
+    as a sign change is judged throughout."""
+    # b is the best estimate, c the end across the root, a the previous b
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(240):
-        if b - a <= width:
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        if abs(c - b) <= width:
             break
-        m = a - fa * (b - a) / (fb - fa)
-        if not a < m < b:
-            m = 0.5 * (a + b)
-            if not a < m < b:
-                break
-        fm = f(m)
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-            if kept > 0:
-                fb *= 0.5
-            kept = 1
+        least = 0.25 * width + 2.0 * sys.float_info.epsilon * abs(b)
+        m = 0.5 * (c - b)
+        if abs(e) >= least and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(least * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b, fb = m, fm
-            if kept < 0:
-                fa *= 0.5
-            kept = -1
-    return a, b
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > least else math.copysign(least, m)
+        fb = f(b)
+    return min(b, c), max(b, c)
 
 
 def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
                       e_cap: float, prior: float | None = None):
-    """Bisection on node count to a unit node bracket, then false position
-    on the normalized matching Wronskian; return (energy, width, warm).
+    """Bisection on node count to a unit node bracket, then Brent's method
+    on the normalized matching Wronskian down to a tol/8 bracket; return
+    (energy, width, warm).
 
     With a prior (the energy found on the previous, coarser grid) the
     bracket prior -/+ _WARM * tol is tried first, then once a bracket
     _WIDEN times wider, for a coarse grid whose error exceeds the first.
     When one holds exactly the level-th node transition and the mismatch
-    changes sign across it, false position starts from it directly (warm is
+    changes sign across it, Brent's method starts from it directly (warm is
     True); otherwise the search starts from the potential floor as it does
-    without a prior."""
+    without a prior.  Brent's method steps across a root it has landed on
+    by at least tol/32, so where the bracket closes, and so the energy
+    reported, does not hang on the last bits of the mismatch."""
 
     def nodes_of(energy: float) -> int:
         y1, y2 = _start_values(prob, grid.r[0], energy)
@@ -463,7 +498,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     # refine on the matching mismatch when it brackets a sign change,
     # otherwise carry the node bisection all the way down
     if warm or sign_change(f_lo, f_hi):
-        e_lo, e_hi = _false_position(mismatch, e_lo, f_lo, e_hi, f_hi, 0.125 * tol)
+        e_lo, e_hi = _brent(mismatch, e_lo, f_lo, e_hi, f_hi, 0.125 * tol)
     else:
         e_lo, _, e_hi, _ = node_bisect(e_lo, n_lo, e_hi, n_hi, 0.125 * tol)
     width = e_hi - e_lo
@@ -472,7 +507,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
             f"energy bracket stalled at width {width:.3g} > tol {tol:.3g}"
         )
     # one-sided report: lower edge less one width stays below the true level.
-    # False position can close the bracket far below the tol/8 stop, so the
+    # Brent's method can close the bracket below the tol/8 stop, so the
     # width counted is never less than that stop: the shift must still cover
     # the grid's own error, which the Richardson check holds near tol/60.
     width = max(width, 0.125 * tol)
@@ -506,15 +541,16 @@ def shoot_eigenvalue(
     """Level-th Dirichlet eigenvalue of -y'' + [Lam(Lam+1)/r^2 + V] y = E y.
 
     The domain is sized so the start forms at r_min and the neglected tail
-    beyond r_max are below the eigenvalue tolerance; explicit r_min / r_max
-    override the automatic choice.  With auto_refine the grid density doubles
-    until step halving moves the eigenvalue by less than tol/4; failure to
-    settle within max_refine doublings raises ShootingError.
+    beyond r_max (of WKB action 8 + ln(1/tol)/2) are below the eigenvalue
+    tolerance; explicit r_min / r_max override the automatic choice.  With
+    auto_refine the grid density doubles until step halving moves the
+    eigenvalue by less than tol/4; failure to settle within max_refine
+    doublings raises ShootingError.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     prob = _RadialProblem(v)
     w_probe = prob.floor(np.geomspace(1e-3, 10.0, 1024))
     e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)
@@ -523,7 +559,8 @@ def shoot_eigenvalue(
 
     for _ in range(12):
         rmin_eff = r_min if r_min is not None else _choose_r_min(prob, e_cap)
-        rmax_eff = r_max if r_max is not None else _choose_r_max(prob, e_cap, _RMAX_CAP)
+        rmax_eff = (r_max if r_max is not None
+                    else _choose_r_max(prob, e_cap, _RMAX_CAP, tol))
         if not 0.0 < rmin_eff < rmax_eff:
             raise ValueError(f"invalid domain [{rmin_eff}, {rmax_eff}]")
         scale = grid_scale

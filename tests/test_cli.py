@@ -254,6 +254,7 @@ EDGE_CASES = [
     (["oracle", "--term", "1:inf"], None, "finite exponent"),
     (["eig", "--a1", "inf"], None, "a1 must be finite"),
     (["oracle", "--a1", "inf"], None, "a1 must be finite"),
+    (["oracle", "--tol", "inf"], None, "finite"),
     (["oracle", "--term", "1000:10"], 8.3655150, 2e-6),
     (["oracle", "--term", "1000:12"], 7.6397213, 2e-6),
     (["oracle", "--term", "1:20"], 5.2255396, 2e-6),

@@ -113,7 +113,7 @@ class TestSelfConsistency:
 
 class TestSweepCount:
     def test_sweeps_per_eigenvalue(self, monkeypatch):
-        # unit node bracket, then false position on the matching Wronskian
+        # unit node bracket, then Brent's method on the matching Wronskian
         sweep = oracle._sweep
         calls = []
 
@@ -126,6 +126,27 @@ class TestSweepCount:
         res = shoot_eigenvalue(v, 0, tol=1e-6)
         assert res.energy == pytest.approx(5.0, abs=2e-6)
         assert len(calls) <= 33  # 30 measured, plus 10%
+        assert res.sweeps == len(calls)
+
+    @pytest.mark.parametrize("tol,sweeps,steps", [
+        (1e-8, 30, 32_890),
+        (1e-10, 42, 70_944),
+    ])
+    def test_sweeps_and_steps_at_tight_tol(self, monkeypatch, tol, sweeps, steps):
+        # the cutoff follows tol, and the bracket closes a step past the root
+        sweep = oracle._sweep
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_sweep", counted)
+        v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
+        res = shoot_eigenvalue(v, 0, tol=tol)
+        assert 5.0 - 2.0 * tol <= res.energy <= 5.0
+        assert len(calls) <= 1.1 * sweeps  # measured, plus 10%
+        assert sum(calls) <= 1.1 * steps
         assert res.sweeps == len(calls)
 
     def test_debug_record(self, caplog):
@@ -159,6 +180,51 @@ EXACT = [
 ]
 
 
+class TestTailCutoff:
+    """The outer cutoff leaves a WKB tail action of 8 + ln(1/tol)/2."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("terms,level,exact", EXACT)
+    def test_agrees_with_a_fixed_wide_cutoff(self, terms, level, exact, tol):
+        v = PotentialSpec(a1=1.0, terms=terms)
+        res = shoot_eigenvalue(v, level, tol=tol)
+        wide = shoot_eigenvalue(v, level, tol=tol, r_max=14.0)
+        assert res.r_max < 14.0
+        assert exact - 2.0 * tol <= res.energy <= exact
+        assert abs(res.energy - wide.energy) <= tol / 8.0
+
+    def test_action_follows_tol_up_to_the_cap(self):
+        assert oracle._tail_action(1e-6) == pytest.approx(14.9, abs=0.01)
+        assert oracle._tail_action(1e-10) > oracle._tail_action(1e-6)
+        assert oracle._tail_action(1e-300) == oracle._TAIL_MAX
+
+    def test_cap_error_names_the_tail(self):
+        # levels near 30 reach past a cutoff capped at 5
+        prob = oracle._RadialProblem(PotentialSpec(a1=1.0))
+        with pytest.raises(ShootingError, match="WKB action 14.9"):
+            oracle._choose_r_max(prob, 30.0, 5.0, 1e-6)
+
+
+class TestLastBits:
+    """The printed energy does not hang on the kernel's rounding: _SPAN
+    changes the order of the block products, not the method."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("terms,level", [
+        (((1.0, 4.0),), 0),
+        ((), 1),
+        (((0.1, 2.5),), 2),
+        (((1.3, 6.0),), 2),
+    ])
+    def test_energy_agrees_across_spans(self, monkeypatch, terms, level, tol):
+        energies = []
+        for span in (16, 64, 256):
+            monkeypatch.setattr(oracle, "_SPAN", span)
+            v = PotentialSpec(a1=1.0, terms=terms)
+            energies.append(shoot_eigenvalue(v, level, tol=tol).energy)
+        assert max(energies) - min(energies) <= 1e-3 * tol
+
+
 class TestWarmStart:
     """A refined grid starts from a bracket around the previous grid's energy."""
 
@@ -172,11 +238,12 @@ class TestWarmStart:
 
     @staticmethod
     def _grid(v):
-        """A scale-2 grid as shoot_eigenvalue builds it, with a fixed energy cap."""
+        """A scale-2 grid as shoot_eigenvalue builds it at tol 1e-6, with a
+        fixed energy cap."""
         prob = oracle._RadialProblem(v)
         e_cap = 40.0
         r_min = oracle._choose_r_min(prob, e_cap)
-        r_max = oracle._choose_r_max(prob, e_cap, oracle._RMAX_CAP)
+        r_max = oracle._choose_r_max(prob, e_cap, oracle._RMAX_CAP, 1e-6)
         grid = oracle._Grid(prob, r_min, r_max, e_cap, 2.0, oracle._Tally())
         return prob, grid, e_cap
 
@@ -424,6 +491,10 @@ class TestValidation:
             shoot_eigenvalue(v, -1)
         with pytest.raises(ValueError):
             shoot_eigenvalue(v, 0, tol=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            shoot_eigenvalue(v, 0, tol=float("inf"))
+        with pytest.raises(ValueError):
+            shoot_eigenvalue(v, 0, tol=float("nan"))
 
     def test_bad_domain(self):
         v = PotentialSpec(a1=1.0)
