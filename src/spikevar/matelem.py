@@ -29,14 +29,7 @@ computed per point, so each matrix of a stack carries the bits of its own
 single-point build.
 
 B enters only through the scalar beta^(-s/2): C C^T depends on gamma_N, s
-and D alone.  The unscaled products of the latest single point are cached,
-one per exponent s, so an assembly of one point at the A of the previous
-one (a bound search moving B alone) scales them instead of building them
-again; a stack is built afresh and leaves the cache as it was.  A new
-(gamma_N, D) evicts every entry, so the cache holds at most the terms of
-one assembly, D x D floats each.  Every call returns a fresh scaled copy,
-made by the same scalar multiply as an uncached build, so the elements
-carry the same bits either way.
+and D alone.
 """
 
 from __future__ import annotations
@@ -173,36 +166,15 @@ def _connection_product(a: tuple[float, ...], s: float, D: int) -> np.ndarray:
     return C @ C.transpose(0, 2, 1)
 
 
-# (a, s, D) -> read-only C C^T, all for the one (a, D) in _products_aD: the
-# terms of the latest assembly, which the next one reuses when only B moved
-_products: dict[tuple[float, float, int], np.ndarray] = {}
-_products_aD: tuple[float, int] | None = None
-
-
-def _product(a: tuple[float, ...], s: float, D: int) -> np.ndarray:
-    """`_connection_product`, cached for a lone point; a new (a, D) evicts
-    every entry."""
-    global _products_aD
-    if len(a) > 1:
-        return _connection_product(a, s, D)
-    M = _products.get((a[0], s, D))
-    if M is None:
-        if _products_aD != (a[0], D):
-            _products.clear()
-            _products_aD = (a[0], D)
-        M = _connection_product(a, s, D)
-        M.setflags(write=False)
-        _products[a[0], s, D] = M
-    return M
-
-
 def _moment_matrices(ps: tuple[ModelParams, ...], D: int, s: float) -> np.ndarray:
     """Fresh (K, D, D) stack of <psi_m| r^s |psi_n>; requires
     gamma_N + s/2 > 0 at every point."""
     half = 0.5 * s
     a = tuple([p.gamma_N - 1.0 for p in ps])
     scale = [_gamma_ratio(ak + 1.0, half) * p.beta ** (-half) for ak, p in zip(a, ps)]
-    return _product(a, s, D) * _per_point(scale)
+    M = _connection_product(a, s, D)
+    M *= _per_point(scale)
+    return M
 
 
 def inv_power_matrix(p: ModelParams | Sequence[ModelParams], D: int,

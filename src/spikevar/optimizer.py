@@ -353,7 +353,9 @@ def minimize_bound(
     exhausting `budget` returns the best point found with converged=False.
     `fix_B` pins B (one-parameter search), used for the A-only
     reproduction columns.  A start whose transformed point is not finite
-    (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError.
+    (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError, and so
+    are a non-finite `init` A and an `init` B or `fix_B` that is not finite
+    and > 0, before any start is built.
 
     Every value the search computes goes into one table keyed on the
     transformed point, and the objective reads it from there, evaluating a
@@ -377,6 +379,15 @@ def minimize_bound(
         raise ValueError(f"need 0 <= target_level < {D}, got {target_level}")
     if budget < 3:
         raise ValueError(f"evaluation budget must be >= 3, got {budget}")
+    # the messages name the argument, not its value: a nan would read as a
+    # failed computation
+    if init is not None:
+        if not math.isfinite(init[0]):
+            raise ValueError("init A must be finite")
+        if not 0.0 < init[1] < math.inf:
+            raise ValueError("init B must be finite and > 0")
+    if fix_B is not None and not 0.0 < fix_B < math.inf:
+        raise ValueError("fix_B must be finite and > 0")
     a_min = feasible_A_min(v)
 
     def decode(x) -> tuple[float, float]:

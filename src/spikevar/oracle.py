@@ -269,6 +269,12 @@ class _Grid:
         n_log = max(64, int(math.ceil(math.log(r_sw / r_min) / delta)))
         n_uni = int(math.ceil(n_uni * scale))
         n_log = int(math.ceil(n_log * scale))
+        # the matching point of _solve_at_density lies in [3, steps - 3]
+        if n_uni + n_log < 6:
+            raise ShootingError(
+                f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would have "
+                f"{n_uni + n_log} steps, too few to hold the matching point "
+                f"(at least 6): grid scale {scale:g} is too small")
         if n_uni + n_log > _MAX_STEPS:
             raise ShootingError(
                 f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would need "
@@ -545,12 +551,15 @@ def shoot_eigenvalue(
     tolerance; explicit r_min / r_max override the automatic choice.  With
     auto_refine the grid density doubles until step halving moves the
     eigenvalue by less than tol/4; failure to settle within max_refine
-    doublings raises ShootingError.
+    doublings raises ShootingError, and so does a grid_scale that leaves a
+    grid too short to hold the matching point.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+    if not 0.0 < grid_scale < math.inf:
+        raise ValueError(f"grid_scale must be finite and > 0, got {grid_scale}")
     prob = _RadialProblem(v)
     w_probe = prob.floor(np.geomspace(1e-3, 10.0, 1024))
     e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)

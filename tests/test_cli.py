@@ -263,6 +263,14 @@ EDGE_CASES = [
     (["oracle", "--a1", "1e308"], None, "would need"),
     # the search's start B = 4 a1 overflows; the simplex would meet inf - inf
     (["eig", "--a1", "1e308", "--term", "1:4"], None, "a1 = 1e+308"),
+    (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "nan", "--init-B", "1"],
+     None, "init A must be finite"),
+    (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "5", "--init-B", "inf"],
+     None, "init B must be finite and > 0"),
+    (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "5", "--init-B", "-3"],
+     None, "init B must be finite and > 0"),
+    (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "5", "--init-B", "nan"],
+     None, "init B must be finite and > 0"),
     (["oracle", "--term=-1:1000", "--term", "1:2000"], None, "inf - inf"),
     (["eig", "--term=-1:1"], None, "not supported"),
     (["oracle", "--term=-0.3:2"], None, "< -1/4"),

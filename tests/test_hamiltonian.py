@@ -155,24 +155,22 @@ class TestAssemble:
     @pytest.mark.parametrize("B1, B2", [(0.6, 1.7), (1.0, 2.3), (1.7, 1.0)])
     @pytest.mark.parametrize("terms", [((1.0, 4.0), (1.0, 6.0)),
                                        ((0.1, 3.3), (0.5, 4.0), (2.0, 2.0))])
-    def test_same_A_reuses_products_bit_for_bit(self, terms, B1, B2, monkeypatch):
+    def test_same_A_reuses_products_bit_for_bit(self, terms, B1, B2):
+        # a second assembly at the same A reuses the memoized ln h rows, the
+        # factors of every moment product, and matches a build from none
         v = PotentialSpec(a1=1.0, terms=terms)
         A, D = 6.0, 20
-        monkeypatch.setattr(matelem, "_products", {})
-        monkeypatch.setattr(matelem, "_products_aD", None)
+        memos = (matelem._half_ln_h, matelem._binomial_toeplitz)
+        for memo in memos:
+            memo.cache_clear()
         assemble(ModelParams(A, B1), v, D)
-        built = []
-        real = matelem._connection_product
-
-        def counted(*args):
-            built.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(matelem, "_connection_product", counted)
+        misses = matelem._half_ln_h.cache_info().misses
         warm = assemble(ModelParams(A, B2), v, D)
         # only the r^2 term is new, and only when B1 = a1 dropped it
-        assert built == ([2] if B1 == v.a1 else [])
-        monkeypatch.setattr(matelem, "_product", real)
+        new_rows = matelem._half_ln_h.cache_info().misses - misses
+        assert new_rows == (1 if B1 == v.a1 and B2 != v.a1 else 0)
+        for memo in memos:
+            memo.cache_clear()
         cold = assemble(ModelParams(A, B2), v, D)
         assert np.array_equal(warm, cold)
 

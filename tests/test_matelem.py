@@ -11,7 +11,6 @@ import pytest
 from closedref import inv_power_element as series_element
 from closedref import inv_power_element_closed
 from quadref import element_quad
-from spikevar import matelem
 from spikevar.basis import ModelParams
 from spikevar.matelem import _gamma_ratio, _half_ln_h, inv_power_matrix, power_matrix
 
@@ -286,14 +285,13 @@ class TestHalfLnHMemo:
         with pytest.raises(ValueError):
             h[0, 1] = 0.0
 
-    def test_interleaved_builds_match_fresh_builds(self, monkeypatch):
+    def test_interleaved_builds_match_fresh_builds(self):
         # gamma_1, gamma_2, gamma_1 through the memos, against cold builds
         p1, p2 = ModelParams(6.0, 1.3, 3, 0), ModelParams(9.5, 1.3, 3, 0)
         builds = [lambda p: power_matrix(p, 20, 2),
                   lambda p: inv_power_matrix(p, 20, 4.0),
                   lambda p: inv_power_matrix(p, 20, 3.3)]
         warm = [build(p) for p in (p1, p2, p1) for build in builds]
-        monkeypatch.setattr(matelem, "_product", matelem._connection_product)
         cold = []
         for p in (p1, p2, p1):
             for build in builds:
@@ -303,19 +301,13 @@ class TestHalfLnHMemo:
             assert np.array_equal(w, c)
 
 
-class TestProductCache:
-    def test_holds_one_gamma_and_hands_out_fresh_copies(self, monkeypatch):
-        monkeypatch.setattr(matelem, "_products", {})
-        monkeypatch.setattr(matelem, "_products_aD", None)
-        p1, p2 = ModelParams(6.0, 1.3, 3, 0), ModelParams(9.5, 1.3, 3, 0)
-        M = inv_power_matrix(p1, 8, 4.0)
-        first = M.copy()
-        power_matrix(p1, 8, 2)
-        assert len(matelem._products) == 2
-        M[:] = 0.0  # the caller owns its matrix; the cache is untouched
-        assert np.array_equal(inv_power_matrix(p1, 8, 4.0), first)
-        # a new gamma_N evicts both entries, and B plays no part in the key
-        inv_power_matrix(p2, 8, 4.0)
-        inv_power_matrix(ModelParams(9.5, 2.0, 3, 0), 8, 4.0)
-        assert list(matelem._products) == [(p2.gamma_N - 1.0, -4.0, 8)]
-        assert not matelem._products[p2.gamma_N - 1.0, -4.0, 8].flags.writeable
+class TestFreshMatrices:
+    def test_overwriting_a_returned_matrix_leaves_the_next_build(self):
+        p = ModelParams(6.0, 1.3, 3, 0)
+        for build in (lambda: inv_power_matrix(p, 8, 4.0),
+                      lambda: power_matrix(p, 8, 2),
+                      lambda: inv_power_matrix([p, p], 8, 3.3)):
+            M = build()
+            first = M.copy()
+            M[:] = 0.0  # the caller owns its matrix; no memo shares its memory
+            assert np.array_equal(build(), first)

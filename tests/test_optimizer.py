@@ -1,6 +1,7 @@
 """Bound minimization: reference values, invariants, closed forms."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from modelref import gk_energy
 from nmref import nelder_mead as nelder_mead_ref
 from polishref import golden_polish as golden_polish_ref
-from spikevar import matelem, optimizer
+from spikevar import optimizer
 from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
 from spikevar.hamiltonian import PotentialSpec, assemble
@@ -18,6 +19,7 @@ from spikevar.optimizer import (
     ground_state_first_order,
     minimize_bound,
 )
+from spikevar.oracle import shoot_eigenvalue
 from spikevar.tables import TableJob, builtin_job, run_table
 
 SPIKE_01_4 = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
@@ -56,6 +58,24 @@ class TestFeasibility:
         v = PotentialSpec(a1=1e308, terms=((1.0, 4.0),))
         with pytest.raises(ValueError, match=r"a1 = 1e\+308 .*overflows"):
             minimize_bound(v, 10)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fix_B": math.inf}, "fix_B must be finite and > 0"),
+        ({"fix_B": 0.0}, "fix_B must be finite and > 0"),
+        ({"fix_B": math.nan}, "fix_B must be finite and > 0"),
+        ({"init": (math.nan, 1.0)}, "init A must be finite"),
+        ({"init": (-math.inf, 1.0)}, "init A must be finite"),
+        ({"init": (5.0, math.inf)}, "init B must be finite and > 0"),
+        ({"init": (5.0, -3.0)}, "init B must be finite and > 0"),
+    ])
+    def test_bad_init_or_fix_B_is_named(self, kwargs, message, monkeypatch):
+        # refused before any start is built or any matrix assembled
+        def no_assembly(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(optimizer, "assemble", no_assembly)
+        with pytest.raises(ValueError, match=message):
+            minimize_bound(SPIKE_01_4, 5, **kwargs)
 
 
 class TestTableValues:
@@ -221,6 +241,34 @@ class TestConvergeToDigits:
             converge_to_digits(SPIKE_01_4, 0, 6, (4, 4))
 
 
+def _oracle_draws(seed: int, count: int):
+    """(lam, alpha, N, l, level) of r^2 + lam r^-alpha, lam log-uniform on
+    [0.01, 100]."""
+    rng = random.Random(seed)
+    return [(10.0 ** rng.uniform(-2.0, 2.0), rng.choice((2.5, 3.3, 4.0, 6.0)),
+             rng.randint(2, 5), rng.randint(0, 2), rng.randint(0, 3))
+            for _ in range(count)]
+
+
+class TestExcitedLevelsAgainstOracle:
+    """Excited levels and l > 0 channels of singular potentials: every bound
+    of a short schedule sits above the shooting oracle, and falls in D."""
+
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("lam, alpha, N, l, level", _oracle_draws(0, 10),
+                             ids=lambda x: f"{x:.4g}" if isinstance(x, float) else str(x))
+    def test_bounds_above_oracle_and_falling(self, lam, alpha, N, l, level):
+        v = PotentialSpec(a1=1.0, terms=((lam, alpha),), N=N, l=l)
+        run = converge_to_digits(v, level, 12, (10, 20))
+        oracle = shoot_eigenvalue(v, level, tol=self.TOL).energy
+        (D10, res10), (D20, res20) = run.history
+        assert (D10, D20) == (10, 20)
+        for _, res in run.history:
+            assert res.bound >= oracle - 2.0 * self.TOL
+        assert res20.bound <= res10.bound
+
+
 class TestConvergeHistorySlow:
     @pytest.mark.slow
     def test_history_tracks_reference_column(self):
@@ -320,8 +368,8 @@ class TestSimplexReference:
 
 
 class TestEvaluationCaches:
-    """The product cache changes no bit of a search, and neither do the
-    values the lockstep pass puts in the search's value table."""
+    """The values the lockstep pass puts in the search's value table change
+    no bit of a search."""
 
     @pytest.mark.parametrize("table", ["table3", "table5"])
     def test_search_bitwise_equal_without_caches(self, table, monkeypatch):
@@ -332,7 +380,6 @@ class TestEvaluationCaches:
             return minimize_bound(v, row.D, row.level, budget=max(2000, 40 * row.D))
 
         cached = search()
-        monkeypatch.setattr(matelem, "_product", matelem._connection_product)
         # without the lockstep pass the table holds only what the search asked
         monkeypatch.setattr(optimizer, "_lockstep", lambda *args: None)
         bare = search()

@@ -496,6 +496,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             shoot_eigenvalue(v, 0, tol=float("nan"))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_grid_scale(self, scale):
+        with pytest.raises(ValueError, match="grid_scale must be finite and > 0"):
+            shoot_eigenvalue(PotentialSpec(a1=1.0), 0, grid_scale=scale)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-9])
+    def test_grid_too_short_for_the_matching_point(self, scale):
+        # 2 steps, where the matching point's clamp [3, steps - 3] is empty
+        v = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
+        with pytest.raises(ShootingError, match="would have 2 steps"):
+            shoot_eigenvalue(v, 0, grid_scale=scale)
+
     def test_bad_domain(self):
         v = PotentialSpec(a1=1.0)
         with pytest.raises(ValueError):
