@@ -12,7 +12,8 @@ bound search do, and no memo keyed on gamma_N can answer a call from an
 identical recent one.  `assemble_eig` assembles and eigen-solves one point
 of the A cycle, as one objective evaluation of a bound search does, and
 `assemble_batch4` does the same for four successive points of the cycle as
-one (4, D, D) stack, as the lockstep pass of a search does.  Only public
+one (4, D, D) stack, as a round of a search's side-by-side simplex runs
+does.  Only public
 entry points are used, and every case
 but `assemble_batch4` calls them with one point, so those cases time any
 revision of the package.

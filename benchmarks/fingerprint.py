@@ -11,7 +11,16 @@ the evaluation count and `converged`, for
 - `eig --term 0.1:4 -D 120`, two-parameter and A-only (`--fix-B`);
 
 then one line per `oracle` benchmark call of seeds 0-2 with its exit code
-and energy as float.hex.  Calls that two seeds share are run once.  The
+and energy as float.hex, and last the search lines of
+
+- searches that run out of budget: r^2 + 0.1 r^-4 at D = 6 on budgets
+  12-300, table4 (1,100,100) at D = 10 on 250, and table2 lam=10 D=30
+  (A,B) on 350 from a D = 10 optimum as `init`;
+- searches with a simplex stuck on neighbouring floats: table2 lam=0.1
+  D=80 (A,B) on 3200 from a D = 10 optimum, and `eig --term 0.1:4 -D 5
+  --init-A -100 --init-B 1`.
+
+Calls that two seeds share are run once.  The
 package is imported from `src/` of the script's own checkout, with BLAS
 pinned to one thread as in `perfbench/run.py`.  Takes ~10 s on a 2-vCPU
 x86-64 host.
@@ -37,9 +46,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from spikevar import cli, optimizer, tables  # noqa: E402
+from spikevar.hamiltonian import PotentialSpec  # noqa: E402
 
 SEEDS = (0, 1, 2)
 EIG_ARGV = ["eig", "--term", "0.1:4", "-D", "120", "--format", "json"]
+# (table, row, D, budget) of row searches on a budget that binds or that a
+# stuck simplex would spend; a D above 10 starts from a D = 10 optimum
+BUDGET_ROWS = (("table4", "(1,100,100)", 10, 250),
+               ("table2", "lam=10 D=30 (A,B)", 30, 350),
+               ("table2", "lam=0.1 D=80 (A,B)", 80, 3200))
 
 
 def _recording():
@@ -93,6 +108,21 @@ def main() -> None:
         rc, out = _cli(workloads.oracle_argv(case))
         energy = json.loads(out)["oracle"] if rc == 0 else None
         print(f"oracle {key} rc={rc}: {energy.hex() if energy is not None else None}")
+    spike = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
+    for budget in (12, 40, 100, 200, 300):
+        optimizer.minimize_bound(spike, 6, budget=budget)
+        searches(f"r^2+0.1r^-4 budget={budget}")
+    for tid, label, D, budget in BUDGET_ROWS:
+        v = next(r for r in tables.builtin_job(tid).rows if r.label == label).potential
+        init = None
+        if D > 10:
+            warm = optimizer.minimize_bound(v, 10, budget=800)
+            init = (warm.A_star, warm.B_star)
+        optimizer.minimize_bound(v, D, budget=budget, init=init)
+        searches(f"{tid} {label} budget={budget}")
+    rc, _ = _cli(["eig", "--term", "0.1:4", "-D", "5", "--init-A", "-100",
+                  "--init-B", "1", "--format", "json"])
+    searches(f"eig -D 5 --init-A -100 rc={rc}")
 
 
 if __name__ == "__main__":

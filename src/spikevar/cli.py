@@ -272,8 +272,8 @@ def main(argv=None) -> int:
         rows = [r if r.wall_ms else replace(r, wall_ms=wall / len(rows))
                 for r in rows]
         emit_results(rows, ns.fmt, ns.out, timing=ns.timing)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     if any(r.error for r in rows):
         return 1

@@ -18,14 +18,14 @@ The simplex is a generator: it yields each point to evaluate and receives
 its value.  A search keeps every value it computes in one table keyed on
 the transformed point, so no point is evaluated twice.  Independent points
 -- the prescan grid, a polish scan, and the pending points of the starts'
-simplex runs advanced side by side in a speculative pass -- are evaluated
-together as stacked batches.  A value depends on its point alone, so
-neither the table nor the batches change a bit of a result.
+simplex runs, which advance side by side over the budget they would share if
+run one after another -- are evaluated together as stacked batches.  A
+value depends on its point alone, so neither the table nor the batches
+change a bit of a result.
 
 The polish after the simplex scans each axis around the incumbent and runs
 a golden line search only once a scan has moved the incumbent off the
-converged simplex vertex; a scan that confirms the vertex costs its points
-alone.
+simplex vertex; a scan that confirms the vertex costs its points alone.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ _CLAMP = 50.0     # |u|, |w| cap; exp stays finite
 # stacked temporaries raised the peak RSS of the `tables` benchmark by 6.7%
 # at 1 MiB (one run) and by 1.3% at 128 KiB (median of ten)
 _BATCH_BYTES = 1 << 17
+# largest D a search takes: one evaluation peaks at about 5.5 D x D float64
+# arrays (+91.5 MiB of RSS at D = 1500), 0.7 GiB at this D
+_MAX_D = 4096
 
 
 @dataclass(frozen=True)
@@ -124,11 +127,12 @@ def _golden_polish(fn, x, f, budget, evaluate):
     the centre, which is the incumbent itself, or when an earlier line of
     this polish has moved the incumbent (by a hop or a golden gain).  Every
     other line costs its scan alone.  The polish gets budget only when
-    every start's simplex converged, so the incumbent it starts from is a
-    converged simplex vertex: value spread < _FTOL and diameter < _XTOL =
-    sqrt(_FTOL).  A golden section around such a point, with no scan point
-    below it, is not expected to gain more than that spread: over the
-    non-slow rows of tables 1-5, the `series` benchmark calls and
+    every start's simplex converged or stopped on a step that moved no
+    vertex, so the incumbent it starts from is a vertex the simplex no
+    longer moves; a converged one has value spread < _FTOL and diameter
+    < _XTOL = sqrt(_FTOL).  A golden section around such a point, with no
+    scan point below it, is not expected to gain more than that spread:
+    over the non-slow rows of tables 1-5, the `series` benchmark calls and
     `eig -D 120`, 42 of the 289 such lines gained at all, 41 of them by
     less than 6e-13 and one by 4.2e-11.
     Returns (x, f, evaluations_used).
@@ -183,24 +187,16 @@ def _golden_polish(fn, x, f, budget, evaluate):
     return x, f, used
 
 
-def _best(pts, vals):
-    """The first vertex of least value, as an ndarray, and its value."""
-    i = min(range(len(vals)), key=vals.__getitem__)
-    return np.array(pts[i]), vals[i]
-
-
-def _nelder_mead(x0, budget):
-    """Standard simplex search as a generator, over at most `budget` points.
+def _nelder_mead(x0):
+    """Standard simplex search as a generator.
 
     Yields each point to evaluate, a list of Python floats, and receives its
-    value by `send`.  Returns (x_best, f_best, n_eval, converged), the best
-    vertex as an ndarray.  A run converges once its vertex values spread by
-    less than _FTOL and its diameter is below _XTOL.  The budget is
-    checked before every point, so an exhausted run returns the best point
-    evaluated, and a run with no budget asks for nothing and returns +inf.
+    value by `send`; `_run` counts and bounds its points.  Returns True once
+    its vertex values spread by less than _FTOL and its diameter is below
+    _XTOL, and False once an iteration leaves the sorted vertices as they
+    were: the step is deterministic, so it would repeat forever.  Its best
+    vertex is then the first point of least value it asked for.
     """
-    if budget < 1:
-        return np.array(x0, dtype=float), math.inf, 0, False
     dim = len(x0)
     refl, expa, contr, shrink = _NM_COEFFS
     pts = [[float(t) for t in x0]]
@@ -209,12 +205,9 @@ def _nelder_mead(x0, budget):
         q[i] += _SCALE
         pts.append(q)
     vals = []
-    nev = 0
     for qx in pts:
         vals.append((yield qx))
-        nev += 1
-        if nev >= budget:
-            return (*_best(pts, vals), nev, False)
+    last = None
     while True:
         order = sorted(range(dim + 1), key=lambda i: vals[i])
         pts = [pts[i] for i in order]
@@ -222,9 +215,10 @@ def _nelder_mead(x0, budget):
         best = pts[0]
         diam = max(max(abs(a - b) for a, b in zip(p, best)) for p in pts[1:])
         if diam < _XTOL and vals[-1] - vals[0] < _FTOL:
-            return np.array(best), vals[0], nev, True
-        if nev >= budget:
-            return np.array(best), vals[0], nev, False
+            return True
+        if (pts, vals) == last:  # a simplex collapsed onto neighbouring floats
+            return False
+        last = (pts[:], vals[:])
         # the vertex mean summed in vertex order, then divided, as np.mean
         acc = best
         for p in pts[1:-1]:
@@ -233,80 +227,72 @@ def _nelder_mead(x0, budget):
         worst = pts[-1]
         xr = [c + refl * (c - w) for c, w in zip(centroid, worst)]
         fr = yield xr
-        nev += 1
         if vals[0] <= fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         elif fr < vals[0]:
-            if nev >= budget:  # the reflection is the best point
-                return np.array(xr), fr, nev, False
             xe = [c + expa * (r - c) for c, r in zip(centroid, xr)]
             fe = yield xe
-            nev += 1
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
             else:
                 pts[-1], vals[-1] = xr, fr
         else:
-            if nev >= budget:  # the reflection is no better than the best
-                return np.array(best), vals[0], nev, False
             xc = [c + contr * (w - c) for c, w in zip(centroid, worst)]
             fc = yield xc
-            nev += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, dim + 1):
-                    if nev >= budget:
-                        return (*_best(pts, vals), nev, False)
                     pts[i] = [b + shrink * (p - b) for b, p in zip(best, pts[i])]
                     vals[i] = yield pts[i]
-                    nev += 1
 
 
-def _drive(search, fn):
-    """Run a search generator to its end, answering each point with fn;
-    returns what the search returns."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fn(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _lockstep(searches, known, evaluate, limit):
-    """Advance independent searches side by side, filling `known`.
+def _run(searches, known, evaluate, budget):
+    """Run simplex searches side by side to the results they give one after
+    another in list order, each over the budget the ones before it leave.
 
     `known` maps tuple(x) to the value of x, and `evaluate` stores there
-    the values of a list of points, skipping those it already holds.  Each
-    round hands `evaluate` the pending points, at most one per search, as
-    one list, then answers every search from `known` until it asks for a
-    point not there.  `limit` is what the searches may ask between them
-    when they run one after another in list order: a search stops here
-    once it has asked for what the searches before it leave.
+    the values of a list of points.  Each round hands `evaluate` the
+    pending points, one per search, as one list, then answers every search
+    from `known`, up to the whole budget, until it asks for a point not
+    there.  A search stops asking once it has asked for what the searches
+    before it leave at their present counts.  Returns (x, f, evaluations,
+    converged) per search: its own result if it ended within its share,
+    else the best point it asked within it (its start and +inf for no
+    share), not converged.
     """
-    pending = {}
-    for i, search in enumerate(searches):
-        try:
-            pending[i] = next(search)
-        except StopIteration:
-            pass
-    asked = [0] * len(searches)
-    while pending:
+    # trails[i][k]: the first point of least value among the first k that
+    # search i asked for, and its value
+    trails = [[(next(search), math.inf)] for search in searches]
+    pending = {i: trail[0][0] for i, trail in enumerate(trails)}
+    converged = [False] * len(searches)
+    while True:
+        left = budget
+        for i, trail in enumerate(trails):
+            if len(trail) > left:
+                pending.pop(i, None)
+            left -= min(len(trail) - 1, left)
+        if not pending:
+            break
         evaluate(list(pending.values()))
         for i, x in list(pending.items()):
+            trail = trails[i]
             try:
-                while tuple(x) in known:
-                    asked[i] += 1
-                    x = searches[i].send(known[tuple(x)])
+                while len(trail) <= budget and tuple(x) in known:
+                    f = known[tuple(x)]
+                    trail.append((x, f) if f < trail[-1][1] else trail[-1])
+                    x = searches[i].send(f)
                 pending[i] = x
-            except StopIteration:
+            except StopIteration as stop:
+                converged[i] = stop.value
                 del pending[i]
-        left = limit
-        for i, n in enumerate(asked):
-            if n >= left:
-                pending.pop(i, None)
-            left -= min(n, left)
+    results = []
+    left = budget
+    for trail, ok in zip(trails, converged):
+        n = min(len(trail) - 1, left)
+        results.append((*trail[n], n, ok and n == len(trail) - 1))
+        left -= n
+    return results
 
 
 def _values(v: PotentialSpec, D: int, level: int, points) -> list[float]:
@@ -344,13 +330,11 @@ def minimize_bound(
     grid, and `init` when given (a previous schedule step's optimum) -- each
     over the budget the starts before it leave, then finishes the incumbent
     with scan-and-golden line sweeps (`_golden_polish`).  The polish runs
-    only when every start's simplex converged, and a line's golden section
-    runs only once a scan's best point lies off that converged vertex.
-    Ties between starts keep the first in start order.  A simplex run
-    converges once its vertex values spread by less than _FTOL = 1e-10 and
-    its diameter in (u, w) is below _XTOL = sqrt(_FTOL).  converged means
-    that some start's simplex converged and the budget was not used up;
-    exhausting `budget` returns the best point found with converged=False.
+    only when no start's simplex ran out of budget, and a line's golden
+    section runs only once a scan's best point lies off the incumbent
+    vertex.  Ties between starts keep the first in start order.  converged
+    means that some start's simplex converged and the budget was not used
+    up; exhausting `budget` returns the best point found, not converged.
     `fix_B` pins B (one-parameter search), used for the A-only
     reproduction columns.  A start whose transformed point is not finite
     (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError, and so
@@ -364,17 +348,15 @@ def minimize_bound(
     point costs no assembly, but it still moves the search along the same
     path as without the table.
 
-    The prescan grid and each polish scan are evaluated as stacked
-    batches before the search asks for their points one by one.  Before
-    the simplex runs, a speculative lockstep pass advances them side by
-    side and evaluates each round's pending points as one batch; a point a
-    run asks for that the pass did not reach is evaluated then.  The pass
-    stops a run once it has asked for what the budget leaves after the runs
-    before it, and is skipped where a batch holds one matrix (D > 90).
-    None of this changes a value, path or count.
+    The prescan grid, each polish scan and each round of the simplex runs
+    advanced side by side (`_run`) are evaluated as stacked batches.  None
+    of this changes a value, path or count.
     """
     if D < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {D}")
+    if D > _MAX_D:
+        raise ValueError(f"matrix dimension {D} is above {_MAX_D}: one evaluation "
+                         f"would need about {44 * D * D / 2**30:.3g} GiB")
     if not 0 <= target_level < D:
         raise ValueError(f"need 0 <= target_level < {D}, got {target_level}")
     if budget < 3:
@@ -447,25 +429,12 @@ def minimize_bound(
     if init is not None:
         starts.append(start_point(float(init[0]), float(init[1])))
 
-    # each run gets at most the budget left now, as below; with one
-    # matrix per batch the pass has nothing to stack, and only wastes
-    # evaluations on a search that runs out of budget
-    if per_batch > 1:
-        _lockstep([_nelder_mead(x0, budget - nev) for x0 in starts],
-                  known, evaluate, budget - nev)
-    best_x = None
-    best_f = math.inf
-    any_converged = False
-    for x0 in starts:
-        x, f, _, ok = _drive(_nelder_mead(x0, budget - nev), objective)
-        any_converged = any_converged or ok
-        if f < best_f:
-            best_f = f
-            best_x = x
-    remaining = budget - nev
-    if remaining > 0:
-        best_x, best_f, _ = _golden_polish(
-            objective, best_x.tolist(), best_f, remaining, evaluate)
+    runs = _run([_nelder_mead(x0) for x0 in starts], known, evaluate, budget - nev)
+    nev += sum(run[2] for run in runs)
+    best_x, best_f, _, _ = min(runs, key=lambda run: run[1])  # the first of least f
+    if nev < budget:
+        best_x, best_f, _ = _golden_polish(objective, best_x, best_f,
+                                           budget - nev, evaluate)
     A_star, B_star = decode(best_x)
     H = assemble(ModelParams(A_star, B_star, v.N, v.l), v, D)
     bounds = eigen_symmetric(H).values
@@ -475,7 +444,7 @@ def minimize_bound(
         bounds=bounds,
         target_level=target_level,
         evaluations=nev,
-        converged=any_converged and nev < budget,
+        converged=any(run[3] for run in runs) and nev < budget,
     )
 
 
@@ -518,11 +487,14 @@ def ground_state_first_order(lam: float, mode: str = "a") -> float:
                 4.0 * (g - 1.0)
             )
 
-        best = math.inf
-        for g0, b0 in ((3.5, 1.0), (2.0 + 2.0 * lam ** (1.0 / 3.0), 1.0)):
-            x = [math.log(max(g0 - 2.0, 1e-12)), math.log(b0)]
-            best = min(best, _drive(_nelder_mead(x, 2000), fn)[1])
-        return best
+        known = {}
+
+        def evaluate(xs):
+            known.update((tuple(x), fn(x)) for x in xs)
+
+        starts = ([math.log(max(g0 - 2.0, 1e-12)), math.log(b0)]
+                  for g0, b0 in ((3.5, 1.0), (2.0 + 2.0 * lam ** (1.0 / 3.0), 1.0)))
+        return min(_run([_nelder_mead(x)], known, evaluate, 2000)[0][1] for x in starts)
     raise ValueError(f"mode must be 'a' or 'ab', got {mode!r}")
 
 

@@ -1,11 +1,14 @@
 """Reference Nelder-Mead simplex, independent of the package.
 
-The simplex search as `spikevar.optimizer._nelder_mead` ran it on numpy
-vectors, before its vertex arithmetic moved to Python floats.  It performs
-the same floating-point operations in the same order, so the two searches
-must return identical points, values and evaluation counts.  Like the
-package's, it checks the budget before every point after the first, so it
-never makes more than `budget` evaluations.
+The simplex search of `spikevar.optimizer` on numpy vectors, as it ran
+before its vertex arithmetic moved to Python floats and its budget moved
+out to `_run`.  It performs the same floating-point operations in the same
+order, so a run of `_nelder_mead` through `_run` must return the identical
+point, value, evaluation count and flag.  It checks the budget before
+every point after the first, so it never makes more than `budget`
+evaluations, and returns the best point it evaluated when the budget runs
+out.  It has no stop for a step that moves no vertex, which the package's
+simplex has; the tests' rippled bowls never take such a step.
 """
 
 import math

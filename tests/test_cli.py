@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikevar import cli
+from spikevar import cli, optimizer
 from spikevar.hamiltonian import PotentialSpec
 from spikevar.oracle import shoot_eigenvalue
 from spikevar.tables import RowResult, TableReport
@@ -242,6 +242,19 @@ class TestMain:
         monkeypatch.setattr(cli, "run_table", lambda *a, **k: broken)
         assert cli.main(["table", "--id", "table3"]) == 1
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 29.1 TiB"), "error: Unable to allocate 29.1 TiB"),
+        (MemoryError(), "error: MemoryError"),
+    ])
+    def test_memory_error_is_one_error_line(self, exc, line, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "minimize_bound", exhausted)
+        assert cli.main(["eig", "--term", "0.1:4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [line]
+
 
 # extreme or newly admitted inputs: (argv, value printed, tolerance), or
 # (argv, None, text of the one error line)
@@ -272,6 +285,9 @@ EDGE_CASES = [
     (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "5", "--init-B", "nan"],
      None, "init B must be finite and > 0"),
     (["oracle", "--term=-1:1000", "--term", "1:2000"], None, "inf - inf"),
+    # refused before anything is allocated
+    (["eig", "--term", "0.1:4", "-D", str(optimizer._MAX_D + 1)], None,
+     "would need about 0.688 GiB"),
     (["eig", "--term=-1:1"], None, "not supported"),
     (["oracle", "--term=-0.3:2"], None, "< -1/4"),
     (["first-order", "--lambda", "1e200"], 8.77205321e66, 1e58),

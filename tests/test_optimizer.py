@@ -294,14 +294,24 @@ class TestBudget:
 
     @pytest.mark.parametrize("budget", range(3, 61))
     def test_evaluations_never_exceed_budget(self, budget):
-        # the simplex checks the budget before an expansion, a contraction
-        # and each shrink point, not only at the top of an iteration
+        # a run's share can end before an expansion, a contraction or
+        # inside a shrink, not only at the top of an iteration
         assert minimize_bound(SPIKE_01_4, 6, budget=budget).evaluations <= budget
 
     def test_simplex_without_budget_asks_nothing(self):
-        x, f, nev, ok = optimizer._drive(optimizer._nelder_mead([0.3, -0.2], 0),
-                                         lambda x: pytest.fail("asked a point"))
-        assert (x.tolist(), f, nev, ok) == ([0.3, -0.2], math.inf, 0, False)
+        def evaluate(xs):
+            pytest.fail("asked a point")
+
+        got = optimizer._run([optimizer._nelder_mead([0.3, -0.2])], {}, evaluate, 0)
+        assert got == [([0.3, -0.2], math.inf, 0, False)]
+
+    def test_search_with_no_finite_value_returns_its_first_start(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_values",
+                            lambda v, D, level, points: [math.inf] * len(points))
+        res = minimize_bound(SPIKE_01_4, 6, budget=200)
+        first_start = (feasible_A_min(SPIKE_01_4) + 1.0, SPIKE_01_4.a1)
+        assert (res.A_star, res.B_star) == pytest.approx(first_start)
+        assert (res.evaluations, res.converged) == (200, False)
 
     def test_deterministic_given_inputs(self):
         r1 = minimize_bound(SPIKE_01_4, 6)
@@ -309,6 +319,42 @@ class TestBudget:
         assert r1.A_star == r2.A_star
         assert r1.B_star == r2.B_star
         assert np.array_equal(r1.bounds, r2.bounds)
+
+
+class TestStuckSimplex:
+    """A simplex run whose step moves no vertex stops there, where it used
+    to ask for the same points until the search's budget ran out; the bound
+    keeps the value it had then."""
+
+    def test_collapsed_warm_start_stops(self):
+        # the D=10 optimum's run collapses onto neighbouring floats at D=80
+        row = next(r for r in builtin_job("table2").rows
+                   if r.label == "lam=0.1 D=80 (A,B)")
+        warm = minimize_bound(row.potential, 10, budget=800)
+        res = minimize_bound(row.potential, 80, init=(warm.A_star, warm.B_star),
+                             budget=3200)
+        assert res.bound == pytest.approx(3.915665451360546, abs=1e-12)
+        assert res.evaluations < 1000 and res.converged
+
+    def test_start_clamped_at_A_min_stops(self):
+        # init A below A_min starts at A_min + 1e-12, as `eig --init-A -100`
+        res = minimize_bound(SPIKE_01_4, 5, init=(-100.0, 1.0))
+        assert res.bound == pytest.approx(3.593767131701561, abs=1e-12)
+        assert res.evaluations < 1000 and res.converged
+
+
+def _simplex_runs(f, x0s, budget, batches=None):
+    """`_run` over one simplex run per start in x0s, answering from f and
+    recording the size of each batch in batches."""
+    known = {}
+
+    def evaluate(xs):
+        if batches is not None:
+            batches.append(len(xs))
+        known.update((tuple(x), f(x)) for x in xs)
+
+    return optimizer._run([optimizer._nelder_mead(x0) for x0 in x0s], known,
+                          evaluate, budget)
 
 
 def _rippled_bowl(seed: int, dim: int):
@@ -328,7 +374,8 @@ def _rippled_bowl(seed: int, dim: int):
 
 
 class TestSimplexReference:
-    """The float simplex repeats the numpy reference (tests/nmref.py) exactly."""
+    """The float simplex, bounded by `_run`, repeats the numpy reference
+    (tests/nmref.py) exactly."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("seed", range(6))
@@ -343,9 +390,8 @@ class TestSimplexReference:
         # and inside a shrink
         for budget in [*range(1, full[2] + 2), 2000]:
             want = nelder_mead_ref(f, x0, scale, budget)
-            got = optimizer._drive(optimizer._nelder_mead(x0, budget), f)
-            assert isinstance(got[0], np.ndarray)
-            assert got[0].tobytes() == want[0].tobytes(), budget
+            (got,) = _simplex_runs(f, [x0], budget)
+            assert np.array(got[0]).tobytes() == want[0].tobytes(), budget
             assert got[1:] == want[1:], budget
             assert got[2] <= budget
 
@@ -367,27 +413,43 @@ class TestSimplexReference:
         assert ground_state_first_order(lam, "ab").hex() == best.hex()
 
 
+def _search_bits(res):
+    return (res.A_star.hex(), res.B_star.hex(), res.bounds.tobytes(),
+            res.evaluations, res.converged)
+
+
+def _bits_batched_and_alone(monkeypatch, v, D, **kw):
+    """The bits of one search with its points stacked as usual and with
+    every point built alone, and the largest stack of the first."""
+    stacks = []
+    real_values = optimizer._values
+
+    def values(v, D, level, points):
+        stacks.append(len(points))
+        return real_values(v, D, level, points)
+
+    monkeypatch.setattr(optimizer, "_values", values)
+    batched = minimize_bound(v, D, **kw)
+    widest = max(stacks)
+    monkeypatch.setattr(optimizer, "_BATCH_BYTES", 1)
+    stacks.clear()
+    alone = minimize_bound(v, D, **kw)
+    assert max(stacks) == 1
+    return batched, alone, widest
+
+
 class TestEvaluationCaches:
-    """The values the lockstep pass puts in the search's value table change
-    no bit of a search."""
+    """Stacking a search's points into batches, the prescan's, the polish
+    scans' and the simplex runs' side by side, changes no bit of it."""
 
     @pytest.mark.parametrize("table", ["table3", "table5"])
     def test_search_bitwise_equal_without_caches(self, table, monkeypatch):
         row = builtin_job(table).rows[0]
-        v = row.potential
-
-        def search():
-            return minimize_bound(v, row.D, row.level, budget=max(2000, 40 * row.D))
-
-        cached = search()
-        # without the lockstep pass the table holds only what the search asked
-        monkeypatch.setattr(optimizer, "_lockstep", lambda *args: None)
-        bare = search()
-        assert cached.A_star.hex() == bare.A_star.hex()
-        assert cached.B_star.hex() == bare.B_star.hex()
-        assert cached.bounds.tobytes() == bare.bounds.tobytes()
-        assert (cached.evaluations, cached.converged) == (bare.evaluations,
-                                                           bare.converged)
+        batched, alone, widest = _bits_batched_and_alone(
+            monkeypatch, row.potential, row.D, target_level=row.level,
+            budget=max(2000, 40 * row.D))
+        assert widest > 1
+        assert _search_bits(batched) == _search_bits(alone)
 
     def test_memo_answers_repeated_points(self, monkeypatch):
         calls = []
@@ -404,13 +466,9 @@ class TestEvaluationCaches:
         assert len(calls) - 1 < res.evaluations
 
 
-def _search_bits(res):
-    return (res.A_star.hex(), res.B_star.hex(), res.bounds.tobytes(),
-            res.evaluations, res.converged)
-
-
 class TestLockstep:
-    """The speculative lockstep pass changes no bit, path or count."""
+    """Runs advanced side by side give each what it gives one after
+    another, with the same bits, path and count."""
 
     @pytest.mark.parametrize("case", ["a_only", "warm_table4", "table2_lam10_D30"])
     def test_search_bitwise_equal_without_the_pass(self, case, monkeypatch):
@@ -418,34 +476,23 @@ class TestLockstep:
             v, D, kw = SPIKE_01_4, 10, {"fix_B": 1.0}
         elif case == "warm_table4":
             # a D=10 search of (1,100,100) on a budget it runs out of, on
-            # which the pass's `limit` stops a run
+            # which a run stops at its share
             row = next(r for r in builtin_job("table4").rows if r.label == "(1,100,100)")
             v, D, kw = row.potential, 10, {"budget": 250}
         else:
             # with an `init` start (a D=10 optimum, as `converge` passes the
-            # previous step's), on a budget it runs out of, on which the
-            # pass's `limit` stops a run
+            # previous step's), on a budget it runs out of, on which a run
+            # stops at its share
             row = next(r for r in builtin_job("table2").rows
                        if r.label == "lam=10 D=30 (A,B)")
             warm = minimize_bound(row.potential, 10, budget=800)
             v, D, kw = row.potential, 30, {"init": (warm.A_star, warm.B_star),
                                            "budget": 350}
 
-        passes = []
-        real = optimizer._lockstep
-
-        def counted(searches, known, *args):
-            before = len(known)
-            real(searches, known, *args)
-            passes.append(len(known) - before)
-
-        monkeypatch.setattr(optimizer, "_lockstep", counted)
-        on = minimize_bound(v, D, **kw)
-        assert passes and max(passes) > 0
-        monkeypatch.setattr(optimizer, "_lockstep", lambda *args: None)
-        off = minimize_bound(v, D, **kw)
+        on, off, widest = _bits_batched_and_alone(monkeypatch, v, D, **kw)
+        assert widest > 1
         assert _search_bits(on) == _search_bits(off)
-        if case != "a_only":  # the pass's `limit` stops a run
+        if case != "a_only":  # a run stops at its share
             assert on.evaluations == kw["budget"] and not on.converged
 
     def test_overflowing_point_becomes_inf_alone(self):
@@ -459,28 +506,23 @@ class TestLockstep:
         assert got == [optimizer._values(v, 10, 0, [p])[0] for p in points]
 
     def test_lockstep_answers_every_point_each_search_asks(self):
-        searches = [optimizer._nelder_mead([0.3, -0.2], 400),
-                    optimizer._nelder_mead([1.5, 0.7], 400)]
         f = _rippled_bowl(3, 2)
-        known = {}
-        batches = []
-
-        def evaluate(xs):
-            todo = [tuple(x) for x in xs if tuple(x) not in known]
-            batches.append(len(todo))
-            known.update((x, f(x)) for x in todo)
-
-        optimizer._lockstep(searches, known, evaluate, 800)
-        assert max(batches) == 2
-        for x0 in ([0.3, -0.2], [1.5, 0.7]):
-            asked = []
-
-            def fn(x):
-                asked.append(tuple(x))
-                return f(x)
-
-            optimizer._drive(optimizer._nelder_mead(x0, 400), fn)
-            assert all(known[x] == f(x) for x in asked)
+        x0s = ([0.3, -0.2], [1.5, 0.7])
+        (first,) = _simplex_runs(f, x0s[:1], 2000)
+        (second,) = _simplex_runs(f, x0s[1:], 2000)
+        assert first[3] and second[3]
+        # every budget up to both runs' counts: the first run cut short,
+        # the second cut short or given no share at all
+        for budget in range(first[2] + second[2] + 2):
+            batches = []
+            got = _simplex_runs(f, x0s, budget, batches)
+            want = _simplex_runs(f, x0s[:1], budget)
+            want += _simplex_runs(f, x0s[1:], budget - want[0][2])
+            assert got == want, budget
+            assert sum(run[2] for run in got) <= budget
+            assert max(batches, default=0) <= 2
+            if budget > first[2]:
+                assert max(batches) == 2  # both runs ask side by side
 
 
 class TestValueTable:
@@ -499,11 +541,11 @@ class TestValueTable:
         else:
             v, D, kw = SPIKE_01_4, 20, {"fix_B": 1.0}
         tables = []
-        real_lockstep = optimizer._lockstep
+        real_run = optimizer._run
 
-        def lockstep(searches, known, *args):
+        def run(searches, known, *args):
             tables.append(known)
-            real_lockstep(searches, known, *args)
+            return real_run(searches, known, *args)
 
         points = []
         real_values = optimizer._values
@@ -512,7 +554,7 @@ class TestValueTable:
             points.extend(batch)
             return real_values(v, D, level, batch)
 
-        monkeypatch.setattr(optimizer, "_lockstep", lockstep)
+        monkeypatch.setattr(optimizer, "_run", run)
         monkeypatch.setattr(optimizer, "_values", values)
         minimize_bound(v, D, **kw)
         (known,) = tables  # the one table of the search, filled to the end
