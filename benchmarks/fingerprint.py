@@ -10,8 +10,10 @@ the evaluation count and `converged`, for
 - the `series` benchmark's converge calls of seeds 0-2;
 - `eig --term 0.1:4 -D 120`, two-parameter and A-only (`--fix-B`);
 
-then one line per `oracle` benchmark call of seeds 0-2 with its exit code
-and energy as float.hex, and last the search lines of
+then one line per `oracle` benchmark call of seeds 0-2 with its exit code,
+its energy as float.hex and its work (`OracleResult.sweeps`, the kernel
+calls, and `steps`, the final grid's RK4 steps), and last the search
+lines of
 
 - searches that run out of budget: r^2 + 0.1 r^-4 at D = 6 on budgets
   12-300, table4 (1,100,100) at D = 10 on 250, and table2 lam=10 D=30
@@ -45,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from spikevar import cli, optimizer, tables  # noqa: E402
+from spikevar import cli, optimizer, oracle, tables  # noqa: E402
 from spikevar.hamiltonian import PotentialSpec  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -71,6 +73,20 @@ def _recording():
     for module in (optimizer, tables, cli):
         module.minimize_bound = recorded
     return calls
+
+
+def _recording_oracle():
+    """Route the CLI's shoot_eigenvalue calls through a wrapper that appends
+    each OracleResult to the returned list."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        res = oracle.shoot_eigenvalue(*args, **kwargs)
+        results.append(res)
+        return res
+
+    cli.shoot_eigenvalue = recorded
+    return results
 
 
 def _cli(argv):
@@ -103,11 +119,14 @@ def main() -> None:
     for extra in ([], ["--fix-B"]):
         rc, _ = _cli(EIG_ARGV + extra)
         searches(" ".join(["eig -D 120", *extra, f"rc={rc}"]))
+    shots = _recording_oracle()
     cases = {c["key"]: c for seed in SEEDS for c in workloads.build_oracle(seed)}
     for key, case in cases.items():
         rc, out = _cli(workloads.oracle_argv(case))
         energy = json.loads(out)["oracle"] if rc == 0 else None
-        print(f"oracle {key} rc={rc}: {energy.hex() if energy is not None else None}")
+        work = "".join(f" sweeps={r.sweeps} steps={r.steps}" for r in shots)
+        shots.clear()
+        print(f"oracle {key} rc={rc}: {energy.hex() if energy is not None else None}{work}")
     spike = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
     for budget in (12, 40, 100, 200, 300):
         optimizer.minimize_bound(spike, 6, budget=budget)

@@ -2,19 +2,28 @@
 Schrodinger equation.
 
 -y'' + [Lam(Lam+1)/r^2 + V(r)] y = E y is integrated with fixed-step RK4 on a
-composite log-uniform / uniform grid, each step applied as its exact 2x2
-transfer matrix on (y, y'), tabulated with numpy and multiplied together
-16 steps at a time, so that Python touches the state once per 16 steps.
+composite grid: log-uniform from r_min to r_sw, uniform in the well at a
+step whose phase at the energy cap is 0.03 rad up to tol 1e-8 and grows as
+tol^(1/4) to 0.06 rad from tol ~1.6e-7 on, and, beyond 1.5 units of WKB
+action past the outer turning point at the cap, a tail stepped only for
+RK4 stability (h kappa <= 0.5), since an error made there reaches the
+matching point damped by exp(-2 action).  The outer cutoff leaves a tail of
+WKB action 8 + ln(1/tol)/2, so a looser tolerance integrates a shorter
+domain.  Each step is applied as its exact 2x2 transfer matrix on (y, y'),
+tabulated with numpy and multiplied together 16 steps at a time, so that
+Python touches the state once per 16 steps.  A kernel call's fixed cost
+(~75 us on a 2-vCPU x86-64 host) is worth ~1000 steps (~75 ns each), so
+each call runs several sweeps (chains) where it can: the outward and inward
+halves of every matching evaluation, and both ends of every bracket.
+
 The energy is located by bisection on the interior node count down to a
 bracket holding one node transition, then refined by Brent's method on the
 mismatch of logarithmic derivatives of outward and inward sweeps at the
-outer classical turning point.  The outer cutoff leaves a tail of WKB action
-8 + ln(1/tol)/2 beyond it, so a looser tolerance integrates a shorter
-domain.  The grid density is doubled
-until the eigenvalue moves by less than tol/4 under step halving (Richardson
-self-consistency); each refined grid first tries a narrow bracket around the
+outer classical turning point.  The grid density is doubled until the
+eigenvalue moves by less than tol/4 under step halving (Richardson
+self-consistency); each refined grid first tries narrow brackets around the
 previous grid's eigenvalue and searches from the potential floor only when
-that bracket does not hold the level.
+none of them holds the level.
 
 This module never touches the variational machinery: it is the check the
 variational bounds are measured against.
@@ -22,6 +31,7 @@ variational bounds are measured against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,11 +50,22 @@ _RMAX_CAP = 20.0     # default outer cutoff ceiling (override via r_max)
 _TAIL_ACTION = 8.0
 _TAIL_MAX = 41.5     # the longest tail asked for, a 1e-18 one
 _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
+# beyond _TAIL_START of WKB action past the outer turning point at the
+# energy cap, an error of the tail reaches the matching point damped by
+# exp(-2 action) or more, so the tail is stepped for RK4 stability alone,
+# at h kappa = _TAIL_HK, rather than as finely as the well
+_TAIL_START = 1.5
+_TAIL_HK = 0.5
 _BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
 _SPAN = 16           # RK4 steps per block product; a power of two
 _WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
-_WIDEN = 16.0        # the one retry's bracket is this many times wider
+_WIDEN = 16.0        # each of two retries widens the bracket this many times
 _MAX_STEPS = 4_000_000  # RK4 steps of one grid; ~0.3 GB of tabulated arrays
+# probe radii of the energy cap and of the inner cutoff
+_CAP_PROBE = np.geomspace(1e-3, 10.0, 1024)
+_CORE_PROBE = np.geomspace(_RMIN_CAP, 2.0, 4000)
+_CAP_PROBE.flags.writeable = False
+_CORE_PROBE.flags.writeable = False
 
 BACKEND = "pure"     # the numpy-tabulated _sweep below is the only kernel
 
@@ -64,10 +85,11 @@ class OracleResult:
     bracket's width, but never less than tol/8, where the root search stops.
     The eigenvalue lies within a couple of bracket_width above `energy`, and
     bracket_width <= the requested tolerance, so the estimate is still
-    accurate to tol.  sweeps counts the RK4 sweeps of the whole call, over
-    every grid it tried; fallbacks counts the refined grids whose two warm
-    brackets around the previous grid's energy were both rejected, so that
-    their search started from the potential floor.
+    accurate to tol.  sweeps counts the RK4 kernel calls of the whole call,
+    over every grid it tried, each of which may run several chains;
+    fallbacks counts the refined grids whose three warm brackets around the
+    previous grid's energy were all rejected, so that their search started
+    from the potential floor.
     """
 
     energy: float
@@ -82,7 +104,8 @@ class OracleResult:
 
 
 class _Tally:
-    """RK4 sweeps run so far by one shoot_eigenvalue call, over all its grids."""
+    """RK4 kernel calls made so far by one shoot_eigenvalue call, over all
+    its grids."""
 
     def __init__(self):
         self.sweeps = 0
@@ -101,7 +124,28 @@ def _product(later, earlier):
     return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
 
 
-def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
+def _chunks(lengths):
+    """Cut chains of the given step counts, each padded to whole blocks of
+    _SPAN, into chunks of at most _BLOCK steps; yield each chunk as a list
+    of pieces (chain, index of the chain's first step, first step, end)."""
+    chunk, room, offset = [], _BLOCK, 0
+    for k, n in enumerate(lengths):
+        padded = n + (-n % _SPAN)
+        a = 0
+        while a < padded:
+            b = a + min(room, padded - a)
+            chunk.append((k, offset, a, b))
+            room -= b - a
+            a = b
+            if not room:
+                yield chunk
+                chunk, room = [], _BLOCK
+        offset += n
+    if chunk:
+        yield chunk
+
+
+def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False, chains=None):
     """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y; return (y1, y2, nodes).
 
     W is tabulated at the len(h) + 1 step endpoints (w_nodes) and the len(h)
@@ -116,12 +160,12 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
         M10 = h / 6 (q0 + 4 qm + q1 + h^2 qm (q0 + q1) / 2)
         M11 = 1 + h^2 (2 qm + q1) / 6 + h^4 qm q1 / 24
 
-    The matrices are tabulated with numpy _BLOCK steps at a time and split
-    into blocks of _SPAN steps (the last block padded with h = 0 steps,
-    which are exactly the identity).  Pairwise products, later times
-    earlier, reduce each block to one matrix in log2(_SPAN) numpy passes,
-    so the Python loop runs once per block: it applies the block's product
-    and renormalizes the state whenever it threatens to overflow or
+    The steps are split into blocks of _SPAN (the last block padded with
+    h = 0 steps, which are exactly the identity) and their matrices are
+    tabulated with numpy _BLOCK steps at a time.  Pairwise products, later
+    times earlier, reduce each block to one matrix in log2(_SPAN) numpy
+    passes, so the Python loop runs once per block: it applies the block's
+    product and renormalizes the state whenever it threatens to overflow or
     underflow.  The guard at 1e250 leaves a factor 1e58 of headroom, far
     more than the 16 steps of one block can change the state by, and the
     rescaling cancels out of node counts and logarithmic derivatives.
@@ -131,24 +175,38 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
     sign changes of y are counted with numpy; an exact zero leaves the
     previous sign in place.  The start values may be numpy scalars; the
     returned state is Python floats.
+
+    Several sweeps (chains) run in one call when `chains` lists their step
+    counts: h then holds every chain's steps, one chain after another,
+    w_nodes each chain's len + 1 node values and w_mid its midpoint values
+    in the same order, and energy, y1 and y2 one value per chain; the call
+    returns a list of (y1, y2, nodes), one per chain.  Each chain is padded
+    to whole blocks on its own, so it gets the exact bits of a call of its
+    own, while the call's fixed cost is paid once for all of them.
     """
-    y1 = float(y1)
-    y2 = float(y2)
-    nodes = 0
-    prev = y1  # the last nonzero y so far, or the zero start
-    for start in range(0, len(h), _BLOCK):
-        stop = min(start + _BLOCK, len(h))
-        hb = h[start:stop]
-        qn = w_nodes[start:stop + 1] - energy
-        qm = w_mid[start:stop] - energy
-        pad = -(stop - start) % _SPAN
-        if pad:
-            zeros = np.zeros(pad)
-            hb = np.concatenate((hb, zeros))
-            qn = np.concatenate((qn, zeros))
-            qm = np.concatenate((qm, zeros))
-        q0 = qn[:-1]
-        q1 = qn[1:]
+    single = chains is None
+    if single:
+        energy, y1, y2, chains = (energy,), (y1,), (y2,), (len(h),)
+    states = [(float(a), float(b)) for a, b in zip(y1, y2)]
+    nodes = [0] * len(chains)
+    prev = [a for a, _ in states]  # each chain's last nonzero y, or its zero start
+    for chunk in _chunks(chains):
+        parts = []  # h, q0, qm, q1 of each piece
+        for k, offset, a, b in chunk:
+            # steps a .. stop - 1 of chain k, then h = 0 padding up to b;
+            # each chain before it has one node more than steps
+            stop = min(b, chains[k])
+            hp = h[offset + a:offset + stop]
+            qn = w_nodes[offset + k + a:offset + k + stop + 1] - energy[k]
+            qm = w_mid[offset + a:offset + stop] - energy[k]
+            if b > stop:
+                zeros = np.zeros(b - stop)
+                hp, qn, qm = (np.concatenate((x, zeros)) for x in (hp, qn, qm))
+            parts.append((hp, qn[:-1], qm, qn[1:]))
+        if len(parts) == 1:
+            hb, q0, qm, q1 = parts[0]
+        else:
+            hb, q0, qm, q1 = (np.concatenate(x) for x in zip(*parts))
         blocks = len(hb) // _SPAN
         h2 = hb * hb
         h2qm = h2 * qm
@@ -165,18 +223,21 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
         while levels[-1].shape[-1] > 1:
             t = levels[-1]
             levels.append(_product(t[..., 1::2], t[..., 0::2]))
-        block = levels.pop().reshape(4, blocks).tolist()
+        products = zip(*levels.pop().reshape(4, blocks).tolist())
         starts1 = []
         starts2 = []
-        for a, b, c, d in zip(*block):
-            if count_nodes:
-                starts1.append(y1)
-                starts2.append(y2)
-            y1, y2 = a * y1 + b * y2, c * y1 + d * y2
-            mag = abs(y1) + abs(y2)
-            if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
-                y1 /= mag
-                y2 /= mag
+        for k, _, a, b in chunk:
+            y1, y2 = states[k]
+            for m00, m01, m10, m11 in itertools.islice(products, (b - a) // _SPAN):
+                if count_nodes:
+                    starts1.append(y1)
+                    starts2.append(y2)
+                y1, y2 = m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
+                mag = abs(y1) + abs(y2)
+                if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
+                    y1 /= mag
+                    y2 /= mag
+            states[k] = y1, y2
         if count_nodes:
             # states at the start of every step: the left half of each
             # product starts where its parent does, the right half after
@@ -188,15 +249,20 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False):
                 finer[..., 0::2] = state
                 finer[..., 1::2] = left[:, 0] * state[0] + left[:, 1] * state[1]
                 state = finer
-            # y after every step, led by the last nonzero y before them
-            seq = np.append(state[0].ravel(), y1)
-            seq[0] = prev
-            seq = seq[seq != 0.0]
-            sign = seq > 0.0
-            nodes += int(np.count_nonzero(sign[1:] != sign[:-1]))
-            if seq.size:
-                prev = seq[-1]
-    return y1, y2, nodes
+            ys = state[0].ravel()
+            for k, _, a, b in chunk:
+                # y after every step of the piece, led by the last nonzero y
+                # before them
+                seq = np.append(ys[:b - a], states[k][0])
+                ys = ys[b - a:]
+                seq[0] = prev[k]
+                seq = seq[seq != 0.0]
+                sign = seq > 0.0
+                nodes[k] += int(np.count_nonzero(sign[1:] != sign[:-1]))
+                if seq.size:
+                    prev[k] = seq[-1]
+    out = [(y1, y2, n) for (y1, y2), n in zip(states, nodes)]
+    return out[0] if single else out
 
 
 class _RadialProblem:
@@ -251,62 +317,129 @@ class _RadialProblem:
         return out
 
 
-class _Grid:
-    """Composite grid with the potential pre-tabulated for the RK4 kernel;
-    every sweep over it is counted in `tally`."""
+class _Domain:
+    """What every grid density on [r_min, r_max] shares, computed once: the
+    step counts at grid scale 1 of the log-uniform core (n_log), of the
+    uniform well run out to r_max (n_uni) and of the stability-stepped tail
+    (n_tail), and where that tail begins (r_tail)."""
 
     def __init__(self, prob: _RadialProblem, r_min: float, r_max: float,
-                 e_cap: float, scale: float, tally: _Tally):
-        self._tally = tally
-        r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
-        w_floor_est = prob.floor(np.geomspace(r_min, r_max, 512))
-        k_est = math.sqrt(max(e_cap - w_floor_est, 1.0))
+                 e_cap: float, tol: float):
+        self.prob = prob
+        self.e_cap = e_cap
+        self.r_min = r_min
+        self.r_max = r_max
+        self.r_sw = r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
+        rr = np.geomspace(r_min, r_max, 512)
+        wv = prob.probe(rr)
+        w_floor = prob.floor(rr, wv)
+        k_est = math.sqrt(max(e_cap - w_floor, 1.0))
         w_sw = prob.probe(np.array([r_sw]))[0]
-        h_uni = min(0.03 / k_est, 0.25 / math.sqrt(max(w_sw, 1.0)))
-        n_uni = max(600, int(math.ceil((r_max - r_sw) / h_uni)))
+        h_uni = min(_phase(tol) / k_est, 0.25 / math.sqrt(max(w_sw, 1.0)))
+        # uniform steps from r_sw to r_max at the well's step
+        self.n_uni = max(600, int(math.ceil((r_max - r_sw) / h_uni)))
         stiff = math.sqrt(max(prob.probe(np.array([r_min]))[0], 1.0)) * r_min
         delta = min(0.08, 0.25 / max(stiff, 1.0))
-        n_log = max(64, int(math.ceil(math.log(r_sw / r_min) / delta)))
-        n_uni = int(math.ceil(n_uni * scale))
-        n_log = int(math.ceil(n_log * scale))
+        self.n_log = max(64, int(math.ceil(math.log(r_sw / r_min) / delta)))
+        # the tail begins _TAIL_START of WKB action past the outer turning
+        # point at e_cap and takes steps of _TAIL_HK / kappa, kappa its
+        # steepest sqrt(W - floor): no energy searched is below the floor
+        self.r_tail = r_max
+        self.n_tail = 0.0
+        below = np.flatnonzero(wv < e_cap)
+        if below.size:
+            outer = int(below[-1])
+            q = np.sqrt(np.maximum(wv[outer:] - e_cap, 0.0))
+            k = _action_reach(rr[outer:], q, _TAIL_START)
+            if k is not None:
+                kappa = math.sqrt(max(float(wv[outer + k:].max()) - w_floor, 1.0))
+                if math.isfinite(kappa):  # the probe lets W overflow to inf
+                    self.r_tail = max(float(rr[outer + k]), r_sw)
+                    self.n_tail = (r_max - self.r_tail) * kappa / _TAIL_HK
+
+
+class _Grid:
+    """Composite grid with the potential pre-tabulated for the RK4 kernel:
+    log-uniform from r_min to r_sw, uniform at the well's step from there,
+    and from r_tail to r_max at the tail's own step where that makes the
+    grid shorter.  Every kernel call over it is counted in `tally`."""
+
+    def __init__(self, dom: _Domain, scale: float, tally: _Tally):
+        self._tally = tally
+        r_min, r_sw, r_max = dom.r_min, dom.r_sw, dom.r_max
+        n_log = int(math.ceil(dom.n_log * scale))
+        n_uni = int(math.ceil(dom.n_uni * scale))
+        # the tail starts at the first well node at or past r_tail, so the
+        # well's nodes are those of a grid without the tail
+        n_well = int(math.ceil(n_uni * (dom.r_tail - r_sw) / (r_max - r_sw)))
+        n_tail = int(math.ceil(dom.n_tail * scale))
+        if n_well + n_tail >= n_uni:  # the tail's own step saves nothing
+            n_well, n_tail = n_uni, 0
+        steps = n_log + n_well + n_tail
         # the matching point of _solve_at_density lies in [3, steps - 3]
-        if n_uni + n_log < 6:
+        if steps < 6:
             raise ShootingError(
                 f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would have "
-                f"{n_uni + n_log} steps, too few to hold the matching point "
+                f"{steps} steps, too few to hold the matching point "
                 f"(at least 6): grid scale {scale:g} is too small")
-        if n_uni + n_log > _MAX_STEPS:
+        if steps > _MAX_STEPS:
             raise ShootingError(
                 f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would need "
-                f"{n_uni + n_log:.3g} steps, more than {_MAX_STEPS:.0e}: energies "
-                f"up to {e_cap:.3g} oscillate too fast to resolve there")
-        g_log = np.geomspace(r_min, r_sw, n_log + 1)
-        g_uni = np.linspace(r_sw, r_max, n_uni + 1)
-        self.r = np.concatenate([g_log, g_uni[1:]])
+                f"{steps:.3g} steps, more than {_MAX_STEPS:.0e}: energies "
+                f"up to {dom.e_cap:.3g} oscillate too fast to resolve there")
+        g_uni = np.linspace(r_sw, r_max, n_uni + 1)[:n_well + 1]
+        self.r = np.concatenate([np.geomspace(r_min, r_sw, n_log + 1), g_uni[1:],
+                                 np.linspace(g_uni[-1], r_max, n_tail + 1)[1:]])
         self.h = np.diff(self.r)
         mid = 0.5 * (self.r[:-1] + self.r[1:])
+        prob = dom.prob
         self.wn = prob.w(self.r)
         self.wm = prob.w(mid)
         self.w_floor = min(prob.floor(self.r, self.wn), prob.floor(mid, self.wm))
         self.steps = len(self.h)
+        self._prob = prob
+        self._w0_prime = prob.w_prime(float(self.r[0]))
         # contiguous reversed copies for inward sweeps
         self._wn_r = np.ascontiguousarray(self.wn[::-1])
         self._wm_r = np.ascontiguousarray(self.wm[::-1])
         self._h_r = np.ascontiguousarray(-self.h[::-1])
 
-    def outward(self, energy, y1, y2, count_nodes=False, stop=None):
-        self._tally.sweeps += 1
-        if stop is None:
-            return _sweep(self.wn, self.wm, self.h, energy, y1, y2, count_nodes)
-        return _sweep(self.wn[: stop + 1], self.wm[:stop], self.h[:stop],
-                      energy, y1, y2, count_nodes)
+    def start(self, energy: float):
+        """(y, y') at r_min: WKB log-derivative where a stronger singular
+        barrier is classically forbidden at r_min, else the Frobenius form
+        r^s (1 + c r^2) of inverse-square leading behavior (a barrier too
+        weak to rise above E at r_min leaves the solution there close to
+        it)."""
+        prob = self._prob
+        r0 = float(self.r[0])
+        if prob.strong:
+            q = float(self.wn[0]) - energy
+            if q > 0.0:
+                return 1.0, math.sqrt(q) - self._w0_prime / (4.0 * q)
+        s = 0.5 + math.sqrt(max(0.25 + prob.c2, 0.0))
+        c = -energy / (4.0 * s + 2.0)
+        return 1.0 + c * r0 * r0, (s + (s + 2.0) * c * r0 * r0) / r0
 
-    def inward(self, energy, y1, y2, stop):
-        """Sweep from r_max down to node index `stop`."""
+    def sweep(self, chains, count_nodes=False):
+        """Run the chains (energy, y1, y2, stop, inward) in one kernel call
+        and return their (y1, y2, nodes): an outward chain runs from r_min
+        to node `stop`, an inward one from r_max down to it."""
         self._tally.sweeps += 1
-        n = self.steps
-        return _sweep(self._wn_r[: n - stop + 1], self._wm_r[: n - stop],
-                      self._h_r[: n - stop], energy, y1, y2, False)
+        parts = ([], [], [])
+        for _, _, _, stop, inward in chains:
+            if inward:
+                n = self.steps - stop
+                arrays = self._wn_r[:n + 1], self._wm_r[:n], self._h_r[:n]
+            else:
+                arrays = self.wn[:stop + 1], self.wm[:stop], self.h[:stop]
+            for part, x in zip(parts, arrays):
+                part.append(x)
+        energies, y1s, y2s = ([chain[i] for chain in chains] for i in range(3))
+        if len(chains) == 1:
+            return [_sweep(*(part[0] for part in parts), energies[0], y1s[0],
+                           y2s[0], count_nodes)]
+        return _sweep(*(np.concatenate(part) for part in parts), energies, y1s,
+                      y2s, count_nodes, [len(x) for x in parts[2]])
 
 
 def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
@@ -321,7 +454,7 @@ def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
 def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
     if not prob.strong:
         return _RMIN_CAP
-    rr = np.geomspace(_RMIN_CAP, 2.0, 4000)
+    rr = _CORE_PROBE
     wv = prob.probe(rr)
     under = wv > e_cap
     if not under[0]:
@@ -332,6 +465,13 @@ def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
     k = _action_reach(rr[turn::-1], q[turn::-1], _CORE_ACTION)
     return _RMIN_CAP if k is None else float(rr[turn - k])
+
+
+def _phase(tol: float) -> float:
+    """Phase, in rad, of one uniform well step at the energy cap: 0.03 up to
+    tol 1e-8, then growing as tol^(1/4), as the RK4 error shrinks as h^4, up
+    to 0.06 from tol ~1.6e-7 on (still under 1 rad per block of _SPAN)."""
+    return min(0.03 * max(tol / 1e-8, 1.0) ** 0.25, 0.06)
 
 
 def _tail_action(tol: float) -> float:
@@ -360,20 +500,6 @@ def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float,
             )
         return hi
     return float(rr[outer + k])
-
-
-def _start_values(prob: _RadialProblem, r0: float, energy: float):
-    """(y, y') at r_min: WKB log-derivative where a stronger singular barrier
-    is classically forbidden at r_min, else the Frobenius form r^s (1 + c r^2)
-    of inverse-square leading behavior (a barrier too weak to rise above E
-    at r_min leaves the solution there close to it)."""
-    if prob.strong:
-        q = prob.w(np.array([r0]))[0] - energy
-        if q > 0.0:
-            return 1.0, math.sqrt(q) - prob.w_prime(r0) / (4.0 * q)
-    s = 0.5 + math.sqrt(max(0.25 + prob.c2, 0.0))
-    c = -energy / (4.0 * s + 2.0)
-    return 1.0 + c * r0 * r0, (s + (s + 2.0) * c * r0 * r0) / r0
 
 
 def _brent(f, a: float, fa: float, b: float, fb: float, width: float):
@@ -428,31 +554,37 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     (energy, width, warm).
 
     With a prior (the energy found on the previous, coarser grid) the
-    bracket prior -/+ _WARM * tol is tried first, then once a bracket
-    _WIDEN times wider, for a coarse grid whose error exceeds the first.
-    When one holds exactly the level-th node transition and the mismatch
-    changes sign across it, Brent's method starts from it directly (warm is
-    True); otherwise the search starts from the potential floor as it does
-    without a prior.  Brent's method steps across a root it has landed on
-    by at least tol/32, so where the bracket closes, and so the energy
-    reported, does not hang on the last bits of the mismatch."""
+    bracket prior -/+ _WARM * tol is tried first, then up to twice a
+    bracket _WIDEN times wider, for a coarse grid whose error exceeds the
+    one before.  When one holds exactly the level-th node transition and
+    the mismatch changes sign across it, Brent's method starts from it
+    directly (warm is True); otherwise the search starts from the potential
+    floor as it does without a prior.  Both ends of a bracket are swept in
+    one kernel call, and so are the outward and inward halves of every
+    matching evaluation.  Brent's method steps across a root it has landed
+    on by at least tol/32, so where the bracket closes, and so the energy
+    reported, does not hang on the last bits of the mismatch, unless an
+    iterate lands within the mismatch's rounding noise of the root."""
 
-    def nodes_of(energy: float) -> int:
-        y1, y2 = _start_values(prob, grid.r[0], energy)
-        return grid.outward(energy, y1, y2, count_nodes=True)[2]
+    def nodes_of(*energies: float) -> list[int]:
+        chains = [(e, *grid.start(e), grid.steps, False) for e in energies]
+        return [n for _, _, n in grid.sweep(chains, count_nodes=True)]
 
-    def mismatch(energy: float) -> float:
-        below = grid.wn < energy
-        if below.any():
-            im = len(grid.wn) - 1 - int(np.argmax(below[::-1]))
-        else:
-            im = grid.steps // 2
-        im = min(max(im, 3), grid.steps - 3)
-        y1, y2 = _start_values(prob, grid.r[0], energy)
-        o1, o2, _ = grid.outward(energy, y1, y2, stop=im)
-        qe = max(grid.wn[-1] - energy, 1e-12)
-        i1, i2, _ = grid.inward(energy, 1.0, -math.sqrt(qe), stop=im)
-        return (o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
+    def mismatch(*energies: float) -> list[float]:
+        chains = []
+        for e in energies:
+            below = grid.wn < e
+            if below.any():
+                im = len(grid.wn) - 1 - int(np.argmax(below[::-1]))
+            else:
+                im = grid.steps // 2
+            im = min(max(im, 3), grid.steps - 3)
+            qe = max(grid.wn[-1] - e, 1e-12)
+            chains.append((e, *grid.start(e), im, False))
+            chains.append((e, 1.0, -math.sqrt(qe), im, True))
+        ends = grid.sweep(chains)
+        return [(o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
+                for (o1, o2, _), (i1, i2, _) in zip(ends[0::2], ends[1::2])]
 
     def node_bisect(e_lo, n_lo, e_hi, n_hi, width):
         """Halve [e_lo, e_hi] on the node count until it holds a single
@@ -461,7 +593,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
             e_mid = 0.5 * (e_lo + e_hi)
             if not e_lo < e_mid < e_hi:
                 break
-            n_mid = nodes_of(e_mid)
+            (n_mid,) = nodes_of(e_mid)
             if not n_lo <= n_mid <= n_hi:
                 raise _StepSizeFailure(
                     f"node count {n_mid} at E={e_mid:.6g} outside [{n_lo}, {n_hi}]"
@@ -477,34 +609,32 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
 
     warm = False
     if prior is not None:
-        for half in (_WARM * tol, _WIDEN * _WARM * tol):
+        for half in (_WARM * tol, _WIDEN * _WARM * tol, _WIDEN**2 * _WARM * tol):
             e_lo, e_hi = prior - half, prior + half
-            if nodes_of(e_lo) == level and nodes_of(e_hi) == level + 1:
-                f_lo = mismatch(e_lo)
-                f_hi = mismatch(e_hi)
+            if nodes_of(e_lo, e_hi) == [level, level + 1]:
+                f_lo, f_hi = mismatch(e_lo, e_hi)
                 warm = sign_change(f_lo, f_hi)
             if warm:
                 break
     if not warm:
         floor = grid.w_floor
         e_lo = floor + 1e-12 * (1.0 + abs(floor))
-        n_lo = nodes_of(e_lo)
+        e_hi = floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0)
+        n_lo, n_hi = nodes_of(e_lo, e_hi)
         if n_lo > level:
             raise _StepSizeFailure(f"{n_lo} nodes at the potential floor")
-        e_hi = floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0)
-        n_hi = nodes_of(e_hi)
         while n_hi <= level:
             e_hi = floor + 2.0 * (e_hi - floor)
             if e_hi > e_cap:
                 raise _NeedLargerDomain
-            n_hi = nodes_of(e_hi)
+            (n_hi,) = nodes_of(e_hi)
         e_lo, n_lo, e_hi, n_hi = node_bisect(e_lo, n_lo, e_hi, n_hi, math.inf)
-        f_lo = mismatch(e_lo)
-        f_hi = mismatch(e_hi)
+        f_lo, f_hi = mismatch(e_lo, e_hi)
     # refine on the matching mismatch when it brackets a sign change,
     # otherwise carry the node bisection all the way down
     if warm or sign_change(f_lo, f_hi):
-        e_lo, e_hi = _brent(mismatch, e_lo, f_lo, e_hi, f_hi, 0.125 * tol)
+        e_lo, e_hi = _brent(lambda e: mismatch(e)[0], e_lo, f_lo, e_hi, f_hi,
+                            0.125 * tol)
     else:
         e_lo, _, e_hi, _ = node_bisect(e_lo, n_lo, e_hi, n_hi, 0.125 * tol)
     width = e_hi - e_lo
@@ -561,7 +691,7 @@ def shoot_eigenvalue(
     if not 0.0 < grid_scale < math.inf:
         raise ValueError(f"grid_scale must be finite and > 0, got {grid_scale}")
     prob = _RadialProblem(v)
-    w_probe = prob.floor(np.geomspace(1e-3, 10.0, 1024))
+    w_probe = prob.floor(_CAP_PROBE)
     e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)
     tally = _Tally()
     fallbacks = 0  # refined grids whose warm bracket was rejected
@@ -572,12 +702,13 @@ def shoot_eigenvalue(
                     else _choose_r_max(prob, e_cap, _RMAX_CAP, tol))
         if not 0.0 < rmin_eff < rmax_eff:
             raise ValueError(f"invalid domain [{rmin_eff}, {rmax_eff}]")
+        dom = _Domain(prob, rmin_eff, rmax_eff, e_cap, tol)
         scale = grid_scale
         energy = None  # last energy solved, for the Richardson comparison
         refinements = 0
         try:
             while True:
-                grid = _Grid(prob, rmin_eff, rmax_eff, e_cap, scale, tally)
+                grid = _Grid(dom, scale, tally)
                 try:
                     found, width, warm = _solve_at_density(prob, grid, level, tol,
                                                            e_cap, energy)

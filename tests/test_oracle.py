@@ -114,23 +114,25 @@ class TestSelfConsistency:
 class TestSweepCount:
     def test_sweeps_per_eigenvalue(self, monkeypatch):
         # unit node bracket, then Brent's method on the matching Wronskian
+        # one kernel call per bracket end pair and per matching evaluation
         sweep = oracle._sweep
         calls = []
 
         def counted(*args):
-            calls.append(None)
+            calls.append(len(args[2]))
             return sweep(*args)
 
         monkeypatch.setattr(oracle, "_sweep", counted)
         v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
         res = shoot_eigenvalue(v, 0, tol=1e-6)
         assert res.energy == pytest.approx(5.0, abs=2e-6)
-        assert len(calls) <= 33  # 30 measured, plus 10%
+        assert len(calls) <= 14  # 13 measured, plus 10%
+        assert sum(calls) <= 1.1 * 15_283
         assert res.sweeps == len(calls)
 
     @pytest.mark.parametrize("tol,sweeps,steps", [
-        (1e-8, 30, 32_890),
-        (1e-10, 42, 70_944),
+        (1e-8, 13, 23_684),
+        (1e-10, 18, 49_812),
     ])
     def test_sweeps_and_steps_at_tight_tol(self, monkeypatch, tol, sweeps, steps):
         # the cutoff follows tol, and the bracket closes a step past the root
@@ -205,6 +207,42 @@ class TestTailCutoff:
             oracle._choose_r_max(prob, 30.0, 5.0, 1e-6)
 
 
+class TestSteppedTail:
+    """Past 1.5 units of WKB action beyond the outer turning point at the
+    energy cap the tail is stepped for RK4 stability alone."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("terms,level,exact", EXACT)
+    def test_moves_no_energy_against_the_well_step(self, monkeypatch, terms, level,
+                                                   exact, tol):
+        v = PotentialSpec(a1=1.0, terms=terms)
+        res = shoot_eigenvalue(v, level, tol=tol)
+        monkeypatch.setattr(oracle, "_TAIL_START", np.inf)
+        flat = shoot_eigenvalue(v, level, tol=tol)
+        assert res.grid_scale == flat.grid_scale and res.steps < flat.steps
+        # Brent's method steps tol/32 + 2 eps E across a root it lands on,
+        # so a root landed on within the mismatch's rounding noise closes
+        # the bracket on either side, and the report moves by that step
+        # (at tol 1e-10, 2 eps E is up to 5e-5 tol); the tail moves it by
+        # no more than that
+        assert abs(res.energy - flat.energy) <= tol / 32.0 + 1e-4 * tol
+        assert exact - 2.0 * tol <= res.energy <= exact
+
+    def test_grid_steps_the_tail_coarser(self):
+        prob = oracle._RadialProblem(PotentialSpec(a1=1.0))
+        r_max = oracle._choose_r_max(prob, 40.0, oracle._RMAX_CAP, 1e-6)
+        dom = oracle._Domain(prob, oracle._RMIN_CAP, r_max, 40.0, 1e-6)
+        grid = oracle._Grid(dom, 1.0, oracle._Tally())
+        assert np.sqrt(40.0) < dom.r_tail < r_max
+        well = grid.h[(grid.r[:-1] >= 1.0) & (grid.r[1:] <= dom.r_tail)]
+        tail = grid.h[grid.r[:-1] >= dom.r_tail]
+        assert np.ptp(well) < 1e-12 and np.ptp(tail) < 1e-12
+        assert tail[0] > 4.0 * well[0]
+        # RK4 stays stable: h kappa <= 0.5, kappa from the steepest W - floor
+        kappa = np.sqrt(grid.wn[-1] - grid.w_floor)
+        assert tail[0] * kappa <= 0.5
+
+
 class TestLastBits:
     """The printed energy does not hang on the kernel's rounding: _SPAN
     changes the order of the block products, not the method."""
@@ -244,7 +282,8 @@ class TestWarmStart:
         e_cap = 40.0
         r_min = oracle._choose_r_min(prob, e_cap)
         r_max = oracle._choose_r_max(prob, e_cap, oracle._RMAX_CAP, 1e-6)
-        grid = oracle._Grid(prob, r_min, r_max, e_cap, 2.0, oracle._Tally())
+        dom = oracle._Domain(prob, r_min, r_max, e_cap, 1e-6)
+        grid = oracle._Grid(dom, 2.0, oracle._Tally())
         return prob, grid, e_cap
 
     @pytest.mark.parametrize("terms,level,exact,prior", [
@@ -282,6 +321,16 @@ class TestWarmStart:
         assert res.fallbacks == 0
         assert res.sweeps < 99
         assert 11.0 - 2e-8 <= res.energy <= 11.0
+
+    @pytest.mark.parametrize("level,sweeps,fallbacks", [(0, 28, 0), (1, 33, 0), (2, 46, 1)])
+    def test_third_bracket_at_tight_tol(self, level, sweeps, fallbacks):
+        # the scale-1 grid is 270, 2859 and 9408 tol off at levels 0, 1 and
+        # 2: the +-4096 tol bracket holds the first two levels
+        exact = 3.0 + 4.0 * level
+        res = shoot_eigenvalue(PotentialSpec(a1=1.0), level, tol=1e-10)
+        assert res.sweeps <= 1.1 * sweeps  # measured, plus 10%
+        assert res.fallbacks <= fallbacks
+        assert exact - 2e-10 <= res.energy <= exact
 
     def test_fallback_counted(self, monkeypatch):
         # a bracket of zero width never holds the node transition
@@ -475,13 +524,59 @@ class TestKernel:
         assert got[2] == want[2] >= 1
 
     def test_node_count_independent_of_start_type(self):
-        # _start_values hands over numpy scalars when r_min is one
+        # start values may come as numpy scalars
         args = _random_grid(5, steps=5000)
         plain = oracle._sweep(*args, 30.0, 1.0, 0.5, True)
         numpy = oracle._sweep(*args, 30.0, np.float64(1.0), np.float64(0.5), True)
         assert plain[2] >= 5
         assert numpy == plain
         assert all(type(x) is float for x in numpy[:2])
+
+
+class TestChains:
+    """Several chains in one `_sweep` call: each gets the bits of a call of
+    its own, and the third argument holds every chain's steps."""
+
+    @pytest.mark.parametrize("count_nodes", [False, True])
+    @pytest.mark.parametrize("lengths", [
+        (oracle._SPAN - 1, oracle._SPAN + 1),
+        (oracle._BLOCK - 1, oracle._BLOCK + 1),
+        (oracle._SPAN, oracle._BLOCK - oracle._SPAN, 3, oracle._BLOCK + 5),
+        (1, 2 * oracle._BLOCK + 7, 2, oracle._SPAN - 1),
+    ])
+    def test_each_chain_gets_the_bits_of_its_own_call(self, lengths, count_nodes):
+        chains = []
+        for k, steps in enumerate(lengths):
+            args = _random_grid(10 + k, steps=steps, r1=min(6.0, 0.05 + 0.003 * steps))
+            chains.append(_inward(*args) if k % 2 else args)
+        energies = (4e4, 30.0, -5.0, 10.0)[:len(lengths)]
+        y1s = (1.0, 0.0, np.float64(0.3), -2.0)[:len(lengths)]
+        y2s = (-0.5, 1.0, 0.0, 1e249)[:len(lengths)]
+        alone = [oracle._sweep(*args, e, y1, y2, count_nodes)
+                 for args, e, y1, y2 in zip(chains, energies, y1s, y2s)]
+        joined = oracle._sweep(*(np.concatenate(x) for x in zip(*chains)), energies,
+                               y1s, y2s, count_nodes, lengths)
+        assert joined == alone
+        assert all(type(y) is float for y1, y2, _ in joined for y in (y1, y2))
+        if count_nodes:
+            assert any(nodes for _, _, nodes in alone)
+
+    def test_one_call_per_matching_evaluation(self, monkeypatch):
+        # outward and inward halves together: all of the grid's steps at once
+        prob, grid, e_cap = TestWarmStart._grid(PotentialSpec(a1=1.0))
+        sweep = oracle._sweep
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_sweep", counted)
+        oracle._solve_at_density(prob, grid, 0, 1e-6, e_cap, prior=3.0)
+        assert grid._tally.sweeps == len(calls)
+        # the warm pair's node counts, then its mismatches, then Brent's
+        assert calls[:2] == [2 * grid.steps, 2 * grid.steps]
+        assert set(calls[2:]) == {grid.steps}
 
 
 class TestValidation:
