@@ -7,8 +7,9 @@ swept outward with and without node counting.  Each case repeats until
 --seconds have passed (at least once) and prints the median time of one
 step.  Successive calls walk a fixed cycle of energies from 5 to 25, so
 each one sees new transfer matrices, as the calls of an eigenvalue search
-do.  Only `_sweep`'s positional signature (w_nodes, w_mid, h, energy, y1,
-y2, count_nodes) is used, so the same script times any revision of the
+do.  Each call runs one chain; only `_sweep`'s positional signature
+(w_nodes, w_mid, h, chains, count_nodes), with chains a list of (energy,
+y1, y2, steps), is used, so the same script times any revision of the
 package that has it.
 
 Usage: python benchmarks/bench_sweep.py [--steps 900,1800,3600,7000] [--seconds 1]
@@ -47,7 +48,7 @@ def median_step(args, count_nodes, seconds):
         if times and time.perf_counter() >= end:
             break
         t0 = time.perf_counter()
-        _sweep(*args, energy, 1.0, 0.0, count_nodes)
+        _sweep(*args, [(energy, 1.0, 0.0, len(args[2]))], count_nodes)
         times.append(time.perf_counter() - t0)
     return statistics.median(times) / len(args[2]), len(times)
 

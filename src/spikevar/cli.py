@@ -24,7 +24,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .hamiltonian import PotentialSpec
 from .optimizer import converge_to_digits, ground_state_first_order, minimize_bound
@@ -33,8 +33,10 @@ from .tables import BUILTIN_TABLE_IDS, RowResult, builtin_job, run_table
 
 __all__ = ["emit_results", "rows_from_json_lines", "main"]
 
-_FIELDS = ("row", "N", "l", "D", "level", "A_star", "B_star", "bound",
-           "oracle", "reference", "deviation", "pass", "wall_ms", "evaluations")
+# (field, column) of every RowResult field, in output order; each format
+# prints all but `error` as columns
+_COLUMNS = tuple((f.name, f.metadata.get("column", f.name)) for f in fields(RowResult))
+_FIELDS = tuple(column for _, column in _COLUMNS if column != "error")
 
 
 def _term(text: str) -> tuple[float, float]:
@@ -89,9 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Variational upper bounds for radial operators with "
                     "singular anharmonic potentials, plus a shooting-method check.",
         epilog="Output rows share one schema in every format (human, csv, "
-               "json-lines): row,N,l,D,level,A_star,B_star,bound,oracle,"
-               "reference,deviation,pass,wall_ms,evaluations. csv/human "
-               "print 9 significant digits; json-lines keeps full precision and "
+               f"json-lines): {','.join(_FIELDS)}. csv/human print 9 "
+               "significant digits; json-lines keeps full precision and "
                "round-trips. See docs/formats.md for the field reference. "
                "Exit status: 0 ok, 1 computation failure (or a reference "
                "mismatch under table --strict), 2 usage error.",
@@ -143,13 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _row_dict(r: RowResult, timing: bool) -> dict:
-    return {
-        "row": r.label, "N": r.N, "l": r.l, "D": r.D, "level": r.level,
-        "A_star": r.A_star, "B_star": r.B_star, "bound": r.bound,
-        "oracle": r.oracle, "reference": r.reference, "deviation": r.deviation,
-        "pass": r.passed, "wall_ms": r.wall_ms if timing else 0.0,
-        "evaluations": r.evaluations, "error": r.error,
-    }
+    d = {column: getattr(r, name) for name, column in _COLUMNS}
+    if not timing:
+        d["wall_ms"] = 0.0
+    return d
 
 
 def _fmt_num(x) -> str:
@@ -173,7 +171,7 @@ def emit_results(rows, fmt: str, destination, timing: bool = False) -> None:
         import csv
 
         # RFC 4180 quoting: a cell holding a comma, quote or line break, such
-        # as the label (1,10,1), is quoted, so every row keeps its 14 cells
+        # as the label (1,10,1), is quoted, so every row keeps its cells
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_FIELDS)
@@ -208,13 +206,8 @@ def rows_from_json_lines(text: str) -> list[RowResult]:
         if not line.strip():
             continue
         d = json.loads(line)
-        out.append(RowResult(
-            label=d["row"], N=d["N"], l=d["l"], D=d["D"], level=d["level"],
-            A_star=d["A_star"], B_star=d["B_star"], bound=d["bound"],
-            oracle=d["oracle"], reference=d["reference"],
-            deviation=d["deviation"], passed=d["pass"], wall_ms=d["wall_ms"],
-            evaluations=d["evaluations"], error=d.get("error"),
-        ))
+        d.setdefault("error", None)
+        out.append(RowResult(**{name: d[column] for name, column in _COLUMNS}))
     return out
 
 

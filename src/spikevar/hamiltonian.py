@@ -95,7 +95,9 @@ def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,
     a (K, D, D) stack; every point must share (N, l) with v.  Every power
     present needs 2*gamma_N > alpha, which `inv_power_matrix` checks, and a
     term whose coefficient is zero at a point is left out there.  H is
-    exactly symmetric and finite by construction.
+    exactly symmetric.  An entry that overflows raises OverflowError, as
+    beta^(alpha/2) does at a steep term and a large B: such a point bounds
+    nothing.
     """
     ps, single = _points(p)
     if D < 1:
@@ -119,14 +121,18 @@ def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,
     # until the next term is built: freed first, it leaves two free D x D
     # blocks on top of the heap for glibc to return to the OS, and assembly
     # at D = 350 then page-faults two to three times as often
-    for coef, build, s in terms:
-        if 0.0 not in coef:
-            M = build(ps, D, s)
-            M *= _per_point(coef)
-            H += M
-        elif any(coef):
-            keep = [k for k in range(K) if coef[k] != 0.0]
-            M = build([ps[k] for k in keep], D, s)
-            M *= _per_point([coef[k] for k in keep])
-            H[keep] += M
+    try:
+        with np.errstate(over="raise"):
+            for coef, build, s in terms:
+                if 0.0 not in coef:
+                    M = build(ps, D, s)
+                    M *= _per_point(coef)
+                    H += M
+                elif any(coef):
+                    keep = [k for k in range(K) if coef[k] != 0.0]
+                    M = build([ps[k] for k in keep], D, s)
+                    M *= _per_point([coef[k] for k in keep])
+                    H[keep] += M
+    except FloatingPointError as exc:
+        raise OverflowError(f"matrix entries overflow ({exc})") from None
     return H[0] if single else H

@@ -339,7 +339,9 @@ def minimize_bound(
     reproduction columns.  A start whose transformed point is not finite
     (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError, and so
     are a non-finite `init` A and an `init` B or `fix_B` that is not finite
-    and > 0, before any start is built.
+    and > 0, before any start is built.  A point whose matrix overflows
+    bounds nothing (its value is +inf); when every point does, that is a
+    ValueError naming the overflow.
 
     Every value the search computes goes into one table keyed on the
     transformed point, and the objective reads it from there, evaluating a
@@ -436,7 +438,11 @@ def minimize_bound(
         best_x, best_f, _ = _golden_polish(objective, best_x, best_f,
                                            budget - nev, evaluate)
     A_star, B_star = decode(best_x)
-    H = assemble(ModelParams(A_star, B_star, v.N, v.l), v, D)
+    try:
+        H = assemble(ModelParams(A_star, B_star, v.N, v.l), v, D)
+    except OverflowError:  # the best point overflows only if every one did
+        raise ValueError(f"the {D} x {D} matrix overflows at every (A, B) the "
+                         "search tried: no point bounds the level") from None
     bounds = eigen_symmetric(H).values
     return BoundResult(
         A_star=A_star,

@@ -145,11 +145,16 @@ def _chunks(lengths):
         yield chunk
 
 
-def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False, chains=None):
-    """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y; return (y1, y2, nodes).
+def _sweep(w_nodes, w_mid, h, chains, count_nodes=False):
+    """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y along each of the
+    chains (energy, y1, y2, steps); return each chain's (y1, y2, nodes).
 
-    W is tabulated at the len(h) + 1 step endpoints (w_nodes) and the len(h)
-    step midpoints (w_mid); steps h are negative for inward sweeps.
+    h holds every chain's steps, one chain after another; w_nodes holds
+    each chain's steps + 1 values of W at the step endpoints and w_mid its
+    steps values at the step midpoints, in the same order.  Steps are
+    negative for inward sweeps.  One call runs every chain, so the call's
+    fixed cost is paid once for all of them; each chain is padded to whole
+    blocks on its own, so it gets the exact bits of a call of its own.
 
     On this linear system one classical RK4 step is exactly a 2x2 matrix
     acting on (y, y'), in h and q = W - E at the step's start (q0), midpoint
@@ -160,45 +165,41 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False, chains=None):
         M10 = h / 6 (q0 + 4 qm + q1 + h^2 qm (q0 + q1) / 2)
         M11 = 1 + h^2 (2 qm + q1) / 6 + h^4 qm q1 / 24
 
-    The steps are split into blocks of _SPAN (the last block padded with
-    h = 0 steps, which are exactly the identity) and their matrices are
-    tabulated with numpy _BLOCK steps at a time.  Pairwise products, later
-    times earlier, reduce each block to one matrix in log2(_SPAN) numpy
-    passes, so the Python loop runs once per block: it applies the block's
-    product and renormalizes the state whenever it threatens to overflow or
-    underflow.  The guard at 1e250 leaves a factor 1e58 of headroom, far
-    more than the 16 steps of one block can change the state by, and the
-    rescaling cancels out of node counts and logarithmic derivatives.
+    The steps are split into blocks of _SPAN (the last block of a chain
+    padded with h = 0 steps, which are exactly the identity) and their
+    matrices are tabulated with numpy _BLOCK steps at a time.  Pairwise
+    products, later times earlier, reduce each block to one matrix in
+    log2(_SPAN) numpy passes, so the Python loop runs once per block: it
+    applies the block's product and renormalizes the state whenever it
+    leaves [1e-250, 1e250].  The rescaling cancels out of node counts and
+    logarithmic derivatives.  That leaves a state 1e58 of headroom, which
+    the 16 steps of a block can exceed on a steep grid (RK4 grows by ~(h
+    kappa)^4 / 24 per step where h kappa is large): a product that
+    overflows the state is applied again to the state scaled to unit size.
 
     With count_nodes, the same pairwise products walked back down from the
     block-start states give y at every step, all blocks at once, and the
     sign changes of y are counted with numpy; an exact zero leaves the
-    previous sign in place.  The start values may be numpy scalars; the
-    returned state is Python floats.
-
-    Several sweeps (chains) run in one call when `chains` lists their step
-    counts: h then holds every chain's steps, one chain after another,
-    w_nodes each chain's len + 1 node values and w_mid its midpoint values
-    in the same order, and energy, y1 and y2 one value per chain; the call
-    returns a list of (y1, y2, nodes), one per chain.  Each chain is padded
-    to whole blocks on its own, so it gets the exact bits of a call of its
-    own, while the call's fixed cost is paid once for all of them.
+    previous sign in place.  The walk-down starts from each block-start
+    state scaled by a power of two to unit size, so that its partial
+    products cannot overflow either; an exact scaling changes no sign.  The
+    start values may be numpy scalars; the returned states are Python
+    floats.
     """
-    single = chains is None
-    if single:
-        energy, y1, y2, chains = (energy,), (y1,), (y2,), (len(h),)
-    states = [(float(a), float(b)) for a, b in zip(y1, y2)]
+    lengths = [steps for *_, steps in chains]
+    states = [(float(y1), float(y2)) for _, y1, y2, _ in chains]
     nodes = [0] * len(chains)
-    prev = [a for a, _ in states]  # each chain's last nonzero y, or its zero start
-    for chunk in _chunks(chains):
+    prev = [y1 for y1, _ in states]  # each chain's last nonzero y, or its zero start
+    for chunk in _chunks(lengths):
         parts = []  # h, q0, qm, q1 of each piece
         for k, offset, a, b in chunk:
             # steps a .. stop - 1 of chain k, then h = 0 padding up to b;
             # each chain before it has one node more than steps
-            stop = min(b, chains[k])
+            stop = min(b, lengths[k])
+            energy = chains[k][0]
             hp = h[offset + a:offset + stop]
-            qn = w_nodes[offset + k + a:offset + k + stop + 1] - energy[k]
-            qm = w_mid[offset + a:offset + stop] - energy[k]
+            qn = w_nodes[offset + k + a:offset + k + stop + 1] - energy
+            qm = w_mid[offset + a:offset + stop] - energy
             if b > stop:
                 zeros = np.zeros(b - stop)
                 hp, qn, qm = (np.concatenate((x, zeros)) for x in (hp, qn, qm))
@@ -224,25 +225,30 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False, chains=None):
             t = levels[-1]
             levels.append(_product(t[..., 1::2], t[..., 0::2]))
         products = zip(*levels.pop().reshape(4, blocks).tolist())
-        starts1 = []
-        starts2 = []
+        starts1, starts2 = [], []
         for k, _, a, b in chunk:
             y1, y2 = states[k]
             for m00, m01, m10, m11 in itertools.islice(products, (b - a) // _SPAN):
                 if count_nodes:
                     starts1.append(y1)
                     starts2.append(y2)
-                y1, y2 = m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
-                mag = abs(y1) + abs(y2)
-                if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
-                    y1 /= mag
-                    y2 /= mag
+                z1, z2 = m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
+                mag = abs(z1) + abs(z2)
+                if not 1e-250 <= mag <= 1e250 and mag != 0.0:
+                    if not mag < math.inf:  # the product overflowed the state
+                        mag = abs(y1) + abs(y2)
+                        y1, y2 = y1 / mag, y2 / mag
+                        z1, z2 = m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
+                        mag = abs(z1) + abs(z2)
+                    z1, z2 = z1 / mag, z2 / mag
+                y1, y2 = z1, z2
             states[k] = y1, y2
         if count_nodes:
+            state = np.array((starts1, starts2))
+            state = np.ldexp(state, -np.frexp(np.abs(state).max(axis=0))[1])[:, :, None]
             # states at the start of every step: the left half of each
             # product starts where its parent does, the right half after
             # the left half's product
-            state = np.array((starts1, starts2))[:, :, None]
             for t in reversed(levels):
                 left = t[..., 0::2]
                 finer = np.empty((2, blocks, 2 * state.shape[-1]))
@@ -261,8 +267,7 @@ def _sweep(w_nodes, w_mid, h, energy, y1, y2, count_nodes=False, chains=None):
                 nodes[k] += int(np.count_nonzero(sign[1:] != sign[:-1]))
                 if seq.size:
                     prev[k] = seq[-1]
-    out = [(y1, y2, n) for (y1, y2), n in zip(states, nodes)]
-    return out[0] if single else out
+    return [(y1, y2, n) for (y1, y2), n in zip(states, nodes)]
 
 
 class _RadialProblem:
@@ -421,25 +426,23 @@ class _Grid:
         return 1.0 + c * r0 * r0, (s + (s + 2.0) * c * r0 * r0) / r0
 
     def sweep(self, chains, count_nodes=False):
-        """Run the chains (energy, y1, y2, stop, inward) in one kernel call
-        and return their (y1, y2, nodes): an outward chain runs from r_min
-        to node `stop`, an inward one from r_max down to it."""
+        """Run the chains (energy, stop, inward) in one kernel call and
+        return their (y1, y2, nodes).  An outward chain runs from r_min,
+        where `start` gives its state, to node `stop`; an inward one runs
+        from r_max down to node `stop`, from y = 1 and the decaying
+        log-derivative -sqrt(W(r_max) - E)."""
         self._tally.sweeps += 1
-        parts = ([], [], [])
-        for _, _, _, stop, inward in chains:
+        parts, runs = [], []
+        for energy, stop, inward in chains:
             if inward:
                 n = self.steps - stop
-                arrays = self._wn_r[:n + 1], self._wm_r[:n], self._h_r[:n]
+                parts.append((self._wn_r[:n + 1], self._wm_r[:n], self._h_r[:n]))
+                y2 = -math.sqrt(max(self.wn[-1] - energy, 1e-12))
+                runs.append((energy, 1.0, y2, n))
             else:
-                arrays = self.wn[:stop + 1], self.wm[:stop], self.h[:stop]
-            for part, x in zip(parts, arrays):
-                part.append(x)
-        energies, y1s, y2s = ([chain[i] for chain in chains] for i in range(3))
-        if len(chains) == 1:
-            return [_sweep(*(part[0] for part in parts), energies[0], y1s[0],
-                           y2s[0], count_nodes)]
-        return _sweep(*(np.concatenate(part) for part in parts), energies, y1s,
-                      y2s, count_nodes, [len(x) for x in parts[2]])
+                parts.append((self.wn[:stop + 1], self.wm[:stop], self.h[:stop]))
+                runs.append((energy, *self.start(energy), stop))
+        return _sweep(*(np.concatenate(x) for x in zip(*parts)), runs, count_nodes)
 
 
 def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
@@ -567,8 +570,8 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     iterate lands within the mismatch's rounding noise of the root."""
 
     def nodes_of(*energies: float) -> list[int]:
-        chains = [(e, *grid.start(e), grid.steps, False) for e in energies]
-        return [n for _, _, n in grid.sweep(chains, count_nodes=True)]
+        ends = grid.sweep([(e, grid.steps, False) for e in energies], count_nodes=True)
+        return [n for _, _, n in ends]
 
     def mismatch(*energies: float) -> list[float]:
         chains = []
@@ -579,9 +582,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
             else:
                 im = grid.steps // 2
             im = min(max(im, 3), grid.steps - 3)
-            qe = max(grid.wn[-1] - e, 1e-12)
-            chains.append((e, *grid.start(e), im, False))
-            chains.append((e, 1.0, -math.sqrt(qe), im, True))
+            chains += [(e, im, False), (e, im, True)]
         ends = grid.sweep(chains)
         return [(o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
                 for (o1, o2, _), (i1, i2, _) in zip(ends[0::2], ends[1::2])]

@@ -11,7 +11,7 @@ Large truncations are flagged slow and skipped unless requested.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .hamiltonian import PotentialSpec
 from .optimizer import minimize_bound
@@ -65,7 +65,12 @@ class TableJob:
 
 @dataclass(frozen=True)
 class RowResult:
-    label: str
+    """One output row.  Its fields, in order, are the output columns of
+    every format (docs/formats.md); a field's column is its name, or the
+    `column` of its metadata.  `error` is a json-lines key only, and is
+    printed below a human row."""
+
+    label: str = field(metadata={"column": "row"})
     N: int
     l: int
     D: int
@@ -76,7 +81,7 @@ class RowResult:
     oracle: float | None = None
     reference: float | None = None
     deviation: float | None = None
-    passed: bool | None = None
+    passed: bool | None = field(default=None, metadata={"column": "pass"})
     wall_ms: float = 0.0
     evaluations: int = 0
     error: str | None = None

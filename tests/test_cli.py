@@ -1,6 +1,7 @@
 """Command-line parsing, serialization formats, and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -65,6 +66,10 @@ class TestEmit:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == ("row,N,l,D,level,A_star,B_star,bound,oracle,"
                           "reference,deviation,pass,wall_ms,evaluations")
+        # the columns are RowResult's fields in order, but `error`
+        fields = [f.metadata.get("column", f.name)
+                  for f in dataclasses.fields(RowResult)]
+        assert out[0].split(",") == fields[:-1] and fields[-1] == "error"
         cells = out[1].split(",")
         assert cells[0] == "r"
         assert cells[7] == "3.582194"
@@ -292,6 +297,13 @@ EDGE_CASES = [
     (["oracle", "--term=-0.3:2"], None, "< -1/4"),
     (["first-order", "--lambda", "1e200"], 8.77205321e66, 1e58),
     (["first-order", "--lambda", "inf", "--mode", "ab"], None, "finite"),
+    # points whose assembly overflows in numpy bound nothing (+inf); the
+    # search goes on among the others
+    (["eig", "--a1", "125534023.84739846", "--term=1.2384775060295942e+292:6",
+      "--dim", "1"], 2.1953924607385067e+79, 1e70),
+    (["eig", "-D", "4", "--term=1e308:6"], None, "overflows at every (A, B)"),
+    # a steep grid: 16 RK4 steps overflow a state near the rescale guard
+    (["oracle", "--a1", "7.3e9", "--term", "1:4"], None, "6.54e+06 steps"),
 ]
 
 

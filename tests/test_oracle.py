@@ -416,6 +416,13 @@ def _normalized(y1, y2):
     return y1 / mag, y2 / mag
 
 
+def _one_chain(args, energy, y1, y2, count_nodes):
+    """`_sweep` over (w_nodes, w_mid, h) as a one-chain list: the chain's
+    (y1, y2, nodes)."""
+    (end,) = oracle._sweep(*args, [(energy, y1, y2, len(args[2]))], count_nodes)
+    return end
+
+
 class TestKernel:
     """`_sweep` (tabulated transfer matrices) against the stage-by-stage
     RK4 step of `rk4ref`: the same method, so only rounding may differ."""
@@ -427,7 +434,7 @@ class TestKernel:
         args = _random_grid(seed)
         if inward:
             args = _inward(*args)
-        got = oracle._sweep(*args, energy, 1.0, -0.5, True)
+        got = _one_chain(args, energy, 1.0, -0.5, True)
         want = rk4_sweep(*args, energy, 1.0, -0.5, True)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
@@ -436,10 +443,10 @@ class TestKernel:
     def test_node_count_on_oscillating_solution(self):
         # E = 30 is above W on most of [0.05, 6]: y oscillates many times
         args = _random_grid(3, steps=5000)
-        got = oracle._sweep(*args, 30.0, 1.0, 0.0, True)
+        got = _one_chain(args, 30.0, 1.0, 0.0, True)
         want = rk4_sweep(*args, 30.0, 1.0, 0.0, True)
         assert got[2] == want[2] >= 5
-        assert oracle._sweep(*args, 30.0, 1.0, 0.0, False)[2] == 0
+        assert _one_chain(args, 30.0, 1.0, 0.0, False)[2] == 0
 
     @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
     def test_rescale_guard(self, inward):
@@ -447,12 +454,28 @@ class TestKernel:
         args = _random_grid(4)
         if inward:
             args = _inward(*args)
-        got = oracle._sweep(*args, -10.0, 1e249, 1e249, True)
+        got = _one_chain(args, -10.0, 1e249, 1e249, True)
         want = rk4_sweep(*args, -10.0, 1e249, 1e249, True)
         assert abs(got[0]) + abs(got[1]) < 1e249  # renormalized on the way
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
         assert got[2] == want[2]
+
+    @pytest.mark.parametrize("count_nodes", [False, True])
+    def test_steep_grid_from_states_near_the_rescale_guard(self, count_nodes):
+        # W - E = (100 / h)^2 on the last 400 steps: RK4 grows by ~4e6 a
+        # step there, so a block's product (~1e100) and the first half of
+        # one (~1e50) overflow a state near 1e250 unless it is scaled first
+        wn, wm, h = _random_grid(9, steps=1000)
+        wn[-400:] = 30.0 + (100.0 / h[-1]) ** 2
+        wm[-400:] = 30.0 + (100.0 / h[-400:]) ** 2
+        got = _one_chain((wn, wm, h), 30.0, 1e249, 1e249, count_nodes)
+        want = rk4_sweep(wn, wm, h, 30.0, 1e249, 1e249, count_nodes)
+        assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
+                           rtol=0.0, atol=1e-12)
+        assert got[2] == want[2]
+        if count_nodes:
+            assert got[2] >= 5
 
     @pytest.mark.parametrize("steps", [1, 2, oracle._SPAN - 1, oracle._SPAN + 1,
                                        oracle._BLOCK - 1, oracle._BLOCK + 1,
@@ -463,7 +486,7 @@ class TestKernel:
         args = _random_grid(6, steps=steps, r1=min(6.0, 0.05 + 0.003 * steps))
         if inward:
             args = _inward(*args)
-        got = oracle._sweep(*args, 30.0, 1.0, -0.5, True)
+        got = _one_chain(args, 30.0, 1.0, -0.5, True)
         want = rk4_sweep(*args, 30.0, 1.0, -0.5, True)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
@@ -492,20 +515,20 @@ class TestKernel:
         y = rk4_sweep(wn[:skip + 1], wm[:skip], h[:skip], energy, 1.0, 0.0)[:2]
         assert nodes(hi - 1, skip, y) == 0 and nodes(hi, skip, y) == 1
         args = wn[skip:], wm[skip:], h[skip:]
-        got = oracle._sweep(*args, energy, *y, True)
+        got = _one_chain(args, energy, *y, True)
         want = rk4_sweep(*args, energy, *y, True)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
         assert got[2] == want[2] >= 1
         # the same sweep cut off right after the sign change
         ends = wn[skip:hi + 1], wm[skip:hi], h[skip:hi]
-        assert oracle._sweep(*ends, energy, *y, True)[2] == 1
+        assert _one_chain(ends, energy, *y, True)[2] == 1
 
     def test_several_sign_changes_per_block(self):
         # at E = 4e4 a half wavelength spans ~8 steps: y changes sign about
         # twice inside every block, which only the per-step states can see
         args = _random_grid(8, steps=3000)
-        got = oracle._sweep(*args, 4e4, 1.0, 0.0, True)
+        got = _one_chain(args, 4e4, 1.0, 0.0, True)
         want = rk4_sweep(*args, 4e4, 1.0, 0.0, True)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
@@ -517,7 +540,7 @@ class TestKernel:
         args = _random_grid(7, steps=3000)
         if inward:
             args = _inward(*args)
-        got = oracle._sweep(*args, 30.0, 0.0, 1.0, True)
+        got = _one_chain(args, 30.0, 0.0, 1.0, True)
         want = rk4_sweep(*args, 30.0, 0.0, 1.0, True)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
@@ -526,8 +549,8 @@ class TestKernel:
     def test_node_count_independent_of_start_type(self):
         # start values may come as numpy scalars
         args = _random_grid(5, steps=5000)
-        plain = oracle._sweep(*args, 30.0, 1.0, 0.5, True)
-        numpy = oracle._sweep(*args, 30.0, np.float64(1.0), np.float64(0.5), True)
+        plain = _one_chain(args, 30.0, 1.0, 0.5, True)
+        numpy = _one_chain(args, 30.0, np.float64(1.0), np.float64(0.5), True)
         assert plain[2] >= 5
         assert numpy == plain
         assert all(type(x) is float for x in numpy[:2])
@@ -552,10 +575,10 @@ class TestChains:
         energies = (4e4, 30.0, -5.0, 10.0)[:len(lengths)]
         y1s = (1.0, 0.0, np.float64(0.3), -2.0)[:len(lengths)]
         y2s = (-0.5, 1.0, 0.0, 1e249)[:len(lengths)]
-        alone = [oracle._sweep(*args, e, y1, y2, count_nodes)
+        alone = [_one_chain(args, e, y1, y2, count_nodes)
                  for args, e, y1, y2 in zip(chains, energies, y1s, y2s)]
-        joined = oracle._sweep(*(np.concatenate(x) for x in zip(*chains)), energies,
-                               y1s, y2s, count_nodes, lengths)
+        joined = oracle._sweep(*(np.concatenate(x) for x in zip(*chains)),
+                               list(zip(energies, y1s, y2s, lengths)), count_nodes)
         assert joined == alone
         assert all(type(y) is float for y1, y2, _ in joined for y in (y1, y2))
         if count_nodes:
