@@ -3,14 +3,16 @@
 
 Cases: seeded synthetic grids of --steps steps (random step sizes on
 [0.05, 6], W = r^2 + 2/r^2 plus a seeded ripple, as in the kernel tests),
-swept outward with and without node counting.  Each case repeats until
---seconds have passed (at least once) and prints the median time of one
-step.  Successive calls walk a fixed cycle of energies from 5 to 25, so
-each one sees new transfer matrices, as the calls of an eigenvalue search
-do.  Each call runs one chain; only `_sweep`'s positional signature
-(w_nodes, w_mid, h, chains, count_nodes), with chains a list of (energy,
-y1, y2, steps), is used, so the same script times any revision of the
-package that has it.
+tabulated once by `_step_table` as a grid tabulates its steps, and swept
+outward with and without node counting.  Each case repeats until --seconds
+have passed (at least once) and prints the median time of one step.
+Successive calls walk a fixed cycle of energies from 5 to 25, so each one
+evaluates new transfer matrices, as the calls of an eigenvalue search do.
+Each call runs one chain; only `_step_table(h, w_nodes, w_mid)` and
+`_sweep`'s positional signature (table, chains, steps, count_nodes), with
+chains a list of (energy, y1, y2, start node, stop node) and steps one
+entry per step, are used, so the same script times any revision of the
+package that has them.
 
 Usage: python benchmarks/bench_sweep.py [--steps 900,1800,3600,7000] [--seconds 1]
 """
@@ -22,13 +24,13 @@ import time
 
 import numpy as np
 
-from spikevar.oracle import _sweep
+from spikevar.oracle import _step_table, _sweep
 
 ENERGIES = tuple(5.0 + 1.25 * i for i in range(17))
 
 
 def grid(steps, seed=0, r0=0.05, r1=6.0):
-    """(w_nodes, w_mid, h) on `steps` seeded random steps from r0 to r1."""
+    """The step table of `steps` seeded random steps from r0 to r1."""
     rng = np.random.default_rng(seed)
     h = rng.uniform(0.5, 1.5, steps)
     h *= (r1 - r0) / h.sum()
@@ -38,19 +40,20 @@ def grid(steps, seed=0, r0=0.05, r1=6.0):
     def w(x):
         return x * x + 2.0 / (x * x) + amp * np.sin(freq * x)
 
-    return w(r), w(r[:-1] + 0.5 * h), h
+    return _step_table(h, w(r), w(r[:-1] + 0.5 * h))
 
 
-def median_step(args, count_nodes, seconds):
+def median_step(table, count_nodes, seconds):
+    steps = table.shape[-1]
     times = []
     end = time.perf_counter() + seconds
     for energy in itertools.cycle(ENERGIES):
         if times and time.perf_counter() >= end:
             break
         t0 = time.perf_counter()
-        _sweep(*args, [(energy, 1.0, 0.0, len(args[2]))], count_nodes)
+        _sweep(table, [(energy, 1.0, 0.0, 0, steps)], range(steps), count_nodes)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times) / len(args[2]), len(times)
+    return statistics.median(times) / steps, len(times)
 
 
 def main():

@@ -3,30 +3,22 @@ Schrodinger equation.
 
 -y'' + [Lam(Lam+1)/r^2 + V(r)] y = E y is integrated with fixed-step RK4 on a
 composite grid: log-uniform from r_min to r_sw, uniform in the well at a
-step whose phase at the energy cap is 0.03 rad up to tol 1e-8 and grows as
-tol^(1/4) to 0.06 rad from tol ~1.6e-7 on, and, beyond 1.5 units of WKB
-action past the outer turning point at the cap, a tail stepped only for
-RK4 stability (h kappa <= 0.5), since an error made there reaches the
-matching point damped by exp(-2 action).  The outer cutoff leaves a tail of
-WKB action 8 + ln(1/tol)/2, so a looser tolerance integrates a shorter
-domain.  Each step is applied as its exact 2x2 transfer matrix on (y, y'),
-tabulated with numpy and multiplied together 16 steps at a time, so that
-Python touches the state once per 16 steps.  A kernel call's fixed cost
-(~75 us on a 2-vCPU x86-64 host) is worth ~1000 steps (~75 ns each), so
-each call runs several sweeps (chains) where it can: the outward and inward
-halves of every matching evaluation, and both ends of every bracket.
+step whose phase at the energy cap follows tol (`_phase`), then a tail
+stepped for RK4 stability alone (h kappa <= 0.5), out to a cutoff that
+leaves a tail of WKB action 8 + ln(1/tol)/2.  Each step is applied as its
+exact 2x2 transfer matrix on (y, y'), which is quadratic in E: a grid
+tabulates the three coefficient matrices of every step once, and a kernel
+call evaluates them at its energies and multiplies them 16 steps at a time,
+so that Python touches the state once per 16 steps.  A call's fixed cost
+is worth several hundred steps, so each call runs several sweeps (chains)
+where it can: the outward and inward halves of every matching evaluation,
+and both ends of every bracket.
 
-The energy is located by bisection on the interior node count down to a
-bracket holding one node transition, then refined by Brent's method on the
-mismatch of logarithmic derivatives of outward and inward sweeps at the
-outer classical turning point.  The grid density is doubled until the
-eigenvalue moves by less than tol/4 under step halving (Richardson
-self-consistency); each refined grid first tries narrow brackets around the
-previous grid's eigenvalue and searches from the potential floor only when
-none of them holds the level.
-
-This module never touches the variational machinery: it is the check the
-variational bounds are measured against.
+The energy is bracketed by node-count bisection, refined by Brent's method
+on the matching mismatch of outward and inward sweeps, and checked by
+doubling the grid density until it moves by less than tol/4.  This module
+never touches the variational machinery: it is the check the variational
+bounds are measured against.
 """
 
 from __future__ import annotations
@@ -56,11 +48,11 @@ _CORE_ACTION = 22.0  # barrier action below which the start form is exact enough
 # at h kappa = _TAIL_HK, rather than as finely as the well
 _TAIL_START = 1.5
 _TAIL_HK = 0.5
-_BLOCK = 2048        # RK4 steps tabulated at once; bounds the sweep's memory
+_BLOCK = 2048        # RK4 steps tabulated or evaluated at once; bounds temporaries
 _SPAN = 16           # RK4 steps per block product; a power of two
 _WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
 _WIDEN = 16.0        # each of two retries widens the bracket this many times
-_MAX_STEPS = 4_000_000  # RK4 steps of one grid; ~0.3 GB of tabulated arrays
+_MAX_STEPS = 4_000_000  # RK4 steps of one grid: it holds 128 bytes a step, 136 while built
 # probe radii of the energy cap and of the inner cutoff
 _CAP_PROBE = np.geomspace(1e-3, 10.0, 1024)
 _CORE_PROBE = np.geomspace(_RMIN_CAP, 2.0, 4000)
@@ -127,36 +119,26 @@ def _product(later, earlier):
 def _chunks(lengths):
     """Cut chains of the given step counts, each padded to whole blocks of
     _SPAN, into chunks of at most _BLOCK steps; yield each chunk as a list
-    of pieces (chain, index of the chain's first step, first step, end)."""
-    chunk, room, offset = [], _BLOCK, 0
+    of pieces (chain, first step, end)."""
+    chunk, room = [], _BLOCK
     for k, n in enumerate(lengths):
-        padded = n + (-n % _SPAN)
-        a = 0
+        a, padded = 0, n + (-n % _SPAN)
         while a < padded:
             b = a + min(room, padded - a)
-            chunk.append((k, offset, a, b))
+            chunk.append((k, a, b))
             room -= b - a
             a = b
             if not room:
                 yield chunk
                 chunk, room = [], _BLOCK
-        offset += n
     if chunk:
         yield chunk
 
 
-def _sweep(w_nodes, w_mid, h, chains, count_nodes=False):
-    """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y along each of the
-    chains (energy, y1, y2, steps); return each chain's (y1, y2, nodes).
+def _step_table(h, w_nodes, w_mid):
+    """The RK4 step matrices of steps h as quadratics in the energy.
 
-    h holds every chain's steps, one chain after another; w_nodes holds
-    each chain's steps + 1 values of W at the step endpoints and w_mid its
-    steps values at the step midpoints, in the same order.  Steps are
-    negative for inward sweeps.  One call runs every chain, so the call's
-    fixed cost is paid once for all of them; each chain is padded to whole
-    blocks on its own, so it gets the exact bits of a call of its own.
-
-    On this linear system one classical RK4 step is exactly a 2x2 matrix
+    On y'' = (W(r) - E) y one classical RK4 step is exactly a 2x2 matrix
     acting on (y, y'), in h and q = W - E at the step's start (q0), midpoint
     (qm) and end (q1):
 
@@ -165,60 +147,87 @@ def _sweep(w_nodes, w_mid, h, chains, count_nodes=False):
         M10 = h / 6 (q0 + 4 qm + q1 + h^2 qm (q0 + q1) / 2)
         M11 = 1 + h^2 (2 qm + q1) / 6 + h^4 qm q1 / 24
 
-    The steps are split into blocks of _SPAN (the last block of a chain
-    padded with h = 0 steps, which are exactly the identity) and their
-    matrices are tabulated with numpy _BLOCK steps at a time.  Pairwise
-    products, later times earlier, reduce each block to one matrix in
-    log2(_SPAN) numpy passes, so the Python loop runs once per block: it
-    applies the block's product and renormalizes the state whenever it
-    leaves [1e-250, 1e250].  The rescaling cancels out of node counts and
-    logarithmic derivatives.  That leaves a state 1e58 of headroom, which
-    the 16 steps of a block can exceed on a steep grid (RK4 grows by ~(h
-    kappa)^4 / 24 per step where h kappa is large): a product that
-    overflows the state is applied again to the state scaled to unit size.
+    which is quadratic in E: M = P + E (Q + E R).  Return P, Q and R, entries
+    00, 01, 10, 11, as a (3, 4, len(h)) array, for W at the steps' ends
+    (w_nodes) and midpoints (w_mid), built _BLOCK steps at a time."""
+    table = np.empty((3, 4, len(h)))
+    for i in range(0, len(h), _BLOCK):
+        j = min(i + _BLOCK, len(h))
+        hb, wm, ws = h[i:j], w_mid[i:j], w_nodes[i:j] + w_nodes[i + 1:j + 1]
+        p, q, r = table[:, :, i:j]
+        a = hb * hb / 6.0
+        b = 1.5 * a * a  # h^4 / 24
+        awm, bwm = a * wm, b * wm
+        for k, w in ((0, w_nodes[i:j]), (3, w_nodes[i + 1:j + 1])):  # M00, M11
+            p[k] = 1.0 + 2.0 * awm + (a + bwm) * w
+            q[k] = -3.0 * a - bwm - b * w
+            r[k] = b
+        p[1], q[1], r[1] = hb * (1.0 + awm), -a * hb, 0.0
+        p[2] = hb / 6.0 * (ws * (1.0 + 3.0 * awm) + 4.0 * wm)
+        q[2] = -hb * (1.0 + 0.5 * a * (2.0 * wm + ws))
+        r[2] = a * hb
+    return table
 
-    With count_nodes, the same pairwise products walked back down from the
-    block-start states give y at every step, all blocks at once, and the
-    sign changes of y are counted with numpy; an exact zero leaves the
-    previous sign in place.  The walk-down starts from each block-start
-    state scaled by a power of two to unit size, so that its partial
-    products cannot overflow either; an exact scaling changes no sign.  The
+
+def _sweep(table, chains, steps, count_nodes=False):
+    """Fixed-step RK4 for (y, y') with y'' = (W(r) - E) y along each of the
+    chains (energy, y1, y2, start, stop), from grid node start to node stop,
+    over the grid's `_step_table`; return each chain's (y1, y2, nodes).
+
+    A chain with start > stop runs inward: a step run backwards (h -> -h,
+    q0 <-> q1) is (M11, -M01, -M10, M00), so the chain runs on (y, -y') with
+    M read across the other diagonal, (M11, M01, M10, M00).  steps has one
+    entry per RK4 step of the chains (a range will do), so that a wrapper
+    of the kernel can count a call's work as len(steps).  One call runs
+    every chain, paying the call's fixed cost once; each chain is padded to
+    whole blocks on its own, so it gets the exact bits of a call of its own.
+
+    The steps are split into blocks of _SPAN, the last block of a chain
+    padded with identity steps, and their matrices are evaluated from the
+    table _BLOCK steps at a time.  Pairwise products, later times earlier,
+    reduce each block to one matrix in log2(_SPAN) numpy passes, so the
+    Python loop runs once per block: it applies the block's product and
+    renormalizes the state once it leaves [1e-250, 1e250], which cancels out
+    of node counts and logarithmic derivatives.  On a steep grid a block
+    can grow by more than that 1e58 of headroom (RK4 grows by ~(h kappa)^4
+    / 24 per step where h kappa is large): a product that overflows the
+    state is applied again to the state scaled to unit size.
+
+    With count_nodes, the same products walked back down from the block-
+    start states, each first scaled exactly to unit size by a power of two,
+    give y at every step, all blocks at once, and numpy counts the sign
+    changes of y; an exact zero leaves the previous sign in place.  The
     start values may be numpy scalars; the returned states are Python
     floats.
     """
-    lengths = [steps for *_, steps in chains]
-    states = [(float(y1), float(y2)) for _, y1, y2, _ in chains]
+    table = table.reshape(3, 2, 2, -1)
+    pad = np.zeros((3, 2, 2, _SPAN))  # identity steps: P = 1, Q = R = 0
+    pad[0, 0, 0] = pad[0, 1, 1] = 1.0
+    lengths = [abs(stop - start) for *_, start, stop in chains]
+    inward = [start > stop for *_, start, stop in chains]
+    states = [(float(y1), float(-y2 if a > b else y2)) for _, y1, y2, a, b in chains]
     nodes = [0] * len(chains)
     prev = [y1 for y1, _ in states]  # each chain's last nonzero y, or its zero start
     for chunk in _chunks(lengths):
-        parts = []  # h, q0, qm, q1 of each piece
-        for k, offset, a, b in chunk:
-            # steps a .. stop - 1 of chain k, then h = 0 padding up to b;
-            # each chain before it has one node more than steps
-            stop = min(b, lengths[k])
-            energy = chains[k][0]
-            hp = h[offset + a:offset + stop]
-            qn = w_nodes[offset + k + a:offset + k + stop + 1] - energy
-            qm = w_mid[offset + a:offset + stop] - energy
-            if b > stop:
-                zeros = np.zeros(b - stop)
-                hp, qn, qm = (np.concatenate((x, zeros)) for x in (hp, qn, qm))
-            parts.append((hp, qn[:-1], qm, qn[1:]))
-        if len(parts) == 1:
-            hb, q0, qm, q1 = parts[0]
-        else:
-            hb, q0, qm, q1 = (np.concatenate(x) for x in zip(*parts))
-        blocks = len(hb) // _SPAN
-        h2 = hb * hb
-        h2qm = h2 * qm
-        c2 = h2 / 6.0
-        c4 = h2qm * h2 / 24.0
-        m = np.empty((2, 2, blocks, _SPAN))
-        m[0, 0] = (1.0 + c2 * (q0 + 2.0 * qm) + c4 * q0).reshape(blocks, _SPAN)
-        m[0, 1] = (hb * (1.0 + h2qm / 6.0)).reshape(blocks, _SPAN)
-        m[1, 0] = (hb / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2qm * (q0 + q1))
-                   ).reshape(blocks, _SPAN)
-        m[1, 1] = (1.0 + c2 * (2.0 * qm + q1) + c4 * q1).reshape(blocks, _SPAN)
+        parts = []
+        for k, a, b in chunk:
+            # steps a .. stop - 1 of chain k, then identity padding up to b
+            stop, first = min(b, lengths[k]), chains[k][3]
+            if inward[k]:  # read across the other diagonal
+                part = table[..., first - stop:first - a][..., ::-1]
+                part = part.transpose(0, 2, 1, 3)[:, ::-1, ::-1]
+            else:
+                part = table[..., first + a:first + stop]
+            parts += [part, pad[..., :b - stop]]
+        pqr = np.concatenate(parts, axis=-1)
+        e = [chains[k][0] for k, _, _ in chunk]  # one energy, or one per step
+        e = e[0] if len(set(e)) == 1 else np.repeat(e, [b - a for _, a, b in chunk])
+        m = pqr[2] * e
+        m += pqr[1]
+        m *= e
+        m += pqr[0]
+        blocks = pqr.shape[-1] // _SPAN
+        m = m.reshape(2, 2, blocks, _SPAN)
         # levels[k][..., j] is the product of steps j 2^k .. (j + 1) 2^k - 1
         levels = [m]
         while levels[-1].shape[-1] > 1:
@@ -226,7 +235,7 @@ def _sweep(w_nodes, w_mid, h, chains, count_nodes=False):
             levels.append(_product(t[..., 1::2], t[..., 0::2]))
         products = zip(*levels.pop().reshape(4, blocks).tolist())
         starts1, starts2 = [], []
-        for k, _, a, b in chunk:
+        for k, a, b in chunk:
             y1, y2 = states[k]
             for m00, m01, m10, m11 in itertools.islice(products, (b - a) // _SPAN):
                 if count_nodes:
@@ -256,7 +265,7 @@ def _sweep(w_nodes, w_mid, h, chains, count_nodes=False):
                 finer[..., 1::2] = left[:, 0] * state[0] + left[:, 1] * state[1]
                 state = finer
             ys = state[0].ravel()
-            for k, _, a, b in chunk:
+            for k, a, b in chunk:
                 # y after every step of the piece, led by the last nonzero y
                 # before them
                 seq = np.append(ys[:b - a], states[k][0])
@@ -267,7 +276,8 @@ def _sweep(w_nodes, w_mid, h, chains, count_nodes=False):
                 nodes[k] += int(np.count_nonzero(sign[1:] != sign[:-1]))
                 if seq.size:
                     prev[k] = seq[-1]
-    return [(y1, y2, n) for (y1, y2), n in zip(states, nodes)]
+    return [(y1, -y2 if back else y2, n)
+            for (y1, y2), n, back in zip(states, nodes, inward)]
 
 
 class _RadialProblem:
@@ -364,7 +374,7 @@ class _Domain:
 
 
 class _Grid:
-    """Composite grid with the potential pre-tabulated for the RK4 kernel:
+    """Composite grid with its RK4 step matrices tabulated for the kernel:
     log-uniform from r_min to r_sw, uniform at the well's step from there,
     and from r_tail to r_max at the tail's own step where that makes the
     grid shorter.  Every kernel call over it is counted in `tally`."""
@@ -399,15 +409,15 @@ class _Grid:
         mid = 0.5 * (self.r[:-1] + self.r[1:])
         prob = dom.prob
         self.wn = prob.w(self.r)
-        self.wm = prob.w(mid)
-        self.w_floor = min(prob.floor(self.r, self.wn), prob.floor(mid, self.wm))
+        wm = prob.w(mid)
+        self.w_floor = min(prob.floor(self.r, self.wn), prob.floor(mid, wm))
+        del mid  # not held while the table is built
         self.steps = len(self.h)
+        self.table = _step_table(self.h, self.wn, wm)
+        # least W at or after each node, a non-decreasing sequence
+        self.wn_after = np.fmin.accumulate(self.wn[::-1])[::-1]
         self._prob = prob
         self._w0_prime = prob.w_prime(float(self.r[0]))
-        # contiguous reversed copies for inward sweeps
-        self._wn_r = np.ascontiguousarray(self.wn[::-1])
-        self._wm_r = np.ascontiguousarray(self.wm[::-1])
-        self._h_r = np.ascontiguousarray(-self.h[::-1])
 
     def start(self, energy: float):
         """(y, y') at r_min: WKB log-derivative where a stronger singular
@@ -432,17 +442,17 @@ class _Grid:
         from r_max down to node `stop`, from y = 1 and the decaying
         log-derivative -sqrt(W(r_max) - E)."""
         self._tally.sweeps += 1
-        parts, runs = [], []
-        for energy, stop, inward in chains:
-            if inward:
-                n = self.steps - stop
-                parts.append((self._wn_r[:n + 1], self._wm_r[:n], self._h_r[:n]))
-                y2 = -math.sqrt(max(self.wn[-1] - energy, 1e-12))
-                runs.append((energy, 1.0, y2, n))
-            else:
-                parts.append((self.wn[:stop + 1], self.wm[:stop], self.h[:stop]))
-                runs.append((energy, *self.start(energy), stop))
-        return _sweep(*(np.concatenate(x) for x in zip(*parts)), runs, count_nodes)
+        runs = [(e, 1.0, -math.sqrt(max(self.wn[-1] - e, 1e-12)), self.steps, stop)
+                if inward else (e, *self.start(e), 0, stop) for e, stop, inward in chains]
+        steps = sum(abs(stop - start) for *_, start, stop in runs)
+        return _sweep(self.table, runs, range(steps), count_nodes)
+
+    def matching_node(self, energy: float) -> int:
+        """The last node where W < energy (the last one where wn_after is
+        below it) or else the middle one, at least 3 nodes from either end."""
+        below = int(np.searchsorted(self.wn_after, energy))
+        im = below - 1 if below else self.steps // 2
+        return min(max(im, 3), self.steps - 3)
 
 
 def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
@@ -564,26 +574,15 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     directly (warm is True); otherwise the search starts from the potential
     floor as it does without a prior.  Both ends of a bracket are swept in
     one kernel call, and so are the outward and inward halves of every
-    matching evaluation.  Brent's method steps across a root it has landed
-    on by at least tol/32, so where the bracket closes, and so the energy
-    reported, does not hang on the last bits of the mismatch, unless an
-    iterate lands within the mismatch's rounding noise of the root."""
+    matching evaluation."""
 
     def nodes_of(*energies: float) -> list[int]:
         ends = grid.sweep([(e, grid.steps, False) for e in energies], count_nodes=True)
         return [n for _, _, n in ends]
 
     def mismatch(*energies: float) -> list[float]:
-        chains = []
-        for e in energies:
-            below = grid.wn < e
-            if below.any():
-                im = len(grid.wn) - 1 - int(np.argmax(below[::-1]))
-            else:
-                im = grid.steps // 2
-            im = min(max(im, 3), grid.steps - 3)
-            chains += [(e, im, False), (e, im, True)]
-        ends = grid.sweep(chains)
+        nodes = [(e, grid.matching_node(e)) for e in energies]
+        ends = grid.sweep([(e, im, inward) for e, im in nodes for inward in (False, True)])
         return [(o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
                 for (o1, o2, _), (i1, i2, _) in zip(ends[0::2], ends[1::2])]
 
@@ -709,6 +708,7 @@ def shoot_eigenvalue(
         refinements = 0
         try:
             while True:
+                grid = None  # free the coarser grid before the finer one is built
                 grid = _Grid(dom, scale, tally)
                 try:
                     found, width, warm = _solve_at_density(prob, grid, level, tol,

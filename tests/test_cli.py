@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -327,6 +330,60 @@ class TestEdgeCases:
         row = json.loads(out)
         printed = row["oracle"] if argv[0] == "oracle" else row["bound"]
         assert printed == pytest.approx(value, abs=tol)
+
+
+def _contract_draws(rng, count):
+    """`count` random shared arguments of `oracle` and `eig` with an oracle
+    tolerance: a1 = 10^U(-4, 6); one or two terms lam r^-alpha with lam =
+    +-10^U(-12, 6), a quarter of them negative, and alpha from U(0.05, 20)
+    or, a quarter of the time, one of 2, 4 and 6; N 1-5, l 0-2, level 0-2;
+    tol 1e-6 or 1e-8."""
+    draws = []
+    for _ in range(count):
+        argv = ["--a1", repr(10.0 ** rng.uniform(-4.0, 6.0))]
+        for _ in range(rng.choice((1, 2))):
+            lam = 10.0 ** rng.uniform(-12.0, 6.0)
+            if rng.random() < 0.25:
+                lam = -lam
+            alpha = (rng.choice((2.0, 4.0, 6.0)) if rng.random() < 0.25
+                     else rng.uniform(0.05, 20.0))
+            argv.append(f"--term={lam!r}:{alpha!r}")
+        argv += ["--dim", str(rng.randint(1, 5)), "--ell", str(rng.randint(0, 2)),
+                 "--level", str(rng.randint(0, 2)), "--format", "json"]
+        draws.append((argv, rng.choice((1e-6, 1e-8))))
+    return draws
+
+
+class TestOracleContract:
+    """On any input the parser accepts, `oracle` exits 0 with a finite
+    energy, which a bound `eig -D 8` prints for the same input does not
+    undercut by more than 2 tol max(1, |E|), or exits 1 with exactly one
+    `error:` line; a warning of any kind is an error.  Seeded draws, so the
+    inputs are the same on every run."""
+
+    @staticmethod
+    def _main(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv, tol", _contract_draws(random.Random(0), 20))
+    def test_value_or_one_error_line(self, argv, tol, capsys):
+        code, out, err = self._main(["oracle", *argv, "--tol", repr(tol)], capsys)
+        if code == 1:
+            assert out == ""
+            (line,) = err.splitlines()
+            assert line.startswith("error: ")
+            return
+        assert code == 0 and err == ""
+        energy = json.loads(out)["oracle"]
+        assert math.isfinite(energy)
+        code, out, err = self._main(["eig", *argv, "-D", "8"], capsys)
+        if code == 0:
+            assert json.loads(out)["bound"] >= energy - 2.0 * tol * max(1.0, abs(energy))
+        else:
+            assert code == 1 and len(err.splitlines()) == 1
 
 
 def test_opposite_overflowing_terms_give_one_error_line_under_W_error():

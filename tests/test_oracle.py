@@ -416,11 +416,20 @@ def _normalized(y1, y2):
     return y1 / mag, y2 / mag
 
 
-def _one_chain(args, energy, y1, y2, count_nodes):
-    """`_sweep` over (w_nodes, w_mid, h) as a one-chain list: the chain's
+def _one_chain(args, energy, y1, y2, count_nodes, inward=False):
+    """`_sweep` over the step table of (w_nodes, w_mid, h) as a one-chain
+    list, outward from the first node or inward from the last: the chain's
     (y1, y2, nodes)."""
-    (end,) = oracle._sweep(*args, [(energy, y1, y2, len(args[2]))], count_nodes)
+    wn, wm, h = args
+    n = len(h)
+    run = (energy, y1, y2, n, 0) if inward else (energy, y1, y2, 0, n)
+    (end,) = oracle._sweep(oracle._step_table(h, wn, wm), [run], range(n), count_nodes)
     return end
+
+
+def _reference(args, energy, y1, y2, count_nodes, inward=False):
+    """`rk4ref.rk4_sweep` over the same steps as `_one_chain`."""
+    return rk4_sweep(*(_inward(*args) if inward else args), energy, y1, y2, count_nodes)
 
 
 class TestKernel:
@@ -432,10 +441,8 @@ class TestKernel:
     @pytest.mark.parametrize("energy", [-5.0, 30.0])
     def test_matches_stagewise_rk4(self, seed, inward, energy):
         args = _random_grid(seed)
-        if inward:
-            args = _inward(*args)
-        got = _one_chain(args, energy, 1.0, -0.5, True)
-        want = rk4_sweep(*args, energy, 1.0, -0.5, True)
+        got = _one_chain(args, energy, 1.0, -0.5, True, inward)
+        want = _reference(args, energy, 1.0, -0.5, True, inward)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
         assert got[2] == want[2]
@@ -452,10 +459,8 @@ class TestKernel:
     def test_rescale_guard(self, inward):
         # below W the solution grows by ~1e14; from 1e249 it crosses 1e250
         args = _random_grid(4)
-        if inward:
-            args = _inward(*args)
-        got = _one_chain(args, -10.0, 1e249, 1e249, True)
-        want = rk4_sweep(*args, -10.0, 1e249, 1e249, True)
+        got = _one_chain(args, -10.0, 1e249, 1e249, True, inward)
+        want = _reference(args, -10.0, 1e249, 1e249, True, inward)
         assert abs(got[0]) + abs(got[1]) < 1e249  # renormalized on the way
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
@@ -484,10 +489,8 @@ class TestKernel:
     def test_grid_lengths(self, steps, inward):
         # partial last block and partial last chunk
         args = _random_grid(6, steps=steps, r1=min(6.0, 0.05 + 0.003 * steps))
-        if inward:
-            args = _inward(*args)
-        got = _one_chain(args, 30.0, 1.0, -0.5, True)
-        want = rk4_sweep(*args, 30.0, 1.0, -0.5, True)
+        got = _one_chain(args, 30.0, 1.0, -0.5, True, inward)
+        want = _reference(args, 30.0, 1.0, -0.5, True, inward)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
         assert got[2] == want[2]
@@ -538,10 +541,8 @@ class TestKernel:
     def test_start_on_a_zero(self, inward):
         # y1 = 0 has no sign: the first nonzero y sets it without a node
         args = _random_grid(7, steps=3000)
-        if inward:
-            args = _inward(*args)
-        got = _one_chain(args, 30.0, 0.0, 1.0, True)
-        want = rk4_sweep(*args, 30.0, 0.0, 1.0, True)
+        got = _one_chain(args, 30.0, 0.0, 1.0, True, inward)
+        want = _reference(args, 30.0, 0.0, 1.0, True, inward)
         assert np.allclose(_normalized(*got[:2]), _normalized(*want[:2]),
                            rtol=0.0, atol=1e-12)
         assert got[2] == want[2] >= 1
@@ -556,6 +557,87 @@ class TestKernel:
         assert all(type(x) is float for x in numpy[:2])
 
 
+class TestStepTable:
+    """`_step_table` holds each step's RK4 matrix as P + E (Q + E R), which
+    is the stage-by-stage closed form rearranged: the two agree to rounding
+    at any energy, and `_sweep` reads an inward step from the same column."""
+
+    @staticmethod
+    def _direct(h, q0, qm, q1):
+        """The RK4 step matrix of the `_step_table` docstring, entries 00,
+        01, 10, 11, straight from h and q = W - E."""
+        return np.array([1.0 + h**2 * (q0 + 2.0 * qm) / 6.0 + h**4 * qm * q0 / 24.0,
+                         h * (1.0 + h**2 * qm / 6.0),
+                         h / 6.0 * (q0 + 4.0 * qm + q1 + h**2 * qm * (q0 + q1) / 2.0),
+                         1.0 + h**2 * (2.0 * qm + q1) / 6.0 + h**4 * qm * q1 / 24.0])
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        """A grid with a log-uniform core, a uniform well and a coarser tail;
+        W at every node and midpoint, and two steps of each part."""
+        prob, grid, _ = TestWarmStart._grid(PotentialSpec(a1=1.0, terms=((1.0, 4.0),
+                                                                         (1.0, 6.0))))
+        r = grid.r
+        wm = prob.w(0.5 * (r[:-1] + r[1:]))
+        log_core = np.flatnonzero(r[1:] <= 0.5)
+        tail = np.flatnonzero(np.diff(grid.h) > 1e-9)[-1] + 1  # first tail step
+        well = np.flatnonzero(r[:-1] > 1.0)[0]
+        picks = [log_core[0], log_core[-1], well, well + 1, tail, grid.steps - 1]
+        assert r[tail] > r[well] > 1.0 and grid.h[tail] > 2.0 * grid.h[well]
+        return grid, wm, picks
+
+    @pytest.mark.parametrize("energy", [-10.0, 0.0, 3.0, 30.0, 4e4])
+    def test_rows_match_the_direct_formula(self, grid, energy):
+        # relative to each step's largest entry: an entry near zero is a
+        # cancellation in either form
+        grid, wm, _ = grid
+        wn, h, t = grid.wn, grid.h, grid.table
+        want = self._direct(h, wn[:-1] - energy, wm - energy, wn[1:] - energy)
+        got = t[0] + energy * (t[1] + energy * t[2])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=0))
+
+    @pytest.mark.parametrize("energy", [-10.0, 0.0, 3.0, 30.0, 4e4])
+    def test_one_step_chains_read_the_table(self, grid, energy):
+        # the columns of a step's matrix from the unit states, outward
+        # exactly as tabulated, inward as the direct formula with h -> -h
+        # and q0 <-> q1
+        grid, wm, picks = grid
+        wn, h, t = grid.wn, grid.h, grid.table
+        for i in picks:
+            q0, qm, q1 = wn[i] - energy, wm[i] - energy, wn[i + 1] - energy
+            tabulated = t[0, :, i] + energy * (t[1, :, i] + energy * t[2, :, i])
+            for (a, b), want in (((i, i + 1), tabulated),
+                                 ((i + 1, i), self._direct(-h[i], q1, qm, q0))):
+                ends = oracle._sweep(t, [(energy, 1.0, 0.0, a, b),
+                                         (energy, 0.0, 1.0, a, b)], range(2))
+                got = np.array([ends[0][0], ends[1][0], ends[0][1], ends[1][1]])
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+            # inward, the same column's (M11, -M01, -M10, M00), bit for bit
+            assert np.array_equal(got[[3, 1, 2, 0]] * [1, -1, -1, 1], tabulated)
+
+
+class TestMatchingNode:
+    """`_Grid.matching_node` finds the last node with W < E by binary search
+    on the least W from each node on."""
+
+    @staticmethod
+    def _scan(grid, energy):
+        """The same node by a scan of every node."""
+        below = grid.wn < energy
+        im = len(grid.wn) - 1 - int(np.argmax(below[::-1])) if below.any() else grid.steps // 2
+        return min(max(im, 3), grid.steps - 3)
+
+    @pytest.mark.parametrize("terms", [(), ((-7.0, 4.0), (49.0, 6.0)), ((0.1, 2.5),)])
+    def test_same_node_as_a_scan(self, terms):
+        _, grid, _ = TestWarmStart._grid(PotentialSpec(a1=1.0, terms=terms))
+        rng = np.random.default_rng(0)
+        lo, hi = grid.wn.min(), grid.wn.max()
+        energies = np.concatenate([rng.uniform(lo - 1.0, 60.0, 200),
+                                   rng.choice(grid.wn, 50), [lo, hi, np.inf]])
+        for e in energies:
+            assert grid.matching_node(float(e)) == self._scan(grid, e)
+
+
 class TestChains:
     """Several chains in one `_sweep` call: each gets the bits of a call of
     its own, and the third argument holds every chain's steps."""
@@ -568,17 +650,22 @@ class TestChains:
         (1, 2 * oracle._BLOCK + 7, 2, oracle._SPAN - 1),
     ])
     def test_each_chain_gets_the_bits_of_its_own_call(self, lengths, count_nodes):
-        chains = []
-        for k, steps in enumerate(lengths):
-            args = _random_grid(10 + k, steps=steps, r1=min(6.0, 0.05 + 0.003 * steps))
-            chains.append(_inward(*args) if k % 2 else args)
+        grids = [_random_grid(10 + k, steps=steps, r1=min(6.0, 0.05 + 0.003 * steps))
+                 for k, steps in enumerate(lengths)]
         energies = (4e4, 30.0, -5.0, 10.0)[:len(lengths)]
         y1s = (1.0, 0.0, np.float64(0.3), -2.0)[:len(lengths)]
         y2s = (-0.5, 1.0, 0.0, 1e249)[:len(lengths)]
-        alone = [_one_chain(args, e, y1, y2, count_nodes)
-                 for args, e, y1, y2 in zip(chains, energies, y1s, y2s)]
-        joined = oracle._sweep(*(np.concatenate(x) for x in zip(*chains)),
-                               list(zip(energies, y1s, y2s, lengths)), count_nodes)
+        inward = [k % 2 == 1 for k in range(len(lengths))]
+        alone = [_one_chain(*x) for x in zip(grids, energies, y1s, y2s,
+                                              [count_nodes] * len(lengths), inward)]
+        # the grids' step tables side by side, each chain on its own columns
+        table = np.concatenate([oracle._step_table(h, wn, wm) for wn, wm, h in grids],
+                               axis=-1)
+        ends = np.cumsum((0,) + lengths)
+        runs = [(e, y1, y2, b, a) if back else (e, y1, y2, a, b)
+                for e, y1, y2, a, b, back in zip(energies, y1s, y2s, ends[:-1], ends[1:],
+                                                 inward)]
+        joined = oracle._sweep(table, runs, range(sum(lengths)), count_nodes)
         assert joined == alone
         assert all(type(y) is float for y1, y2, _ in joined for y in (y1, y2))
         if count_nodes:
