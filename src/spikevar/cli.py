@@ -220,8 +220,7 @@ def _cmd_eig(ns) -> list[RowResult]:
     if (ns.init_A is None) != (ns.init_B is None):
         raise ValueError("--init-A and --init-B must be given together")
     init = None if ns.init_A is None else (ns.init_A, ns.init_B)
-    res = minimize_bound(v, ns.D, ns.level, init=init,
-                         fix_B=(ns.a1 if ns.fix_B else None))
+    res = minimize_bound(v, ns.D, ns.level, init=init, fix_B=ns.fix_B)
     return [RowResult(label="eig", N=v.N, l=v.l, D=ns.D, level=ns.level,
                       A_star=res.A_star, B_star=res.B_star, bound=res.bound,
                       evaluations=res.evaluations)]
@@ -241,8 +240,7 @@ def _cmd_table(ns) -> tuple[RowResult, ...]:
 
 def _cmd_converge(ns) -> list[RowResult]:
     v = _potential(ns)
-    run = converge_to_digits(v, ns.level, ns.digits, ns.schedule,
-                             fix_B=(ns.a1 if ns.fix_B else None))
+    run = converge_to_digits(v, ns.level, ns.digits, ns.schedule, fix_B=ns.fix_B)
     return [RowResult(label=f"D={D}", N=v.N, l=v.l, D=D, level=ns.level,
                       A_star=res.A_star, B_star=res.B_star, bound=res.bound,
                       evaluations=res.evaluations)

@@ -93,9 +93,11 @@ def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,
     counter-term combine into one (inv_square - A) coefficient.  p is one
     ModelParams, which gives a D x D matrix, or a sequence of K, which gives
     a (K, D, D) stack; every point must share (N, l) with v.  Every power
-    present needs 2*gamma_N > alpha, which `inv_power_matrix` checks, and a
-    term whose coefficient is zero at a point is left out there.  H is
-    exactly symmetric.  An entry that overflows raises OverflowError, as
+    present needs 2*gamma_N > alpha, which `inv_power_matrix` checks.  A
+    term whose coefficient is zero at every point is left out, as r^2's
+    a1 - B is when B is pinned to a1; one that is zero at some points only
+    is built for the whole stack and adds +-0 there, which moves no bit.  H
+    is exactly symmetric.  An entry that overflows raises OverflowError, as
     beta^(alpha/2) does at a steep term and a large B: such a point bounds
     nothing.
     """
@@ -124,15 +126,10 @@ def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,
     try:
         with np.errstate(over="raise"):
             for coef, build, s in terms:
-                if 0.0 not in coef:
+                if any(coef):
                     M = build(ps, D, s)
                     M *= _per_point(coef)
                     H += M
-                elif any(coef):
-                    keep = [k for k in range(K) if coef[k] != 0.0]
-                    M = build([ps[k] for k in keep], D, s)
-                    M *= _per_point([coef[k] for k in keep])
-                    H[keep] += M
     except FloatingPointError as exc:
         raise OverflowError(f"matrix entries overflow ({exc})") from None
     return H[0] if single else H

@@ -321,7 +321,7 @@ def minimize_bound(
     target_level: int = 0,
     init: tuple[float, float] | None = None,
     budget: int = 2000,
-    fix_B: float | None = None,
+    fix_B: bool = False,
 ) -> BoundResult:
     """Minimize the target-level eigenvalue bound over (A, B), or over A alone.
 
@@ -335,11 +335,11 @@ def minimize_bound(
     vertex.  Ties between starts keep the first in start order.  converged
     means that some start's simplex converged and the budget was not used
     up; exhausting `budget` returns the best point found, not converged.
-    `fix_B` pins B (one-parameter search), used for the A-only
-    reproduction columns.  A start whose transformed point is not finite
+    `fix_B` pins B to a1 (one-parameter search over A), as the A-only
+    reproduction columns do.  A start whose transformed point is not finite
     (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError, and so
-    are a non-finite `init` A and an `init` B or `fix_B` that is not finite
-    and > 0, before any start is built.  A point whose matrix overflows
+    are a non-finite `init` A and an `init` B that is not finite and > 0,
+    before any start is built.  A point whose matrix overflows
     bounds nothing (its value is +inf); when every point does, that is a
     ValueError naming the overflow.
 
@@ -370,13 +370,11 @@ def minimize_bound(
             raise ValueError("init A must be finite")
         if not 0.0 < init[1] < math.inf:
             raise ValueError("init B must be finite and > 0")
-    if fix_B is not None and not 0.0 < fix_B < math.inf:
-        raise ValueError("fix_B must be finite and > 0")
     a_min = feasible_A_min(v)
 
     def decode(x) -> tuple[float, float]:
         A = a_min + math.exp(min(float(x[0]), _CLAMP))
-        B = fix_B if fix_B is not None else math.exp(min(float(x[1]), _CLAMP))
+        B = v.a1 if fix_B else math.exp(min(float(x[1]), _CLAMP))
         return A, B
 
     # every value the search has computed, by transformed point: simplex
@@ -404,7 +402,7 @@ def minimize_bound(
 
     def start_point(A0, B0) -> list[float]:
         u0 = math.log(max(A0 - a_min, 1e-12))
-        x = [u0] if fix_B is not None else [u0, math.log(max(B0, 1e-12))]
+        x = [u0] if fix_B else [u0, math.log(max(B0, 1e-12))]
         if not all(math.isfinite(t) for t in x):  # inf - inf in the simplex
             raise ValueError(f"a1 = {v.a1:g} is too large for the bound search: "
                              f"its start (A, B) = ({A0:g}, {B0:g}) overflows")
@@ -415,15 +413,11 @@ def minimize_bound(
     # the valley floor can carry several local minima a few 1e-7 apart with
     # optima drifting to large A as the coupling grows; a coarse deterministic
     # prescan seeds one extra start in whichever basin looks deepest
-    prescan = []
-    for da in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0):
-        if fix_B is not None:
-            prescan.append((a_min + da, fix_B))
-        else:
-            for sb in (0.5, 2.0, 8.0, 32.0, 128.0):
-                prescan.append((a_min + da, v.a1 * sb))
+    # (an A-only grid's one B factor is 1.0, and a1 * 1.0 is a1 to the bit)
+    prescan = [(a_min + da, v.a1 * sb) for da in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0)
+               for sb in ((1.0,) if fix_B else (0.5, 2.0, 8.0, 32.0, 128.0))]
     if budget >= 4 * len(prescan):
-        probes = [[math.log(A - a_min)] if fix_B is not None
+        probes = [[math.log(A - a_min)] if fix_B
                   else [math.log(A - a_min), math.log(B)] for A, B in prescan]
         evaluate(probes)
         k = min(range(len(prescan)), key=lambda i: objective(probes[i]))
@@ -510,7 +504,7 @@ def converge_to_digits(
     digits: int,
     D_schedule,
     budget: int = 2000,
-    fix_B: float | None = None,
+    fix_B: bool = False,
 ) -> ConvergenceRun:
     """Walk an increasing D schedule until successive bounds agree to `digits`.
 

@@ -440,12 +440,22 @@ class _Grid:
         return their (y1, y2, nodes).  An outward chain runs from r_min,
         where `start` gives its state, to node `stop`; an inward one runs
         from r_max down to node `stop`, from y = 1 and the decaying
-        log-derivative -sqrt(W(r_max) - E)."""
+        log-derivative -sqrt(W(r_max) - E).  A block product that passes
+        the float range, which the state's rescaling cannot undo, is a
+        ShootingError naming the grid; the guard is numpy's error state,
+        set once per call."""
         self._tally.sweeps += 1
         runs = [(e, 1.0, -math.sqrt(max(self.wn[-1] - e, 1e-12)), self.steps, stop)
                 if inward else (e, *self.start(e), 0, stop) for e, stop, inward in chains]
         steps = sum(abs(stop - start) for *_, start, stop in runs)
-        return _sweep(self.table, runs, range(steps), count_nodes)
+        try:
+            with np.errstate(over="raise"):
+                return _sweep(self.table, runs, range(steps), count_nodes)
+        except FloatingPointError:
+            raise ShootingError(
+                f"RK4 block products overflow on the {self.steps}-step grid on "
+                f"[{self.r[0]:.3g}, {self.r[-1]:.3g}]: its steps are too long for "
+                f"a potential whose floor is {self.w_floor:.3g}") from None
 
     def matching_node(self, energy: float) -> int:
         """The last node where W < energy (the last one where wn_after is
@@ -494,7 +504,8 @@ def _tail_action(tol: float) -> float:
 
 def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float,
                   tol: float) -> float:
-    hi = min(cap, 2.0 * math.sqrt(e_cap / prob.a1) + 10.0)
+    # a deep negative term can put the energy cap below 0
+    hi = min(cap, 2.0 * math.sqrt(max(e_cap, 0.0) / prob.a1) + 10.0)
     rr = np.linspace(0.25, hi, 4000)
     wv = prob.probe(rr)
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))

@@ -1,7 +1,7 @@
 """Declarative reproduction jobs for the built-in reference tables.
 
-Each built-in job row carries the potential, the truncation size, the
-optimization mode (two-parameter or A-only with B pinned to a1), the
+Each built-in job row carries the potential, the truncation size, whether
+the search is A-only (B pinned to a1, `fix_B`) or over both (A, B), the
 published reference value, and a provenance string naming the table cell it
 came from.  Reference tolerances default to 5e-7 (the tables print 7
 digits); rows whose printed value is a known exact eigenvalue use 1e-6.
@@ -44,15 +44,13 @@ class TableRow:
     potential: PotentialSpec
     D: int
     level: int = 0
-    mode: str = "ab"                  # "ab" or "a" (B pinned to a1)
+    fix_B: bool = False               # A-only: B pinned to a1
     reference: float | None = None
     reference_source: str = ""
     tolerance: float = _DEFAULT_TOL
     slow: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("ab", "a"):
-            raise ValueError(f"mode must be 'ab' or 'a', got {self.mode!r}")
         if self.reference is not None and not self.reference_source:
             raise ValueError(f"row {self.label!r}: reference without provenance")
 
@@ -117,7 +115,7 @@ def _table1() -> TableJob:
                               (100, 3.577007, _LAST_DIGIT_TOL, False),
                               (200, 3.576015, 1e-4, True)]:
         rows.append(TableRow(
-            label=f"D={D} A-only", potential=v, D=D, mode="a", reference=ref,
+            label=f"D={D} A-only", potential=v, D=D, fix_B=True, reference=ref,
             reference_source=f"table1: D={D}, A-only column", tolerance=tol,
             slow=slow))
     # true two-parameter figure at D=100 is 3.5755529
@@ -127,7 +125,7 @@ def _table1() -> TableJob:
                               (100, 3.575552, _LAST_DIGIT_TOL, False),
                               (200, 3.575552, _DEFAULT_TOL, True)]:
         rows.append(TableRow(
-            label=f"D={D} (A,B)", potential=v, D=D, mode="ab", reference=ref,
+            label=f"D={D} (A,B)", potential=v, D=D, reference=ref,
             reference_source=f"table1: D={D}, two-parameter column",
             tolerance=tol, slow=slow))
     return TableJob("table1", tuple(rows))
@@ -146,7 +144,7 @@ def _table2() -> TableJob:
                                    (0.01, 1000, 3.505492, 2e-5, True)]:
         rows.append(TableRow(
             label=f"lam={lam:g} D={D} A-only", potential=_spiked(lam, 6.0), D=D,
-            mode="a", reference=ref,
+            fix_B=True, reference=ref,
             reference_source=f"table2: lambda={lam:g}, A-only column",
             tolerance=tol, slow=slow))
     # true figure for lambda=1 is 4.6599405; the lambda=0.01 print sits
@@ -159,7 +157,7 @@ def _table2() -> TableJob:
                              (0.01, 100, 3.505455, _LAST_DIGIT_TOL)]:
         rows.append(TableRow(
             label=f"lam={lam:g} D={D} (A,B)", potential=_spiked(lam, 6.0), D=D,
-            mode="ab", reference=ref,
+            reference=ref,
             reference_source=f"table2: lambda={lam:g}, two-parameter column",
             tolerance=tol))
     return TableJob("table2", tuple(rows))
@@ -252,8 +250,7 @@ def _run_row(row: TableRow, oracle_requested: bool, oracle_tol: float) -> RowRes
     t0 = time.perf_counter()
     v = row.potential
     try:
-        res = minimize_bound(v, row.D, row.level, budget=max(2000, 40 * row.D),
-                             fix_B=v.a1 if row.mode == "a" else None)
+        res = minimize_bound(v, row.D, row.level, fix_B=row.fix_B)
         oracle_val = None
         if oracle_requested:
             oracle_val = shoot_eigenvalue(v, row.level, tol=oracle_tol).energy
@@ -290,9 +287,9 @@ def run_table(
 ) -> TableReport:
     """Execute a job row by row; failures are recorded per row.
 
-    Each row runs one `minimize_bound` search at its D, with a budget of
-    max(2000, 40 * D) evaluations.  Rows flagged slow are skipped unless
-    include_slow is set.
+    Each row runs one `minimize_bound` search at its D, on the search's
+    default budget.  Rows flagged slow are skipped unless include_slow is
+    set.
     """
     rows = [r for r in job.rows if include_slow or not r.slow]
     results = [_run_row(r, with_oracle, oracle_tol) for r in rows]

@@ -307,6 +307,21 @@ EDGE_CASES = [
     (["eig", "-D", "4", "--term=1e308:6"], None, "overflows at every (A, B)"),
     # a steep grid: 16 RK4 steps overflow a state near the rescale guard
     (["oracle", "--a1", "7.3e9", "--term", "1:4"], None, "6.54e+06 steps"),
+    # deep negative terms put the energy cap below 0: the level sits ~5e5
+    # above a floor of -2.6e6, past twelve doublings of the cap's margin
+    (["oracle", "--a1", "0.41026503895141375",
+      "--term=1.0682102871782548e-06:4.434396315485245",
+      "--term=-61071.7322960802:0.6936741410163838", "--ell", "2"],
+     None, "energy cap expansion failed"),
+    # the value `eig` converges to from -D 8 through -D 24
+    (["oracle", "--a1", "0.045986086553579934",
+      "--term=-9959.586135666304:1.2424399846039489",
+      "--term=290732.80111262115:4.0"], -876.364363, 2e-6),
+    # a floor of -8e41: the grid's block products pass the float range
+    (["oracle", "--a1", "0.0008886676747687037",
+      "--term=-3.314972325510248e-07:18.754534938575237",
+      "--term=8.841066919342414e-09:19.340990795319584", "--dim", "1",
+      "--level", "2"], None, "block products overflow on the 668-step grid"),
 ]
 
 
@@ -354,6 +369,25 @@ def _contract_draws(rng, count):
     return draws
 
 
+def _main_strict(argv, capsys):
+    """(exit code, stdout, stderr) of `cli.main`, any warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return (code, *capsys.readouterr())
+
+
+def _one_error_line(code, out, err) -> bool:
+    """Whether the run exited 1 with exactly one `error:` line and no
+    output."""
+    if code != 1:
+        return False
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    return True
+
+
 class TestOracleContract:
     """On any input the parser accepts, `oracle` exits 0 with a finite
     energy, which a bound `eig -D 8` prints for the same input does not
@@ -361,29 +395,69 @@ class TestOracleContract:
     `error:` line; a warning of any kind is an error.  Seeded draws, so the
     inputs are the same on every run."""
 
-    @staticmethod
-    def _main(argv, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(argv)
-        return (code, *capsys.readouterr())
-
     @pytest.mark.parametrize("argv, tol", _contract_draws(random.Random(0), 20))
     def test_value_or_one_error_line(self, argv, tol, capsys):
-        code, out, err = self._main(["oracle", *argv, "--tol", repr(tol)], capsys)
-        if code == 1:
-            assert out == ""
-            (line,) = err.splitlines()
-            assert line.startswith("error: ")
+        code, out, err = _main_strict(["oracle", *argv, "--tol", repr(tol)], capsys)
+        if _one_error_line(code, out, err):
             return
         assert code == 0 and err == ""
         energy = json.loads(out)["oracle"]
         assert math.isfinite(energy)
-        code, out, err = self._main(["eig", *argv, "-D", "8"], capsys)
+        code, out, err = _main_strict(["eig", *argv, "-D", "8"], capsys)
         if code == 0:
             assert json.loads(out)["bound"] >= energy - 2.0 * tol * max(1.0, abs(energy))
         else:
             assert code == 1 and len(err.splitlines()) == 1
+
+
+_SEARCH_DRAWS = [argv for argv, _ in _contract_draws(random.Random(0), 20)]
+_MODES = {"ab": [], "a": ["--fix-B"]}
+
+
+def _first_order_draws(rng, count):
+    """`count` couplings +-10^U(-12, 6) for `first-order`, a quarter of
+    them negative."""
+    lams = [10.0 ** rng.uniform(-12.0, 6.0) for _ in range(count)]
+    return [-lam if rng.random() < 0.25 else lam for lam in lams]
+
+
+class TestSearchContract:
+    """The bound searches on the random inputs of `TestOracleContract`, in
+    both modes: `eig -D 8`, `converge` over a short schedule and
+    `first-order` each exit 0 with finite bounds or exit 1 with exactly one
+    `error:` line; a warning of any kind is an error."""
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("argv", _SEARCH_DRAWS)
+    def test_eig(self, argv, mode, capsys):
+        code, out, err = _main_strict(["eig", *argv, "-D", "8", *_MODES[mode]], capsys)
+        if not _one_error_line(code, out, err):
+            assert code == 0 and err == ""
+            assert math.isfinite(json.loads(out)["bound"])
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("argv", _SEARCH_DRAWS)
+    def test_converge_history_never_rises(self, argv, mode, capsys):
+        code, out, err = _main_strict(
+            ["converge", *argv, "--schedule", "2,4,8", "--digits", "4", *_MODES[mode]],
+            capsys)
+        if _one_error_line(code, out, err):
+            return
+        assert code == 0 and err == ""
+        bounds = [json.loads(line)["bound"] for line in out.splitlines()]
+        assert bounds and all(math.isfinite(b) for b in bounds)
+        for prev, b in zip(bounds, bounds[1:]):
+            assert b <= prev + 1e-9 * max(1.0, abs(prev))
+
+    @pytest.mark.parametrize("mode", ["a", "ab"])
+    @pytest.mark.parametrize("lam", _first_order_draws(random.Random(0), 20))
+    def test_first_order(self, lam, mode, capsys):
+        code, out, err = _main_strict(
+            ["first-order", f"--lambda={lam!r}", "--mode", mode, "--format", "json"],
+            capsys)
+        if not _one_error_line(code, out, err):
+            assert code == 0 and err == ""
+            assert math.isfinite(json.loads(out)["bound"])
 
 
 def test_opposite_overflowing_terms_give_one_error_line_under_W_error():

@@ -60,9 +60,9 @@ class TestFeasibility:
             minimize_bound(v, 10)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"fix_B": math.inf}, "fix_B must be finite and > 0"),
-        ({"fix_B": 0.0}, "fix_B must be finite and > 0"),
-        ({"fix_B": math.nan}, "fix_B must be finite and > 0"),
+        ({"init": (math.inf, 1.0)}, "init A must be finite"),
+        ({"init": (5.0, 0.0)}, "init B must be finite and > 0"),
+        ({"init": (5.0, math.nan)}, "init B must be finite and > 0"),
         ({"init": (math.nan, 1.0)}, "init A must be finite"),
         ({"init": (-math.inf, 1.0)}, "init A must be finite"),
         ({"init": (5.0, math.inf)}, "init B must be finite and > 0"),
@@ -85,7 +85,7 @@ class TestTableValues:
         assert res.converged
 
     def test_one_by_one_a_only(self):
-        res = minimize_bound(SPIKE_01_4, 1, fix_B=1.0)
+        res = minimize_bound(SPIKE_01_4, 1, fix_B=True)
         assert res.bound == pytest.approx(3.745811, abs=5e-7)
         assert res.B_star == 1.0
 
@@ -473,7 +473,7 @@ class TestLockstep:
     @pytest.mark.parametrize("case", ["a_only", "warm_table4", "table2_lam10_D30"])
     def test_search_bitwise_equal_without_the_pass(self, case, monkeypatch):
         if case == "a_only":
-            v, D, kw = SPIKE_01_4, 10, {"fix_B": 1.0}
+            v, D, kw = SPIKE_01_4, 10, {"fix_B": True}
         elif case == "warm_table4":
             # a D=10 search of (1,100,100) on a budget it runs out of, on
             # which a run stops at its share
@@ -533,13 +533,13 @@ class TestValueTable:
     def test_no_point_reaches_values_twice(self, case, monkeypatch):
         if case == "table3_N2":
             row = builtin_job("table3").rows[0]
-            v, D, kw = row.potential, row.D, {"budget": max(2000, 40 * row.D)}
+            v, D, kw = row.potential, row.D, {}
         elif case == "table2_lam10_D30":
             row = next(r for r in builtin_job("table2").rows
                        if r.label == "lam=10 D=30 (A,B)")
             v, D, kw = row.potential, 30, {}
         else:
-            v, D, kw = SPIKE_01_4, 20, {"fix_B": 1.0}
+            v, D, kw = SPIKE_01_4, 20, {"fix_B": True}
         tables = []
         real_run = optimizer._run
 
@@ -580,7 +580,7 @@ def _run_case(case):
                                  0, 6, (10, 20))
         return run.bound, sum(res.evaluations for _, res in run.history)
     if case == "a_only_D20":
-        res = minimize_bound(SPIKE_01_4, 20, fix_B=1.0)
+        res = minimize_bound(SPIKE_01_4, 20, fix_B=True)
         return res.bound, res.evaluations
     tid, label = _ROW_CASES[case]
     row = next(r for r in builtin_job(tid).rows if r.label == label)

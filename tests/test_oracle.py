@@ -689,6 +689,54 @@ class TestChains:
         assert set(calls[2:]) == {grid.steps}
 
 
+class TestRarePaths:
+    """Paths that few inputs take, each ending in a value within
+    [E - 2 tol, bound] or one ShootingError."""
+
+    @staticmethod
+    def _caps(monkeypatch) -> list[float]:
+        """The energy caps the call sizes its domain for, in order."""
+        caps = []
+        choose = oracle._choose_r_max
+
+        def spy(prob, e_cap, cap, tol):
+            caps.append(e_cap)
+            return choose(prob, e_cap, cap, tol)
+
+        monkeypatch.setattr(oracle, "_choose_r_max", spy)
+        return caps
+
+    def test_energy_cap_expands_up_to_the_level(self, monkeypatch):
+        # -10/r sinks the probed floor to ~ -1000, ~975 below the level, so
+        # the cap's margin of 20 above the floor doubles six times
+        v = PotentialSpec(a1=1.0, terms=((-10.0, 1.0), (1e-6, 4.0)))
+        caps = self._caps(monkeypatch)
+        res = shoot_eigenvalue(v, 0, tol=1e-6)
+        assert len(caps) == 7 and caps == sorted(set(caps))
+        fine = shoot_eigenvalue(v, 0, tol=1e-8)
+        assert fine.energy - 2e-6 <= res.energy <= minimize_bound(v, 20).bound
+
+    def test_energy_cap_expansion_gives_up(self, monkeypatch):
+        # the level sits ~5e5 above a floor of -2.6e6, past twelve doublings
+        # of the cap's margin of 20
+        v = PotentialSpec(a1=0.41026503895141375,
+                          terms=((1.0682102871782548e-06, 4.434396315485245),
+                                 (-61071.7322960802, 0.6936741410163838)), l=2)
+        caps = self._caps(monkeypatch)
+        with pytest.raises(ShootingError, match="energy cap expansion failed"):
+            shoot_eigenvalue(v, 0)
+        assert len(caps) == 12
+
+    def test_node_count_failure_under_refinement(self):
+        # a well ~2.1e6 deep, whose level `eig` bounds at -2095455.19317
+        # from D = 8 on: every grid counts nodes at the potential floor
+        v = PotentialSpec(a1=255473.1262248806,
+                          terms=((-250475.69493172743, 6.0),
+                                 (12106.104526825427, 10.907297012934574)), N=5, l=2)
+        with pytest.raises(ShootingError, match="node-count monotonicity"):
+            shoot_eigenvalue(v, 0)
+
+
 class TestValidation:
     def test_bad_level_and_tol(self):
         v = PotentialSpec(a1=1.0)

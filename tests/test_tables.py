@@ -70,8 +70,6 @@ class TestJobDefinitions:
     def test_row_validation(self):
         v = PotentialSpec(a1=1.0)
         with pytest.raises(ValueError):
-            TableRow(label="x", potential=v, D=5, mode="weird")
-        with pytest.raises(ValueError):
             TableRow(label="x", potential=v, D=5, reference=1.0)
 
 
@@ -90,6 +88,16 @@ class TestRunTable:
         assert row.bound == pytest.approx(21.350246, abs=5e-7)
         assert row.oracle is None
         assert report.all_passed
+
+    def test_row_without_reference_is_judged_against_the_oracle(self):
+        # the free oscillator, which the model basis at (A, B) = (0, 1)
+        # holds exactly
+        row = TableRow(label="free", potential=PotentialSpec(a1=1.0), D=5)
+        (res,) = run_table(TableJob("custom", (row,)), with_oracle=True).rows
+        assert res.reference is None and res.error is None
+        assert res.deviation == res.bound - res.oracle
+        assert 0.0 <= res.deviation <= 2e-6
+        assert res.passed is (res.deviation <= row.tolerance)
 
     def test_with_oracle(self):
         report = run_table(_single_row_job(), with_oracle=True, oracle_tol=1e-6)
@@ -149,5 +157,4 @@ class TestRunTable:
         assert len(calls) == len(job.rows)
         for row, (v, D, level, kwargs) in zip(job.rows, calls):
             assert (v, D, level) == (row.potential, row.D, row.level)
-            assert kwargs == {"budget": max(2000, 40 * row.D),
-                              "fix_B": v.a1 if row.mode == "a" else None}
+            assert kwargs == {"fix_B": row.fix_B}
