@@ -20,7 +20,12 @@ lines of
   (A,B) on 350 from a D = 10 optimum as `init`;
 - searches with a simplex stuck on neighbouring floats: table2 lam=0.1
   D=80 (A,B) on 3200 from a D = 10 optimum, and `eig --term 0.1:4 -D 5
-  --init-A -100 --init-B 1`.
+  --init-A -100 --init-B 1`;
+
+and last the same oracle lines for inputs away from a1 = 1 or from a
+shallow floor: five a1 < 1 inputs at tol 1e-8, r^2 - 100/r + 1e-6 r^-4,
+whose node search runs up to the energy cap, and `--a1 7.3e9 --term 1:4`,
+which exits 1.
 
 Calls that two seeds share are run once.  The
 package is imported from `src/` of the script's own checkout, with BLAS
@@ -57,6 +62,13 @@ EIG_ARGV = ["eig", "--term", "0.1:4", "-D", "120", "--format", "json"]
 BUDGET_ROWS = (("table4", "(1,100,100)", 10, 250),
                ("table2", "lam=10 D=30 (A,B)", 30, 350),
                ("table2", "lam=0.1 D=80 (A,B)", 80, 3200))
+# oracle calls off the unit scale: (a1, lam, alpha, level) at tol 1e-8, as
+# tests/test_oracle.py::TestScaleIdentity runs them, then two more argv
+SCALED = ((0.01, 1.0, 4.0, 0), (1e-4, 1.0, 6.0, 1), (0.2, 3.0, 2.5, 2),
+          (0.05, 100.0, 6.0, 0), (1e-3, 1e-3, 4.0, 0))
+ORACLE_ARGV = [["--a1", repr(a1), "--term", f"{lam!r}:{alpha!r}", "--level", str(level),
+                "--tol", "1e-8"] for a1, lam, alpha, level in SCALED]
+ORACLE_ARGV += [["--term=-100:1", "--term", "1e-6:4"], ["--a1", "7.3e9", "--term", "1:4"]]
 
 
 def _recording():
@@ -90,11 +102,21 @@ def _recording_oracle():
 
 
 def _cli(argv):
-    """(exit code, stdout) of one CLI call."""
+    """(exit code, stdout) of one CLI call; its error line is dropped."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
     return rc, out.getvalue()
+
+
+def _oracle_line(label, argv, shots):
+    """One line: the exit code, the energy as float.hex and the work of the
+    oracle call `argv`, which ends in `--format json`."""
+    rc, out = _cli(argv)
+    energy = json.loads(out)["oracle"] if rc == 0 else None
+    work = "".join(f" sweeps={r.sweeps} steps={r.steps}" for r in shots)
+    shots.clear()
+    print(f"oracle {label} rc={rc}: {energy.hex() if energy is not None else None}{work}")
 
 
 def main() -> None:
@@ -122,11 +144,7 @@ def main() -> None:
     shots = _recording_oracle()
     cases = {c["key"]: c for seed in SEEDS for c in workloads.build_oracle(seed)}
     for key, case in cases.items():
-        rc, out = _cli(workloads.oracle_argv(case))
-        energy = json.loads(out)["oracle"] if rc == 0 else None
-        work = "".join(f" sweeps={r.sweeps} steps={r.steps}" for r in shots)
-        shots.clear()
-        print(f"oracle {key} rc={rc}: {energy.hex() if energy is not None else None}{work}")
+        _oracle_line(key, workloads.oracle_argv(case), shots)
     spike = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
     for budget in (12, 40, 100, 200, 300):
         optimizer.minimize_bound(spike, 6, budget=budget)
@@ -142,6 +160,8 @@ def main() -> None:
     rc, _ = _cli(["eig", "--term", "0.1:4", "-D", "5", "--init-A", "-100",
                   "--init-B", "1", "--format", "json"])
     searches(f"eig -D 5 --init-A -100 rc={rc}")
+    for argv in ORACLE_ARGV:
+        _oracle_line(" ".join(argv), ["oracle", *argv, "--format", "json"], shots)
 
 
 if __name__ == "__main__":

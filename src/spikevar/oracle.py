@@ -34,8 +34,8 @@ from .hamiltonian import PotentialSpec
 
 __all__ = ["OracleResult", "ShootingError", "shoot_eigenvalue", "BACKEND"]
 
-_RMIN_CAP = 1e-4     # default inner cutoff floor
-_RMAX_CAP = 20.0     # default outer cutoff ceiling (override via r_max)
+_RMIN_CAP = 1e-4     # inner cutoff floor
+_RMAX_CAP = 20.0     # outer cutoff ceiling at a1 >= 1; a1^(-1/4) times it below
 # the tail beyond r_max keeps a WKB action of _TAIL_ACTION + ln(1/tol)/2:
 # the wall at r_max then shifts the level by exp(-2 action) = e^-16 tol
 # times an O(1) prefactor, below 1e-4 tol while the prefactor is under ~900
@@ -52,6 +52,7 @@ _BLOCK = 2048        # RK4 steps tabulated or evaluated at once; bounds temporar
 _SPAN = 16           # RK4 steps per block product; a power of two
 _WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
 _WIDEN = 16.0        # each of two retries widens the bracket this many times
+_MAX_REFINE = 6      # grid doublings after the first that the Richardson check may take
 _MAX_STEPS = 4_000_000  # RK4 steps of one grid: it holds 128 bytes a step, 136 while built
 # probe radii of the energy cap and of the inner cutoff
 _CAP_PROBE = np.geomspace(1e-3, 10.0, 1024)
@@ -77,7 +78,9 @@ class OracleResult:
     bracket's width, but never less than tol/8, where the root search stops.
     The eigenvalue lies within a couple of bracket_width above `energy`, and
     bracket_width <= the requested tolerance, so the estimate is still
-    accurate to tol.  sweeps counts the RK4 kernel calls of the whole call,
+    accurate to tol.  r_min, r_max and steps describe the final grid, and
+    grid_scale is its density against the first grid's, a power of two of at
+    least 2.  sweeps counts the RK4 kernel calls of the whole call,
     over every grid it tried, each of which may run several chains;
     fallbacks counts the refined grids whose three warm brackets around the
     previous grid's energy were all rejected, so that their search started
@@ -85,7 +88,6 @@ class OracleResult:
     """
 
     energy: float
-    nodes: int
     bracket_width: float
     r_min: float
     r_max: float
@@ -391,12 +393,6 @@ class _Grid:
         if n_well + n_tail >= n_uni:  # the tail's own step saves nothing
             n_well, n_tail = n_uni, 0
         steps = n_log + n_well + n_tail
-        # the matching point of _solve_at_density lies in [3, steps - 3]
-        if steps < 6:
-            raise ShootingError(
-                f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would have "
-                f"{steps} steps, too few to hold the matching point "
-                f"(at least 6): grid scale {scale:g} is too small")
         if steps > _MAX_STEPS:
             raise ShootingError(
                 f"the RK4 grid on [{r_min:.3g}, {r_max:.3g}] would need "
@@ -502,8 +498,9 @@ def _tail_action(tol: float) -> float:
     return min(_TAIL_ACTION + 0.5 * math.log(1.0 / tol), _TAIL_MAX)
 
 
-def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float,
-                  tol: float) -> float:
+def _choose_r_max(prob: _RadialProblem, e_cap: float, tol: float) -> float:
+    # below a1 = 1 lengths grow as a1^(-1/4), and so does the cap
+    cap = _RMAX_CAP * max(1.0, prob.a1 ** -0.25)
     # a deep negative term can put the energy cap below 0
     hi = min(cap, 2.0 * math.sqrt(max(e_cap, 0.0) / prob.a1) + 10.0)
     rr = np.linspace(0.25, hi, 4000)
@@ -517,11 +514,9 @@ def _choose_r_max(prob: _RadialProblem, e_cap: float, cap: float,
     if k is None:
         if hi >= cap - 1e-12:
             raise ShootingError(
-                f"energies near {e_cap:.3g} lie beyond the default outer "
-                f"cutoff cap {cap}: the tail does not reach the WKB action "
-                f"{action:.3g} that tol = {tol:.3g} needs inside it (a larger "
-                f"cutoff is the r_max argument of shoot_eigenvalue)"
-            )
+                f"energies near {e_cap:.3g} lie beyond the outer cutoff cap "
+                f"{cap:.3g}: the tail does not reach the WKB action "
+                f"{action:.3g} that tol = {tol:.3g} needs inside it")
         return hi
     return float(rr[outer + k])
 
@@ -635,9 +630,9 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
         if n_lo > level:
             raise _StepSizeFailure(f"{n_lo} nodes at the potential floor")
         while n_hi <= level:
-            e_hi = floor + 2.0 * (e_hi - floor)
-            if e_hi > e_cap:
+            if e_hi >= e_cap:
                 raise _NeedLargerDomain
+            e_hi = min(floor + 2.0 * (e_hi - floor), e_cap)
             (n_hi,) = nodes_of(e_hi)
         e_lo, n_lo, e_hi, n_hi = node_bisect(e_lo, n_lo, e_hi, n_hi, math.inf)
         f_lo, f_hi = mismatch(e_lo, e_hi)
@@ -675,46 +670,34 @@ def _log_result(res: OracleResult) -> None:
         res.bracket_width, res.fallbacks, res.sweeps)
 
 
-def shoot_eigenvalue(
-    v: PotentialSpec,
-    level: int,
-    tol: float = 1e-6,
-    r_min: float | None = None,
-    r_max: float | None = None,
-    grid_scale: float = 1.0,
-    auto_refine: bool = True,
-    max_refine: int = 6,
-) -> OracleResult:
+def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleResult:
     """Level-th Dirichlet eigenvalue of -y'' + [Lam(Lam+1)/r^2 + V] y = E y.
 
     The domain is sized so the start forms at r_min and the neglected tail
     beyond r_max (of WKB action 8 + ln(1/tol)/2) are below the eigenvalue
-    tolerance; explicit r_min / r_max override the automatic choice.  With
-    auto_refine the grid density doubles until step halving moves the
-    eigenvalue by less than tol/4; failure to settle within max_refine
-    doublings raises ShootingError, and so does a grid_scale that leaves a
-    grid too short to hold the matching point.
+    tolerance; below a1 = 1 the outer cutoff's cap and the energy cap's
+    least margin follow the length scale a1^(-1/4).  The grid density
+    doubles until step halving moves the eigenvalue by less than tol/4;
+    failure to settle within _MAX_REFINE doublings after the first raises
+    ShootingError, and so does an energy cap that never reaches the level.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    if not 0.0 < grid_scale < math.inf:
-        raise ValueError(f"grid_scale must be finite and > 0, got {grid_scale}")
     prob = _RadialProblem(v)
     w_probe = prob.floor(_CAP_PROBE)
-    e_cap = w_probe + max(4.0 * math.sqrt(v.a1) * (2 * level + 3.0), 20.0)
+    root_a1 = math.sqrt(v.a1)
+    e_cap = w_probe + max(4.0 * root_a1 * (2 * level + 3.0), 20.0 * min(1.0, root_a1))
     tally = _Tally()
     fallbacks = 0  # refined grids whose warm bracket was rejected
 
     for _ in range(12):
-        rmin_eff = r_min if r_min is not None else _choose_r_min(prob, e_cap)
-        rmax_eff = (r_max if r_max is not None
-                    else _choose_r_max(prob, e_cap, _RMAX_CAP, tol))
-        if not 0.0 < rmin_eff < rmax_eff:
-            raise ValueError(f"invalid domain [{rmin_eff}, {rmax_eff}]")
-        dom = _Domain(prob, rmin_eff, rmax_eff, e_cap, tol)
-        scale = grid_scale
+        r_min, r_max = _choose_r_min(prob, e_cap), _choose_r_max(prob, e_cap, tol)
+        if not 0.0 < r_min < r_max:
+            raise ValueError(f"invalid domain [{r_min}, {r_max}]")
+        dom = _Domain(prob, r_min, r_max, e_cap, tol)
+        scale = 1.0
         energy = None  # last energy solved, for the Richardson comparison
         refinements = 0
         try:
@@ -729,22 +712,20 @@ def shoot_eigenvalue(
                 else:
                     if energy is not None and not warm:
                         fallbacks += 1
-                    if not auto_refine or (energy is not None
-                                           and abs(found - energy) < 0.25 * tol):
-                        res = OracleResult(float(found), level, float(width),
-                                           rmin_eff, rmax_eff, grid.steps, scale,
-                                           tally.sweeps, fallbacks)
+                    if energy is not None and abs(found - energy) < 0.25 * tol:
+                        res = OracleResult(float(found), float(width), r_min, r_max,
+                                           grid.steps, scale, tally.sweeps, fallbacks)
                         _log_result(res)
                         return res
                     failure = (f"Richardson check did not settle below tol/4 = "
-                               f"{0.25 * tol:.3g} within {max_refine} grid doublings")
+                               f"{0.25 * tol:.3g} within {_MAX_REFINE} grid doublings")
                     free = energy is None  # the first halving is the check itself
                     energy = found
                     if free:
                         scale *= 2.0
                         continue
                 refinements += 1
-                if refinements > max_refine:
+                if refinements > _MAX_REFINE:
                     raise ShootingError(failure)
                 scale *= 2.0
         except _NeedLargerDomain:

@@ -15,6 +15,7 @@ import pytest
 from closedref import inv_power_element_closed
 from quadref import element_quad
 from test_eigensolver import sturm_eigenvalues
+from test_oracle import halved_grid_energy
 
 from spikevar.basis import ModelParams
 from spikevar.eigensolver import eigen_symmetric
@@ -401,7 +402,7 @@ def test_criterion_8_monotone_convergence():
     assert fixed_ok and optimized_ok
 
 
-def test_criterion_9_oracle_self_consistency():
+def test_criterion_9_oracle_self_consistency(monkeypatch):
     tol = 1e-6
     cases = [
         (PotentialSpec(a1=1.0, terms=((0.1, 4.0),)), 100),
@@ -418,11 +419,8 @@ def test_criterion_9_oracle_self_consistency():
     halving_ok = True
     bound_ok = True
     for v, D in cases:
-        res = shoot_eigenvalue(v, 0, tol=tol)
-        halved = shoot_eigenvalue(v, 0, tol=tol,
-                                  grid_scale=2.0 * res.grid_scale,
-                                  auto_refine=False)
-        halving_ok &= abs(halved.energy - res.energy) < 0.25 * tol
+        res, halved = halved_grid_energy(monkeypatch, v, 0, tol)
+        halving_ok &= abs(halved - res.energy) < 0.25 * tol
         # one search at D, as a table row runs it
         bound = minimize_bound(v, D).bound
         bound_ok &= res.energy <= bound + 1e-9

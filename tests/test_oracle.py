@@ -19,13 +19,11 @@ class TestExactCases:
     def test_pure_oscillator_ground(self):
         res = shoot_eigenvalue(PotentialSpec(a1=1.0), 0, tol=1e-7)
         assert res.energy == pytest.approx(3.0, abs=1e-7)
-        assert res.nodes == 0
         assert res.bracket_width <= 1e-7
 
     def test_pure_oscillator_excited(self):
         res = shoot_eigenvalue(PotentialSpec(a1=1.0), 2, tol=1e-7)
         assert res.energy == pytest.approx(11.0, abs=1e-7)
-        assert res.nodes == 2
 
     def test_solvable_model_levels(self):
         # V = B0 r^2 + A0 r^-2 has spectrum 2 sqrt(B0) (2n + gamma_N)
@@ -35,7 +33,6 @@ class TestExactCases:
         for n in (0, 1, 3):
             res = shoot_eigenvalue(v, n, tol=1e-6)
             assert res.energy == pytest.approx(gk_energy(p, n), abs=1e-6)
-            assert res.nodes == n
 
     def test_exact_five(self):
         v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
@@ -72,23 +69,55 @@ class TestExactCases:
         assert res.energy == pytest.approx(7.0, abs=1e-6)
 
 
+def halved_grid_energy(monkeypatch, v, level, tol):
+    """shoot_eigenvalue's result, and the energy that one more doubling of
+    its final grid gives, searched from the floor on the call's last
+    domain."""
+    domains = []
+
+    class Recorded(oracle._Domain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            domains.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_Domain", Recorded)
+        res = shoot_eigenvalue(v, level, tol=tol)
+    dom = domains[-1]
+    grid = oracle._Grid(dom, 2.0 * res.grid_scale, oracle._Tally())
+    energy, _, _ = oracle._solve_at_density(dom.prob, grid, level, tol, dom.e_cap)
+    return res, energy
+
+
+def fixed_cutoff(monkeypatch, r_min=None, r_max=None):
+    """Make shoot_eigenvalue integrate from r_min or out to r_max in place
+    of its own choice."""
+    if r_min is not None:
+        monkeypatch.setattr(oracle, "_choose_r_min", lambda prob, e_cap: r_min)
+    if r_max is not None:
+        monkeypatch.setattr(oracle, "_choose_r_max", lambda prob, e_cap, tol: r_max)
+
+
 class TestSelfConsistency:
-    def test_richardson_step_halving(self):
+    def test_richardson_step_halving(self, monkeypatch):
         v = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
         tol = 1e-6
-        res = shoot_eigenvalue(v, 0, tol=tol)
-        halved = shoot_eigenvalue(v, 0, tol=tol, grid_scale=2.0 * res.grid_scale,
-                                  auto_refine=False)
-        assert abs(halved.energy - res.energy) < 0.25 * tol
+        res, halved = halved_grid_energy(monkeypatch, v, 0, tol)
+        assert abs(halved - res.energy) < 0.25 * tol
 
-    def test_domain_insensitivity(self):
+    def test_domain_insensitivity(self, monkeypatch):
         # resolve the bisection well below the tol/10 threshold being checked
         v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
         tol = 1e-6
         base = shoot_eigenvalue(v, 0, tol=tol / 100.0)
-        wider = shoot_eigenvalue(v, 0, tol=tol / 100.0,
-                                 r_max=min(2.0 * base.r_max, 20.0))
-        deeper = shoot_eigenvalue(v, 0, tol=tol / 100.0, r_min=0.5 * base.r_min)
+        with monkeypatch.context() as m:
+            fixed_cutoff(m, r_max=min(2.0 * base.r_max, 20.0))
+            wider = shoot_eigenvalue(v, 0, tol=tol / 100.0)
+        with monkeypatch.context() as m:
+            fixed_cutoff(m, r_min=0.5 * base.r_min)
+            deeper = shoot_eigenvalue(v, 0, tol=tol / 100.0)
+        assert wider.r_max == min(2.0 * base.r_max, 20.0)
+        assert deeper.r_min == 0.5 * base.r_min
         assert abs(wider.energy - base.energy) < tol / 10.0
         assert abs(deeper.energy - base.energy) < tol / 10.0
 
@@ -187,11 +216,13 @@ class TestTailCutoff:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10])
     @pytest.mark.parametrize("terms,level,exact", EXACT)
-    def test_agrees_with_a_fixed_wide_cutoff(self, terms, level, exact, tol):
+    def test_agrees_with_a_fixed_wide_cutoff(self, monkeypatch, terms, level, exact,
+                                             tol):
         v = PotentialSpec(a1=1.0, terms=terms)
         res = shoot_eigenvalue(v, level, tol=tol)
-        wide = shoot_eigenvalue(v, level, tol=tol, r_max=14.0)
-        assert res.r_max < 14.0
+        fixed_cutoff(monkeypatch, r_max=14.0)
+        wide = shoot_eigenvalue(v, level, tol=tol)
+        assert res.r_max < wide.r_max == 14.0
         assert exact - 2.0 * tol <= res.energy <= exact
         assert abs(res.energy - wide.energy) <= tol / 8.0
 
@@ -200,11 +231,12 @@ class TestTailCutoff:
         assert oracle._tail_action(1e-10) > oracle._tail_action(1e-6)
         assert oracle._tail_action(1e-300) == oracle._TAIL_MAX
 
-    def test_cap_error_names_the_tail(self):
+    def test_cap_error_names_the_tail(self, monkeypatch):
         # levels near 30 reach past a cutoff capped at 5
+        monkeypatch.setattr(oracle, "_RMAX_CAP", 5.0)
         prob = oracle._RadialProblem(PotentialSpec(a1=1.0))
-        with pytest.raises(ShootingError, match="WKB action 14.9"):
-            oracle._choose_r_max(prob, 30.0, 5.0, 1e-6)
+        with pytest.raises(ShootingError, match="outer cutoff cap 5: .* WKB action 14.9"):
+            oracle._choose_r_max(prob, 30.0, 1e-6)
 
 
 class TestSteppedTail:
@@ -230,7 +262,7 @@ class TestSteppedTail:
 
     def test_grid_steps_the_tail_coarser(self):
         prob = oracle._RadialProblem(PotentialSpec(a1=1.0))
-        r_max = oracle._choose_r_max(prob, 40.0, oracle._RMAX_CAP, 1e-6)
+        r_max = oracle._choose_r_max(prob, 40.0, 1e-6)
         dom = oracle._Domain(prob, oracle._RMIN_CAP, r_max, 40.0, 1e-6)
         grid = oracle._Grid(dom, 1.0, oracle._Tally())
         assert np.sqrt(40.0) < dom.r_tail < r_max
@@ -281,7 +313,7 @@ class TestWarmStart:
         prob = oracle._RadialProblem(v)
         e_cap = 40.0
         r_min = oracle._choose_r_min(prob, e_cap)
-        r_max = oracle._choose_r_max(prob, e_cap, oracle._RMAX_CAP, 1e-6)
+        r_max = oracle._choose_r_max(prob, e_cap, 1e-6)
         dom = oracle._Domain(prob, r_min, r_max, e_cap, 1e-6)
         grid = oracle._Grid(dom, 2.0, oracle._Tally())
         return prob, grid, e_cap
@@ -699,9 +731,9 @@ class TestRarePaths:
         caps = []
         choose = oracle._choose_r_max
 
-        def spy(prob, e_cap, cap, tol):
+        def spy(prob, e_cap, tol):
             caps.append(e_cap)
-            return choose(prob, e_cap, cap, tol)
+            return choose(prob, e_cap, tol)
 
         monkeypatch.setattr(oracle, "_choose_r_max", spy)
         return caps
@@ -715,6 +747,18 @@ class TestRarePaths:
         assert len(caps) == 7 and caps == sorted(set(caps))
         fine = shoot_eigenvalue(v, 0, tol=1e-8)
         assert fine.energy - 2e-6 <= res.energy <= minimize_bound(v, 20).bound
+
+    def test_node_search_stops_at_the_energy_cap(self, monkeypatch):
+        # -100/r sinks the probed floor to ~ -2.2e4: one doubling of the
+        # node search's upper end from there jumps past the cap of -1449
+        # that already holds the level, so it searches up to the cap itself
+        v = PotentialSpec(a1=1.0, terms=((-100.0, 1.0), (1e-6, 4.0)))
+        caps = self._caps(monkeypatch)
+        res = shoot_eigenvalue(v, 0, tol=1e-6)
+        assert len(caps) == 11 and caps == sorted(set(caps))
+        assert res.energy <= caps[-1]
+        fine = shoot_eigenvalue(v, 0, tol=1e-8)
+        assert fine.energy - 2e-6 <= res.energy <= minimize_bound(v, 40).bound
 
     def test_energy_cap_expansion_gives_up(self, monkeypatch):
         # the level sits ~5e5 above a floor of -2.6e6, past twelve doublings
@@ -737,6 +781,27 @@ class TestRarePaths:
             shoot_eigenvalue(v, 0)
 
 
+class TestScaleIdentity:
+    """r = a1^(-1/4) x maps a1 r^2 + lam r^-alpha to sqrt(a1) times
+    x^2 + lam a1^((alpha - 2)/4) x^-alpha: below a1 = 1 the outer cutoff's
+    cap and the energy cap's least margin follow that length scale."""
+
+    @pytest.mark.parametrize("a1,lam,alpha,level", [
+        (0.01, 1.0, 4.0, 0),
+        (1e-4, 1.0, 6.0, 1),
+        (0.2, 3.0, 2.5, 2),
+        (0.05, 100.0, 6.0, 0),
+        (1e-3, 1e-3, 4.0, 0),
+    ])
+    def test_energy_is_root_a1_times_the_unit_scale_one(self, a1, lam, alpha, level):
+        tol = 1e-8
+        res = shoot_eigenvalue(PotentialSpec(a1=a1, terms=((lam, alpha),)), level, tol=tol)
+        unit = shoot_eigenvalue(
+            PotentialSpec(a1=1.0, terms=((lam * a1 ** ((alpha - 2.0) / 4.0), alpha),)),
+            level, tol=tol / np.sqrt(a1))
+        assert abs(res.energy - np.sqrt(a1) * unit.energy) <= 4.0 * tol
+
+
 class TestValidation:
     def test_bad_level_and_tol(self):
         v = PotentialSpec(a1=1.0)
@@ -749,27 +814,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             shoot_eigenvalue(v, 0, tol=float("nan"))
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_grid_scale(self, scale):
-        with pytest.raises(ValueError, match="grid_scale must be finite and > 0"):
-            shoot_eigenvalue(PotentialSpec(a1=1.0), 0, grid_scale=scale)
+    def test_bad_domain(self, monkeypatch):
+        # cutoffs in the wrong order, as a narrow well one probe missed
+        # could leave them
+        fixed_cutoff(monkeypatch, r_min=2.0, r_max=1.0)
+        with pytest.raises(ValueError, match="invalid domain"):
+            shoot_eigenvalue(PotentialSpec(a1=1.0), 0)
 
-    @pytest.mark.parametrize("scale", [1e-4, 1e-9])
-    def test_grid_too_short_for_the_matching_point(self, scale):
-        # 2 steps, where the matching point's clamp [3, steps - 3] is empty
+    def test_refinement_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_REFINE", 0)
         v = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
-        with pytest.raises(ShootingError, match="would have 2 steps"):
-            shoot_eigenvalue(v, 0, grid_scale=scale)
-
-    def test_bad_domain(self):
-        v = PotentialSpec(a1=1.0)
-        with pytest.raises(ValueError):
-            shoot_eigenvalue(v, 0, r_min=2.0, r_max=1.0)
-
-    def test_refinement_cap_reported(self):
-        v = PotentialSpec(a1=1.0, terms=((0.1, 4.0),))
-        with pytest.raises(ShootingError):
-            shoot_eigenvalue(v, 0, tol=1e-13, grid_scale=0.05, max_refine=0)
+        with pytest.raises(ShootingError, match="within 0 grid doublings"):
+            shoot_eigenvalue(v, 0, tol=1e-13)
 
 
 class TestBackend:
