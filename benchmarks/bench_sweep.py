@@ -4,15 +4,17 @@
 Cases: seeded synthetic grids of --steps steps (random step sizes on
 [0.05, 6], W = r^2 + 2/r^2 plus a seeded ripple, as in the kernel tests),
 tabulated once by `_step_table` as a grid tabulates its steps, and swept
-outward with and without node counting.  Each case repeats until --seconds
-have passed (at least once) and prints the median time of one step.
-Successive calls walk a fixed cycle of energies from 5 to 25, so each one
-evaluates new transfer matrices, as the calls of an eigenvalue search do.
-Each call runs one chain; only `_step_table(h, w_nodes, w_mid)` and
-`_sweep`'s positional signature (table, chains, steps, count_nodes), with
-chains a list of (energy, y1, y2, start node, stop node) and steps one
-entry per step, are used, so the same script times any revision of the
-package that has them.
+three ways over all of their steps: outward with and without node counting,
+and as a matching pair with node counting, outward to the middle node and
+inward from the end in one call, the form of every counted sweep of an
+eigenvalue search.  Each case repeats until --seconds have passed (at least
+once) and prints the median time of one step.  Successive calls walk a
+fixed cycle of energies from 5 to 25, so each one evaluates new transfer
+matrices, as the calls of an eigenvalue search do.  Only `_step_table(h,
+w_nodes, w_mid)` and `_sweep`'s positional signature (table, chains, steps,
+count_nodes), with chains a list of (energy, y1, y2, start node, stop node)
+and steps one entry per step, are used, so the same script times any
+revision of the package that has them.
 
 Usage: python benchmarks/bench_sweep.py [--steps 900,1800,3600,7000] [--seconds 1]
 """
@@ -43,7 +45,20 @@ def grid(steps, seed=0, r0=0.05, r1=6.0):
     return _step_table(h, w(r), w(r[:-1] + 0.5 * h))
 
 
-def median_step(table, count_nodes, seconds):
+def outward(energy, steps):
+    return [(energy, 1.0, 0.0, 0, steps)]
+
+
+def pair(energy, steps):
+    """A matching pair: outward to the middle node, inward from the end."""
+    return [(energy, 1.0, 0.0, 0, steps // 2), (energy, 1.0, -1.0, steps, steps // 2)]
+
+
+# (name, chains at an energy, count_nodes)
+CASES = (("outward", outward, False), ("outward", outward, True), ("pair", pair, True))
+
+
+def median_step(table, chains, count_nodes, seconds):
     steps = table.shape[-1]
     times = []
     end = time.perf_counter() + seconds
@@ -51,7 +66,7 @@ def median_step(table, count_nodes, seconds):
         if times and time.perf_counter() >= end:
             break
         t0 = time.perf_counter()
-        _sweep(table, [(energy, 1.0, 0.0, 0, steps)], range(steps), count_nodes)
+        _sweep(table, chains(energy, steps), range(steps), count_nodes)
         times.append(time.perf_counter() - t0)
     return statistics.median(times) / steps, len(times)
 
@@ -61,12 +76,13 @@ def main():
     ap.add_argument("--steps", default="900,1800,3600,7000")
     ap.add_argument("--seconds", type=float, default=1.0)
     args = ap.parse_args()
-    print(f"{'steps':>6} {'nodes':>5} {'ns_per_step':>11} {'calls':>6}")
+    print(f"{'steps':>6} {'case':>7} {'nodes':>5} {'ns_per_step':>11} {'calls':>6}")
     for steps in (int(s) for s in args.steps.split(",")):
         g = grid(steps)
-        for count_nodes in (False, True):
-            t, k = median_step(g, count_nodes, args.seconds)
-            print(f"{steps:>6} {str(count_nodes):>5} {t * 1e9:11.1f} {k:6d}", flush=True)
+        for name, chains, count_nodes in CASES:
+            t, k = median_step(g, chains, count_nodes, args.seconds)
+            print(f"{steps:>6} {name:>7} {str(count_nodes):>5} {t * 1e9:11.1f} {k:6d}",
+                  flush=True)
 
 
 if __name__ == "__main__":

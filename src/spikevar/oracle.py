@@ -12,13 +12,14 @@ call evaluates them at its energies and multiplies them 16 steps at a time,
 so that Python touches the state once per 16 steps.  A call's fixed cost
 is worth several hundred steps, so each call runs several sweeps (chains)
 where it can: the outward and inward halves of every matching evaluation,
-and both ends of every bracket.
+for both ends of a bracket at once.
 
-The energy is bracketed by node-count bisection, refined by Brent's method
-on the matching mismatch of outward and inward sweeps, and checked by
-doubling the grid density until it moves by less than tol/4.  This module
-never touches the variational machinery: it is the check the variational
-bounds are measured against.
+Each energy is swept once, as its matching pair, which gives its node
+count (by Pruefer angles) and its matching mismatch together.  The energy
+is bracketed by node-count bisection, refined by Brent's method on the
+mismatch, and checked by doubling the grid density until it moves by less
+than tol/4.  This module never touches the variational machinery: it is
+the check the variational bounds are measured against.
 """
 
 from __future__ import annotations
@@ -460,6 +461,35 @@ class _Grid:
         im = below - 1 if below else self.steps // 2
         return min(max(im, 3), self.steps - 3)
 
+    def probe(self, *energies: float, count_nodes: bool = True):
+        """Run each energy's matching pair, outward to its `matching_node`
+        and inward from r_max, all in one kernel call; return each energy's
+        (energy, nodes, mismatch) by `_matched`.  Without count_nodes the
+        count means nothing: only the mismatch is read."""
+        ims = [self.matching_node(e) for e in energies]
+        ends = self.sweep([(e, im, inward) for e, im in zip(energies, ims)
+                           for inward in (False, True)], count_nodes)
+        return [(e, *_matched(*ends[2 * k:2 * k + 2])) for k, e in enumerate(energies)]
+
+
+def _matched(outward, inward):
+    """(nodes, mismatch) of one matching pair's end states (y, y', nodes):
+    the node count of the outward solution over the whole grid, and the
+    Wronskian y'_out y_in - y'_in y_out over both states' sizes.
+
+    The count is the Pruefer-angle one, n_out + n_in + [theta_out >
+    theta_in], with theta = atan2(y, y') mod pi at the matching node, taken
+    as atan2(|y|, sign(y) y') in [0, pi], which no size of the states
+    overflows; away from zeros of y that is s_out s_in f < 0 for the
+    mismatch f and s the sign of y.  An exact zero of y there has been
+    reached by the outward sweep (angle pi: a node) and not yet by the
+    inward one (angle 0)."""
+    (o1, o2, n_out), (i1, i2, n_in) = outward, inward
+    f = (o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
+    theta_out = math.atan2(abs(o1), o2 if o1 > 0.0 else -o2) if o1 else math.pi
+    theta_in = math.atan2(abs(i1), i2 if i1 > 0.0 else -i2) if i1 else 0.0
+    return n_out + n_in + (theta_out > theta_in), f
+
 
 def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
     """Index of the first point of r whose WKB action from r[0], the
@@ -578,37 +608,34 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     one before.  When one holds exactly the level-th node transition and
     the mismatch changes sign across it, Brent's method starts from it
     directly (warm is True); otherwise the search starts from the potential
-    floor as it does without a prior.  Both ends of a bracket are swept in
-    one kernel call, and so are the outward and inward halves of every
-    matching evaluation."""
+    floor as it does without a prior.
 
-    def nodes_of(*energies: float) -> list[int]:
-        ends = grid.sweep([(e, grid.steps, False) for e in energies], count_nodes=True)
-        return [n for _, _, n in ends]
+    Each energy is probed once, by its matching pair (`_Grid.probe`).  The
+    outward and inward sweeps count n_out and n_in nodes, and the energy's
+    count is n_out + n_in, plus 1 where the outward Pruefer angle at the
+    matching node exceeds the inward one (`_matched`).  Below the energy
+    cap, where W(r_max) > E, that is the count of one outward sweep over
+    the whole grid.  Both ends of a bracket are probed in one kernel call;
+    Brent's iterates run their pairs uncounted."""
 
-    def mismatch(*energies: float) -> list[float]:
-        nodes = [(e, grid.matching_node(e)) for e in energies]
-        ends = grid.sweep([(e, im, inward) for e, im in nodes for inward in (False, True)])
-        return [(o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
-                for (o1, o2, _), (i1, i2, _) in zip(ends[0::2], ends[1::2])]
-
-    def node_bisect(e_lo, n_lo, e_hi, n_hi, width):
-        """Halve [e_lo, e_hi] on the node count until it holds a single
-        node transition and is at most `width` wide."""
-        while n_hi - n_lo > 1 or e_hi - e_lo > width:
-            e_mid = 0.5 * (e_lo + e_hi)
-            if not e_lo < e_mid < e_hi:
+    def node_bisect(lo, hi, width):
+        """Halve the bracket between the probes lo and hi, each (energy,
+        nodes, mismatch), until it holds a single node transition and is at
+        most `width` wide."""
+        while hi[1] - lo[1] > 1 or hi[0] - lo[0] > width:
+            e_mid = 0.5 * (lo[0] + hi[0])
+            if not lo[0] < e_mid < hi[0]:
                 break
-            (n_mid,) = nodes_of(e_mid)
-            if not n_lo <= n_mid <= n_hi:
+            (mid,) = grid.probe(e_mid)
+            if not lo[1] <= mid[1] <= hi[1]:
                 raise _StepSizeFailure(
-                    f"node count {n_mid} at E={e_mid:.6g} outside [{n_lo}, {n_hi}]"
+                    f"node count {mid[1]} at E={e_mid:.6g} outside [{lo[1]}, {hi[1]}]"
                 )
-            if n_mid <= level:
-                e_lo, n_lo = e_mid, n_mid
+            if mid[1] <= level:
+                lo = mid
             else:
-                e_hi, n_hi = e_mid, n_mid
-        return e_lo, n_lo, e_hi, n_hi
+                hi = mid
+        return lo, hi
 
     def sign_change(f_lo: float, f_hi: float) -> bool:
         return f_lo == f_lo and f_hi == f_hi and (f_lo < 0.0) != (f_hi < 0.0)
@@ -616,33 +643,28 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     warm = False
     if prior is not None:
         for half in (_WARM * tol, _WIDEN * _WARM * tol, _WIDEN**2 * _WARM * tol):
-            e_lo, e_hi = prior - half, prior + half
-            if nodes_of(e_lo, e_hi) == [level, level + 1]:
-                f_lo, f_hi = mismatch(e_lo, e_hi)
-                warm = sign_change(f_lo, f_hi)
+            lo, hi = grid.probe(prior - half, prior + half)
+            warm = (lo[1], hi[1]) == (level, level + 1) and sign_change(lo[2], hi[2])
             if warm:
                 break
     if not warm:
         floor = grid.w_floor
-        e_lo = floor + 1e-12 * (1.0 + abs(floor))
-        e_hi = floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0)
-        n_lo, n_hi = nodes_of(e_lo, e_hi)
-        if n_lo > level:
-            raise _StepSizeFailure(f"{n_lo} nodes at the potential floor")
-        while n_hi <= level:
-            if e_hi >= e_cap:
+        lo, hi = grid.probe(floor + 1e-12 * (1.0 + abs(floor)),
+                            floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0))
+        if lo[1] > level:
+            raise _StepSizeFailure(f"{lo[1]} nodes at the potential floor")
+        while hi[1] <= level:
+            if hi[0] >= e_cap:
                 raise _NeedLargerDomain
-            e_hi = min(floor + 2.0 * (e_hi - floor), e_cap)
-            (n_hi,) = nodes_of(e_hi)
-        e_lo, n_lo, e_hi, n_hi = node_bisect(e_lo, n_lo, e_hi, n_hi, math.inf)
-        f_lo, f_hi = mismatch(e_lo, e_hi)
+            (hi,) = grid.probe(min(floor + 2.0 * (hi[0] - floor), e_cap))
+        lo, hi = node_bisect(lo, hi, math.inf)
     # refine on the matching mismatch when it brackets a sign change,
     # otherwise carry the node bisection all the way down
-    if warm or sign_change(f_lo, f_hi):
-        e_lo, e_hi = _brent(lambda e: mismatch(e)[0], e_lo, f_lo, e_hi, f_hi,
-                            0.125 * tol)
+    if warm or sign_change(lo[2], hi[2]):
+        e_lo, e_hi = _brent(lambda e: grid.probe(e, count_nodes=False)[0][2],
+                            lo[0], lo[2], hi[0], hi[2], 0.125 * tol)
     else:
-        e_lo, _, e_hi, _ = node_bisect(e_lo, n_lo, e_hi, n_hi, 0.125 * tol)
+        (e_lo, _, _), (e_hi, _, _) = node_bisect(lo, hi, 0.125 * tol)
     width = e_hi - e_lo
     if width > tol:
         raise ShootingError(

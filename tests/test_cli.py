@@ -347,6 +347,10 @@ class TestEdgeCases:
         assert printed == pytest.approx(value, abs=tol)
 
 
+# seeded draws per contract test: 20 in Tier-1; CI's contract job sets 500
+_CONTRACT_DRAWS = int(os.environ.get("SPIKEVAR_CONTRACT_DRAWS", "20"))
+
+
 def _contract_draws(rng, count):
     """`count` random shared arguments of `oracle` and `eig` with an oracle
     tolerance: a1 = 10^U(-4, 6); one or two terms lam r^-alpha with lam =
@@ -396,7 +400,7 @@ class TestOracleContract:
     line never names the outer cutoff cap, which grows as a1^(-1/4) there.
     Seeded draws, so the inputs are the same on every run."""
 
-    @pytest.mark.parametrize("argv, tol", _contract_draws(random.Random(0), 20))
+    @pytest.mark.parametrize("argv, tol", _contract_draws(random.Random(0), _CONTRACT_DRAWS))
     def test_value_or_one_error_line(self, argv, tol, capsys):
         code, out, err = _main_strict(["oracle", *argv, "--tol", repr(tol)], capsys)
         if _one_error_line(code, out, err):
@@ -412,7 +416,7 @@ class TestOracleContract:
             assert code == 1 and len(err.splitlines()) == 1
 
 
-_SEARCH_DRAWS = [argv for argv, _ in _contract_draws(random.Random(0), 20)]
+_SEARCH_DRAWS = [argv for argv, _ in _contract_draws(random.Random(0), _CONTRACT_DRAWS)]
 _MODES = {"ab": [], "a": ["--fix-B"]}
 
 
@@ -452,7 +456,7 @@ class TestSearchContract:
             assert b <= prev + 1e-9 * max(1.0, abs(prev))
 
     @pytest.mark.parametrize("mode", ["a", "ab"])
-    @pytest.mark.parametrize("lam", _first_order_draws(random.Random(0), 20))
+    @pytest.mark.parametrize("lam", _first_order_draws(random.Random(0), _CONTRACT_DRAWS))
     def test_first_order(self, lam, mode, capsys):
         code, out, err = _main_strict(
             ["first-order", f"--lambda={lam!r}", "--mode", mode, "--format", "json"],

@@ -2,6 +2,7 @@
 and the RK4 kernel against the stage-by-stage reference step (`rk4ref`)."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -142,8 +143,9 @@ class TestSelfConsistency:
 
 class TestSweepCount:
     def test_sweeps_per_eigenvalue(self, monkeypatch):
-        # unit node bracket, then Brent's method on the matching Wronskian
-        # one kernel call per bracket end pair and per matching evaluation
+        # unit node bracket, then Brent's method on the matching Wronskian:
+        # one kernel call per bracket end pair and per matching evaluation,
+        # whose matching pairs give the node counts too
         sweep = oracle._sweep
         calls = []
 
@@ -155,13 +157,13 @@ class TestSweepCount:
         v = PotentialSpec(a1=1.0, terms=((1.0, 4.0), (1.0, 6.0)))
         res = shoot_eigenvalue(v, 0, tol=1e-6)
         assert res.energy == pytest.approx(5.0, abs=2e-6)
-        assert len(calls) <= 14  # 13 measured, plus 10%
-        assert sum(calls) <= 1.1 * 15_283
+        assert len(calls) <= 12  # 11 measured, plus 10%
+        assert sum(calls) <= 1.1 * 11_297
         assert res.sweeps == len(calls)
 
     @pytest.mark.parametrize("tol,sweeps,steps", [
-        (1e-8, 13, 23_684),
-        (1e-10, 18, 49_812),
+        (1e-8, 11, 17_506),
+        (1e-10, 15, 35_284),
     ])
     def test_sweeps_and_steps_at_tight_tol(self, monkeypatch, tol, sweeps, steps):
         # the cutoff follows tol, and the bracket closes a step past the root
@@ -670,6 +672,115 @@ class TestMatchingNode:
             assert grid.matching_node(float(e)) == self._scan(grid, e)
 
 
+def _sign_count(outward, inward):
+    """The node count of a matching pair's end states (y, y', nodes) by the
+    signs at the matching node: n_out + n_in, plus 1 where s_out s_in W < 0
+    for the Wronskian W = y'_out y_in - y'_in y_out and s the sign of y (of
+    y' where y is 0), and plus 1 where the outward y is exactly 0.  The
+    states are first scaled to unit size, so that no product overflows."""
+    (o1, o2, n_out), (i1, i2, n_in) = outward, inward
+    o1, o2 = _normalized(o1, o2)
+    i1, i2 = _normalized(i1, i2)
+    s = math.copysign(1.0, o1 or o2) * math.copysign(1.0, i1 or i2)
+    return n_out + n_in + (o1 == 0.0 or s * (o2 * i1 - i2 * o1) < 0.0)
+
+
+class TestProbe:
+    """`_Grid.probe` counts an energy's nodes from its matching pair alone,
+    as n_out + n_in + [theta_out > theta_in] at the matching node: the count
+    of one outward sweep over the whole grid."""
+
+    # a1 = 1 potentials: those of EXACT, each with its levels' exact
+    # energies, and spiked r^2 + lam r^-alpha at levels 0-3, whose energies
+    # the oracle gives
+    POTENTIALS = [(terms, tuple(e for t, _, e in EXACT if t == terms))
+                  for terms in dict.fromkeys(t for t, _, _ in EXACT)]
+    POTENTIALS += [(((0.1, 2.5),), None), (((4.0, 4.0),), None), (((1000.0, 6.0),), None)]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize("terms,levels", POTENTIALS)
+    def test_same_count_as_a_whole_outward_sweep(self, terms, levels, scale):
+        tol = 1e-6
+        v = PotentialSpec(a1=1.0, terms=terms)
+        if levels is None:
+            levels = [shoot_eigenvalue(v, k, tol=tol).energy for k in range(4)]
+        # the grid shoot_eigenvalue builds for the highest level
+        prob = oracle._RadialProblem(v)
+        e_cap = prob.floor(oracle._CAP_PROBE) + max(4.0 * (2 * len(levels) + 1), 20.0)
+        dom = oracle._Domain(prob, oracle._choose_r_min(prob, e_cap),
+                             oracle._choose_r_max(prob, e_cap, tol), e_cap, tol)
+        grid = oracle._Grid(dom, scale, oracle._Tally())
+        assert max(levels) < e_cap
+        energies = [*np.linspace(grid.w_floor, e_cap, 200).tolist(),
+                    *(e + d for e in levels for d in (-tol, tol))]
+        probed = [n for _, n, _ in grid.probe(*energies)]
+        whole = [n for _, _, n in grid.sweep([(e, grid.steps, False) for e in energies],
+                                             count_nodes=True)]
+        assert probed == whole
+        assert probed[:200] == sorted(probed[:200]) and probed[199] >= len(levels)
+
+    @pytest.mark.parametrize("count_nodes", [False, True])
+    def test_mismatch_of_the_matching_pair(self, count_nodes):
+        # the Wronskian of the pair over the sizes of both end states, the
+        # same with or without node counting
+        _, grid, _ = TestWarmStart._grid(PotentialSpec(a1=1.0, terms=((1.0, 4.0),)))
+        for e in (2.0, 5.0, 9.5):
+            im = grid.matching_node(e)
+            (o1, o2, _), (i1, i2, _) = grid.sweep([(e, im, False), (e, im, True)])
+            ((energy, _, f),) = grid.probe(e, count_nodes=count_nodes)
+            assert energy == e
+            assert f == (o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
+
+    def test_angles_agree_with_the_signs(self):
+        # states up to the kernel's 1e250, where the mismatch's products
+        # overflow to nan (and down to 1e-100, where its divisor is still
+        # nonzero), exact zeros of y', and parallel states (a root of the
+        # mismatch, whose level is not below the energy)
+        rng = np.random.default_rng(0)
+        for k in range(2000):
+            sizes = 10.0 ** rng.uniform(-100, 250, 2).repeat(2)
+            o1, o2, i1, i2 = (rng.normal(size=4) * sizes).tolist()  # the kernel's floats
+            if k % 10 == 0:
+                o2 = 0.0
+            elif k % 10 == 1:
+                i2 = 0.0
+            elif k % 10 == 2:
+                i1, i2 = math.ldexp(o1, -3 * (k % 7)), math.ldexp(o2, -3 * (k % 7))
+            elif k % 10 == 3:
+                i1, i2 = -8.0 * o1, -8.0 * o2
+            ends = (o1, o2, int(rng.integers(4))), (i1, i2, int(rng.integers(4)))
+            assert oracle._matched(*ends)[0] == _sign_count(*ends)
+
+    @pytest.mark.parametrize("dy", [1.0, -1.0])
+    @pytest.mark.parametrize("other", [(0.7, -0.2, 2), (-0.3, 1.5, 0), (2.0, 0.0, 1)])
+    def test_exact_zero_at_the_matching_node(self, dy, other):
+        # an exact zero of y counts as a zero just passed and as one just
+        # ahead do: outward, a passed zero is counted and leaves y of the
+        # sign of y'; inward, running toward r_min, it leaves the other sign
+        tiny = 1e-200
+        for side, passed in ((0, 1.0), (1, -1.0)):
+            states = {
+                "exact": (0.0, dy, 3),
+                "passed": (passed * tiny * dy, dy, 4),
+                "ahead": (-passed * tiny * dy, dy, 3),
+            }
+            counts = {}
+            for name, state in states.items():
+                ends = (state, other) if side == 0 else (other, state)
+                counts[name] = oracle._matched(*ends)[0]
+                assert counts[name] == _sign_count(*ends)
+            assert counts["exact"] == counts["passed"] == counts["ahead"]
+
+    def test_zero_on_both_sides(self):
+        # y = 0 on both sides is a root of the mismatch: an eigenvalue,
+        # counted as the limit from below (the zero ahead on either side)
+        for dy_out, dy_in in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)):
+            n, f = oracle._matched((0.0, dy_out, 2), (0.0, dy_in, 1))
+            assert f == 0.0 and n == 4
+            assert n == oracle._matched((-1e-200 * dy_out, dy_out, 2), (0.0, dy_in, 1))[0]
+            assert n == oracle._matched((0.0, dy_out, 2), (1e-200 * dy_in, dy_in, 1))[0]
+
+
 class TestChains:
     """Several chains in one `_sweep` call: each gets the bits of a call of
     its own, and the third argument holds every chain's steps."""
@@ -704,21 +815,22 @@ class TestChains:
             assert any(nodes for _, _, nodes in alone)
 
     def test_one_call_per_matching_evaluation(self, monkeypatch):
-        # outward and inward halves together: all of the grid's steps at once
+        # outward and inward halves together: all of the grid's steps per
+        # energy at once; the warm pair's probe counts nodes, Brent's do not
         prob, grid, e_cap = TestWarmStart._grid(PotentialSpec(a1=1.0))
         sweep = oracle._sweep
         calls = []
 
         def counted(*args):
-            calls.append(len(args[2]))
+            calls.append((len(args[2]), args[3]))
             return sweep(*args)
 
         monkeypatch.setattr(oracle, "_sweep", counted)
         oracle._solve_at_density(prob, grid, 0, 1e-6, e_cap, prior=3.0)
         assert grid._tally.sweeps == len(calls)
-        # the warm pair's node counts, then its mismatches, then Brent's
-        assert calls[:2] == [2 * grid.steps, 2 * grid.steps]
-        assert set(calls[2:]) == {grid.steps}
+        # the warm pair's node counts and mismatches in one call, then Brent's
+        assert calls[0] == (2 * grid.steps, True)
+        assert len(calls) > 1 and set(calls[1:]) == {(grid.steps, False)}
 
 
 class TestRarePaths:
