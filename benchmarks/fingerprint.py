@@ -24,8 +24,10 @@ lines of
 
 and last the same oracle lines for inputs away from a1 = 1 or from a
 shallow floor: five a1 < 1 inputs at tol 1e-8, r^2 - 100/r + 1e-6 r^-4,
-whose node search runs up to the energy cap, and `--a1 7.3e9 --term 1:4`,
-which exits 1.
+whose node search runs up to the energy cap, `--a1 7.3e9 --term 1:4`,
+which exits 1, and four levels whose tails reach past r = 20 at their
+length scale a1^(-1/4): draws 30 and 232 of the contract tests' `oracle`
+draws, `--level 200` at a1 = 1 and a level near 5.9e3 at a1 = 13.07.
 
 Calls that two seeds share are run once.  The
 package is imported from `src/` of the script's own checkout, with BLAS
@@ -63,12 +65,19 @@ BUDGET_ROWS = (("table4", "(1,100,100)", 10, 250),
                ("table2", "lam=10 D=30 (A,B)", 30, 350),
                ("table2", "lam=0.1 D=80 (A,B)", 80, 3200))
 # oracle calls off the unit scale: (a1, lam, alpha, level) at tol 1e-8, as
-# tests/test_oracle.py::TestScaleIdentity runs them, then two more argv
+# tests/test_oracle.py::TestScaleIdentity runs them, then six more argv
 SCALED = ((0.01, 1.0, 4.0, 0), (1e-4, 1.0, 6.0, 1), (0.2, 3.0, 2.5, 2),
           (0.05, 100.0, 6.0, 0), (1e-3, 1e-3, 4.0, 0))
 ORACLE_ARGV = [["--a1", repr(a1), "--term", f"{lam!r}:{alpha!r}", "--level", str(level),
                 "--tol", "1e-8"] for a1, lam, alpha, level in SCALED]
-ORACLE_ARGV += [["--term=-100:1", "--term", "1e-6:4"], ["--a1", "7.3e9", "--term", "1:4"]]
+ORACLE_ARGV += [["--term=-100:1", "--term", "1e-6:4"], ["--a1", "7.3e9", "--term", "1:4"],
+                ["--a1", "0.00043509038845730155",
+                 "--term=17955.302892105185:2.422260216749421", "--dim", "4", "--ell", "1",
+                 "--tol", "1e-6"],
+                ["--a1", "0.04123594438376056", "--term=75092.89773120574:2.0", "--dim", "3",
+                 "--ell", "2", "--tol", "1e-8"],
+                ["--a1", "1", "--level", "200"],
+                ["--a1", "13.07", "--term=671666.8515741335:2.0", "--level", "1"]]
 
 
 def _recording():

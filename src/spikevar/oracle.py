@@ -36,7 +36,6 @@ from .hamiltonian import PotentialSpec
 __all__ = ["OracleResult", "ShootingError", "shoot_eigenvalue", "BACKEND"]
 
 _RMIN_CAP = 1e-4     # inner cutoff floor
-_RMAX_CAP = 20.0     # outer cutoff ceiling at a1 >= 1; a1^(-1/4) times it below
 # the tail beyond r_max keeps a WKB action of _TAIL_ACTION + ln(1/tol)/2:
 # the wall at r_max then shifts the level by exp(-2 action) = e^-16 tol
 # times an O(1) prefactor, below 1e-4 tol while the prefactor is under ~900
@@ -472,10 +471,18 @@ class _Grid:
         return [(e, *_matched(*ends[2 * k:2 * k + 2])) for k, e in enumerate(energies)]
 
 
+def _unit(y1: float, y2: float):
+    """(y1, y2) scaled exactly, by a power of two, to |y1| + |y2| in [1/2, 1)."""
+    k = -math.frexp(abs(y1) + abs(y2))[1]
+    return math.ldexp(y1, k), math.ldexp(y2, k)
+
+
 def _matched(outward, inward):
     """(nodes, mismatch) of one matching pair's end states (y, y', nodes):
     the node count of the outward solution over the whole grid, and the
-    Wronskian y'_out y_in - y'_in y_out over both states' sizes.
+    Wronskian y'_out y_in - y'_in y_out over both states' sizes, formed
+    from the states scaled to unit size (`_unit`), which the kernel's states
+    of up to 1e250 then cannot overflow.
 
     The count is the Pruefer-angle one, n_out + n_in + [theta_out >
     theta_in], with theta = atan2(y, y') mod pi at the matching node, taken
@@ -485,7 +492,8 @@ def _matched(outward, inward):
     reached by the outward sweep (angle pi: a node) and not yet by the
     inward one (angle 0)."""
     (o1, o2, n_out), (i1, i2, n_in) = outward, inward
-    f = (o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
+    (p1, p2), (q1, q2) = _unit(o1, o2), _unit(i1, i2)
+    f = (p2 * q1 - q2 * p1) / ((abs(p1) + abs(p2)) * (abs(q1) + abs(q2)))
     theta_out = math.atan2(abs(o1), o2 if o1 > 0.0 else -o2) if o1 else math.pi
     theta_in = math.atan2(abs(i1), i2 if i1 > 0.0 else -i2) if i1 else 0.0
     return n_out + n_in + (theta_out > theta_in), f
@@ -529,26 +537,16 @@ def _tail_action(tol: float) -> float:
 
 
 def _choose_r_max(prob: _RadialProblem, e_cap: float, tol: float) -> float:
-    # below a1 = 1 lengths grow as a1^(-1/4), and so does the cap
-    cap = _RMAX_CAP * max(1.0, prob.a1 ** -0.25)
     # a deep negative term can put the energy cap below 0
-    hi = min(cap, 2.0 * math.sqrt(max(e_cap, 0.0) / prob.a1) + 10.0)
+    hi = 2.0 * math.sqrt(max(e_cap, 0.0) / prob.a1) + 10.0
     rr = np.linspace(0.25, hi, 4000)
     wv = prob.probe(rr)
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
     outer = len(rr) - 1 - int(np.argmax((wv < e_cap)[::-1]))
     if wv[outer] >= e_cap:  # no allowed region this far out; keep everything
         return hi
-    action = _tail_action(tol)
-    k = _action_reach(rr[outer:], q[outer:], action)
-    if k is None:
-        if hi >= cap - 1e-12:
-            raise ShootingError(
-                f"energies near {e_cap:.3g} lie beyond the outer cutoff cap "
-                f"{cap:.3g}: the tail does not reach the WKB action "
-                f"{action:.3g} that tol = {tol:.3g} needs inside it")
-        return hi
-    return float(rr[outer + k])
+    k = _action_reach(rr[outer:], q[outer:], _tail_action(tol))
+    return hi if k is None else float(rr[outer + k])
 
 
 def _brent(f, a: float, fa: float, b: float, fb: float, width: float):
@@ -650,7 +648,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
     if not warm:
         floor = grid.w_floor
         lo, hi = grid.probe(floor + 1e-12 * (1.0 + abs(floor)),
-                            floor + max(4.0 * math.sqrt(prob.a1) * (level + 1.0), 1.0))
+                            floor + 4.0 * math.sqrt(prob.a1) * (level + 1.0))
         if lo[1] > level:
             raise _StepSizeFailure(f"{lo[1]} nodes at the potential floor")
         while hi[1] <= level:
@@ -697,11 +695,11 @@ def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleR
 
     The domain is sized so the start forms at r_min and the neglected tail
     beyond r_max (of WKB action 8 + ln(1/tol)/2) are below the eigenvalue
-    tolerance; below a1 = 1 the outer cutoff's cap and the energy cap's
-    least margin follow the length scale a1^(-1/4).  The grid density
-    doubles until step halving moves the eigenvalue by less than tol/4;
-    failure to settle within _MAX_REFINE doublings after the first raises
-    ShootingError, and so does an energy cap that never reaches the level.
+    tolerance; below a1 = 1 the energy cap's least margin follows the
+    energy scale sqrt(a1).  The grid density doubles until step halving
+    moves the eigenvalue by less than tol/4; failure to settle within
+    _MAX_REFINE doublings after the first raises ShootingError, and so does
+    an energy cap that never reaches the level.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exactref
 from spikevar import cli, optimizer
 from spikevar.hamiltonian import PotentialSpec
 from spikevar.oracle import shoot_eigenvalue
@@ -222,11 +223,10 @@ class TestMain:
         monkeypatch.setattr(cli, "run_table", lambda *a, **k: passing)
         assert cli.main(["table", "--id", "table3", "--strict"]) == 0
 
-    def test_level_beyond_outer_cap_exits_1(self, capsys):
-        assert cli.main(["oracle", "--a1", "1", "--level", "200"]) == 1
-        err = capsys.readouterr().err
-        assert "outer cutoff cap 20:" in err
-        assert "pass a larger" not in err
+    def test_level_past_r_20_gets_its_value(self, capsys):
+        # the oscillator level 4 * 200 + 3, whose allowed region reaches r = 28.3
+        assert cli.main(["oracle", "--a1", "1", "--level", "200", "--format", "json"]) == 0
+        assert 803.0 - 2e-6 <= json.loads(capsys.readouterr().out)["oracle"] <= 803.0
 
     def test_timing_shares_command_time_across_untimed_rows(self, capsys):
         assert cli.main(["converge", "--a1", "1", "--term", "0.1:4",
@@ -396,15 +396,15 @@ class TestOracleContract:
     """On any input the parser accepts, `oracle` exits 0 with a finite
     energy, which a bound `eig -D 8` prints for the same input does not
     undercut by more than 2 tol max(1, |E|), or exits 1 with exactly one
-    `error:` line; a warning of any kind is an error.  Below a1 = 0.25 that
-    line never names the outer cutoff cap, which grows as a1^(-1/4) there.
-    Seeded draws, so the inputs are the same on every run."""
+    `error:` line; a warning of any kind is an error.  That line never
+    names an outer cutoff cap (the cutoff has none).  Seeded draws, so the
+    inputs are the same on every run."""
 
     @pytest.mark.parametrize("argv, tol", _contract_draws(random.Random(0), _CONTRACT_DRAWS))
     def test_value_or_one_error_line(self, argv, tol, capsys):
         code, out, err = _main_strict(["oracle", *argv, "--tol", repr(tol)], capsys)
         if _one_error_line(code, out, err):
-            assert float(argv[1]) >= 0.25 or "outer cutoff cap" not in err
+            assert "outer cutoff cap" not in err
             return
         assert code == 0 and err == ""
         energy = json.loads(out)["oracle"]
@@ -414,6 +414,58 @@ class TestOracleContract:
             assert json.loads(out)["bound"] >= energy - 2.0 * tol * max(1.0, abs(energy))
         else:
             assert code == 1 and len(err.splitlines()) == 1
+
+
+class TestFarLevels:
+    """Levels whose tails reach past r = 20 at their length scale a1^(-1/4)
+    each get their value."""
+
+    @pytest.mark.parametrize("argv, tol, exact", [
+        # draw 232 of the contract draws (there at tol 1e-8): its well sits
+        # at r = 36.7, and E0 = 2 sqrt(a1) (1 + sqrt(c2 + 1/4)), c2 = 6 + lam
+        (["--a1", "0.04123594438376056", "--term=75092.89773120574:2.0", "--dim", "3",
+          "--ell", "2"], 1e-6, 2.0 * math.sqrt(0.04123594438376056)
+         * (1.0 + math.sqrt(6.25 + 75092.89773120574))),
+        # level 1 near 5.9e3 at a1 = 13.07: sqrt(a1) (6 + 2 sqrt(c2 + 1/4))
+        (["--a1", "13.07", "--term=671666.8515741335:2.0", "--level", "1"], 1e-6,
+         math.sqrt(13.07) * (6.0 + 2.0 * math.sqrt(671666.8515741335 + 0.25))),
+    ])
+    def test_exact_level(self, argv, tol, exact, capsys):
+        code, out, err = _main_strict(["oracle", *argv, "--tol", repr(tol),
+                                       "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        assert exact - 2.0 * tol <= json.loads(out)["oracle"] <= exact
+
+    def test_below_the_bound(self, capsys):
+        # draw 30 of the contract draws, under its D = 20 bound
+        argv = ["--a1", "0.00043509038845730155",
+                "--term=17955.302892105185:2.422260216749421", "--dim", "4", "--ell", "1",
+                "--format", "json"]
+        code, out, err = _main_strict(["oracle", *argv, "--tol", "1e-6"], capsys)
+        assert code == 0 and err == ""
+        energy = json.loads(out)["oracle"]
+        code, out, err = _main_strict(["eig", *argv, "-D", "20"], capsys)
+        assert code == 0 and err == ""
+        assert energy <= json.loads(out)["bound"] + 2e-6 * max(1.0, abs(energy))
+
+
+class TestExactFamily:
+    """`oracle` and `eig -D 20` on seeded members of the exactly solvable
+    family of `exactref`, r^2 + mu (2s - 3) r^-4 + mu^2 r^-6 carried to
+    a1 = 10^U(-5, 5): the oracle at tol 1e-8 lies inside [E0 - 2 tol, E0],
+    and the bound is not below E0 by more than 1e-12 max(1, E0)."""
+
+    @pytest.mark.parametrize("mu, N, l, a1", exactref.draws(random.Random(0), _CONTRACT_DRAWS))
+    def test_oracle_and_bound_around_E0(self, mu, N, l, a1, capsys):
+        (lam4, lam6), exact = exactref.ground_state(mu, N, l, a1)
+        argv = ["--a1", repr(a1), f"--term={lam4!r}:4", f"--term={lam6!r}:6",
+                "--dim", str(N), "--ell", str(l), "--format", "json"]
+        code, out, err = _main_strict(["oracle", *argv, "--tol", "1e-8"], capsys)
+        assert code == 0 and err == ""
+        assert exact - 2e-8 <= json.loads(out)["oracle"] <= exact
+        code, out, err = _main_strict(["eig", *argv, "-D", "20"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["bound"] >= exact - 1e-12 * max(1.0, exact)
 
 
 _SEARCH_DRAWS = [argv for argv, _ in _contract_draws(random.Random(0), _CONTRACT_DRAWS)]

@@ -233,13 +233,6 @@ class TestTailCutoff:
         assert oracle._tail_action(1e-10) > oracle._tail_action(1e-6)
         assert oracle._tail_action(1e-300) == oracle._TAIL_MAX
 
-    def test_cap_error_names_the_tail(self, monkeypatch):
-        # levels near 30 reach past a cutoff capped at 5
-        monkeypatch.setattr(oracle, "_RMAX_CAP", 5.0)
-        prob = oracle._RadialProblem(PotentialSpec(a1=1.0))
-        with pytest.raises(ShootingError, match="outer cutoff cap 5: .* WKB action 14.9"):
-            oracle._choose_r_max(prob, 30.0, 1e-6)
-
 
 class TestSteppedTail:
     """Past 1.5 units of WKB action beyond the outer turning point at the
@@ -731,11 +724,22 @@ class TestProbe:
             assert energy == e
             assert f == (o2 * i1 - i2 * o1) / ((abs(o1) + abs(o2)) * (abs(i1) + abs(i2)))
 
+    def test_mismatch_of_states_near_1e200(self):
+        # the kernel lets states grow to 1e250 before it rescales them; the
+        # mismatch scales each to unit size first, so its products of two
+        # states cannot overflow to nan
+        for o2, i2, sign in ((2.0, -1.0, 1.0), (-2.0, 1.0, -1.0)):
+            ends = (1e200, o2 * 1e200, 0), (1e200, i2 * 1e200, 0)
+            _, f = oracle._matched(*ends)
+            # y'_out y_in - y'_in y_out = (o2 - i2) 1e400 over the states'
+            # sizes 3e200 and 2e200
+            assert f == pytest.approx(sign * 0.5, rel=1e-15)
+
     def test_angles_agree_with_the_signs(self):
-        # states up to the kernel's 1e250, where the mismatch's products
-        # overflow to nan (and down to 1e-100, where its divisor is still
-        # nonzero), exact zeros of y', and parallel states (a root of the
-        # mismatch, whose level is not below the energy)
+        # states up to the kernel's 1e250, where unscaled products of two
+        # states overflow to nan (and down to 1e-100), exact zeros of y',
+        # and parallel states (a root of the mismatch, whose level is not
+        # below the energy)
         rng = np.random.default_rng(0)
         for k in range(2000):
             sizes = 10.0 ** rng.uniform(-100, 250, 2).repeat(2)
@@ -872,6 +876,30 @@ class TestRarePaths:
         fine = shoot_eigenvalue(v, 0, tol=1e-8)
         assert fine.energy - 2e-6 <= res.energy <= minimize_bound(v, 40).bound
 
+    def test_floor_search_stays_below_the_energy_cap(self, monkeypatch):
+        # at a1 ~ 2e-4 the energy cap lies ~0.3 above the grid's floor: the
+        # node search's first upper end, 4 sqrt(a1) (level + 1) above that
+        # floor, stays below it, so that no probe counts the nodes of an
+        # energy above W(r_max), where the cutoff rather than the potential
+        # sets the count
+        v = PotentialSpec(a1=0.00019416807600066747,
+                          terms=((8.113979328046124e-08, 6.0),), N=5)
+        caps, above = [], []
+        solve, probe = oracle._solve_at_density, oracle._Grid.probe
+
+        def solve_spy(prob, grid, level, tol, e_cap, prior=None):
+            caps.append(e_cap)
+            return solve(prob, grid, level, tol, e_cap, prior)
+
+        def probe_spy(grid, *energies, count_nodes=True):
+            above.extend(e for e in energies if e > caps[-1])
+            return probe(grid, *energies, count_nodes=count_nodes)
+
+        monkeypatch.setattr(oracle, "_solve_at_density", solve_spy)
+        monkeypatch.setattr(oracle._Grid, "probe", probe_spy)
+        shoot_eigenvalue(v, 1)
+        assert caps and above == []
+
     def test_energy_cap_expansion_gives_up(self, monkeypatch):
         # the level sits ~5e5 above a floor of -2.6e6, past twelve doublings
         # of the cap's margin of 20
@@ -895,8 +923,8 @@ class TestRarePaths:
 
 class TestScaleIdentity:
     """r = a1^(-1/4) x maps a1 r^2 + lam r^-alpha to sqrt(a1) times
-    x^2 + lam a1^((alpha - 2)/4) x^-alpha: below a1 = 1 the outer cutoff's
-    cap and the energy cap's least margin follow that length scale."""
+    x^2 + lam a1^((alpha - 2)/4) x^-alpha: below a1 = 1 the energy cap's
+    least margin follows the energy scale sqrt(a1)."""
 
     @pytest.mark.parametrize("a1,lam,alpha,level", [
         (0.01, 1.0, 4.0, 0),
