@@ -539,14 +539,14 @@ def _tail_action(tol: float) -> float:
 def _choose_r_max(prob: _RadialProblem, e_cap: float, tol: float) -> float:
     # a deep negative term can put the energy cap below 0
     hi = 2.0 * math.sqrt(max(e_cap, 0.0) / prob.a1) + 10.0
+    if hi == math.inf:
+        raise ShootingError(f"the outer cutoff overflows at a1 = {prob.a1:.3g}")
     rr = np.linspace(0.25, hi, 4000)
     wv = prob.probe(rr)
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
-    outer = len(rr) - 1 - int(np.argmax((wv < e_cap)[::-1]))
-    if wv[outer] >= e_cap:  # no allowed region this far out; keep everything
-        return hi
+    outer = len(rr) - 1 - int(np.argmax((wv < e_cap)[::-1]))  # the last if none
     k = _action_reach(rr[outer:], q[outer:], _tail_action(tol))
-    return hi if k is None else float(rr[outer + k])
+    return hi if k is None else float(rr[outer + k])  # no tail reaches the action
 
 
 def _brent(f, a: float, fa: float, b: float, fb: float, width: float):
@@ -647,8 +647,9 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
                 break
     if not warm:
         floor = grid.w_floor
-        lo, hi = grid.probe(floor + 1e-12 * (1.0 + abs(floor)),
-                            floor + 4.0 * math.sqrt(prob.a1) * (level + 1.0))
+        # the upper end clears the lower one, so each doubling moves it
+        lo, hi = grid.probe(floor + 1e-12 * (1.0 + abs(floor)), floor + max(
+            4.0 * math.sqrt(prob.a1) * (level + 1.0), 2e-12 * (1.0 + abs(floor))))
         if lo[1] > level:
             raise _StepSizeFailure(f"{lo[1]} nodes at the potential floor")
         while hi[1] <= level:

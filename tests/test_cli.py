@@ -313,6 +313,14 @@ EDGE_CASES = [
       "--term=1.0682102871782548e-06:4.434396315485245",
       "--term=-61071.7322960802:0.6936741410163838", "--ell", "2"],
      None, "energy cap expansion failed"),
+    # the floor search's first step 4 sqrt(a1) is under half an ulp of the
+    # floor near -0.25 (and so is the cap's margin): it steps past it and
+    # stops at the energy cap, where the level is not bracketed
+    (["oracle", "--a1", "1e-300", "--term=-1:1", "--term=1:2"], None,
+     "energy cap expansion failed"),
+    # the outer cutoff's search end 2 sqrt(E/a1) + 10 overflows
+    (["oracle", "--a1", "1e-300", "--term=1e12:2"], None, "outer cutoff overflows"),
+    (["oracle", "--a1", "5e-324", "--ell", "1"], None, "outer cutoff overflows"),
     # the value `eig` converges to from -D 8 through -D 24
     (["oracle", "--a1", "0.045986086553579934",
       "--term=-9959.586135666304:1.2424399846039489",
