@@ -21,13 +21,16 @@ lines of
 - searches with a simplex stuck on neighbouring floats: table2 lam=0.1
   D=80 (A,B) on 3200 from a D = 10 optimum, and `eig --term 0.1:4 -D 5
   --init-A -100 --init-B 1`;
+- `eig --a1 1e200 --term 1:4 -D 20`, far from a1 = 1;
 
 and last the same oracle lines for inputs away from a1 = 1 or from a
 shallow floor: five a1 < 1 inputs at tol 1e-8, r^2 - 100/r + 1e-6 r^-4,
 whose node search runs up to the energy cap, `--a1 7.3e9 --term 1:4`,
-which exits 1, and four levels whose tails reach past r = 20 at their
-length scale a1^(-1/4): draws 30 and 232 of the contract tests' `oracle`
-draws, `--level 200` at a1 = 1 and a level near 5.9e3 at a1 = 13.07.
+four levels whose tails reach past r = 20 at their length scale
+a1^(-1/4): draws 30 and 232 of the contract tests' `oracle` draws,
+`--level 200` at a1 = 1 and a level near 5.9e3 at a1 = 13.07, then
+`--a1 1e-8 --term 1:4 --tol 1e-12` and two members of the exactly
+solvable family of `tests/exactref.py`, at a1 = 1e-7 and 1e9.
 
 Calls that two seeds share are run once.  The
 package is imported from `src/` of the script's own checkout, with BLAS
@@ -77,7 +80,14 @@ ORACLE_ARGV += [["--term=-100:1", "--term", "1e-6:4"], ["--a1", "7.3e9", "--term
                 ["--a1", "0.04123594438376056", "--term=75092.89773120574:2.0", "--dim", "3",
                  "--ell", "2", "--tol", "1e-8"],
                 ["--a1", "1", "--level", "200"],
-                ["--a1", "13.07", "--term=671666.8515741335:2.0", "--level", "1"]]
+                ["--a1", "13.07", "--term=671666.8515741335:2.0", "--level", "1"],
+                ["--a1", "1e-8", "--term", "1:4", "--tol", "1e-12"],
+                # (mu, N, l) = (1, 3, 0) and (3, 4, 1): E0 = 5 sqrt(1e-7) and
+                # 263245.5532033676
+                ["--a1", "1e-7", "--term=3162.277660168379:4", "--term=10000000.0:6",
+                 "--tol", "1e-8"],
+                ["--a1", "1e9", "--term=0.00041026334038989727:4", "--term=9e-09:6",
+                 "--dim", "4", "--ell", "1", "--tol", "1e-4"]]
 
 
 def _recording():
@@ -169,6 +179,8 @@ def main() -> None:
     rc, _ = _cli(["eig", "--term", "0.1:4", "-D", "5", "--init-A", "-100",
                   "--init-B", "1", "--format", "json"])
     searches(f"eig -D 5 --init-A -100 rc={rc}")
+    rc, _ = _cli(["eig", "--a1", "1e200", "--term", "1:4", "-D", "20", "--format", "json"])
+    searches(f"eig --a1 1e200 -D 20 rc={rc}")
     for argv in ORACLE_ARGV:
         _oracle_line(" ".join(argv), ["oracle", *argv, "--format", "json"], shots)
 

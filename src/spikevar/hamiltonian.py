@@ -18,7 +18,7 @@ import numpy as np
 from .basis import ModelParams
 from .matelem import _per_point, _points, inv_power_matrix, power_matrix
 
-__all__ = ["PotentialSpec", "assemble"]
+__all__ = ["PotentialSpec", "assemble", "unit_scale"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,20 @@ class PotentialSpec:
     def max_alpha(self) -> float:
         """Largest exponent in `singular` (0.0 if none)."""
         return self.singular[-1][1] if self.singular else 0.0
+
+
+def unit_scale(v: PotentialSpec) -> tuple[PotentialSpec, float]:
+    """(v at a1 = 1, sqrt(a1)): r = a1^(-1/4) x maps v's operator to sqrt(a1)
+    times the returned one, whose couplings are lam_k a1^((alpha_k - 2)/4),
+    and the basis (A, B) to (A, B / a1).  Exact at a1 = 1."""
+    try:
+        terms = tuple((lam * v.a1 ** ((alpha - 2.0) / 4.0), alpha) for lam, alpha in v.terms)
+        if any(math.isinf(lam) for lam, _ in terms):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"a1 = {v.a1:g} sends a coupling lam a1^((alpha - 2)/4) of "
+                         "the a1 = 1 image past the float range") from None
+    return PotentialSpec(1.0, terms, v.N, v.l), math.sqrt(v.a1)
 
 
 def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,

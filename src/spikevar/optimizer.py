@@ -37,7 +37,7 @@ import numpy as np
 
 from .basis import ModelParams
 from .eigensolver import eigen_symmetric
-from .hamiltonian import PotentialSpec, assemble
+from .hamiltonian import PotentialSpec, assemble, unit_scale
 
 __all__ = [
     "BoundResult",
@@ -336,12 +336,13 @@ def minimize_bound(
     means that some start's simplex converged and the budget was not used
     up; exhausting `budget` returns the best point found, not converged.
     `fix_B` pins B to a1 (one-parameter search over A), as the A-only
-    reproduction columns do.  A start whose transformed point is not finite
-    (B = 4 a1 overflows at a1 ~ 1e308) is refused with a ValueError, and so
-    are a non-finite `init` A and an `init` B that is not finite and > 0,
-    before any start is built.  A point whose matrix overflows
-    bounds nothing (its value is +inf); when every point does, that is a
-    ValueError naming the overflow.
+    reproduction columns do.  The search runs on v's a1 = 1 image
+    (`unit_scale`), where the starts and the prescan are set: `init` B is
+    divided by a1, and B_star is multiplied by it and the bounds by
+    sqrt(a1) on return.  A non-finite `init` A and an `init` B that is not
+    finite and > 0 are refused with a ValueError before any start is
+    built.  A point whose matrix overflows bounds nothing (its value is
+    +inf); when every point does, that is a ValueError naming the overflow.
 
     Every value the search computes goes into one table keyed on the
     transformed point, and the objective reads it from there, evaluating a
@@ -370,11 +371,13 @@ def minimize_bound(
             raise ValueError("init A must be finite")
         if not 0.0 < init[1] < math.inf:
             raise ValueError("init B must be finite and > 0")
+    a1 = v.a1
+    v, root = unit_scale(v)
     a_min = feasible_A_min(v)
 
     def decode(x) -> tuple[float, float]:
         A = a_min + math.exp(min(float(x[0]), _CLAMP))
-        B = v.a1 if fix_B else math.exp(min(float(x[1]), _CLAMP))
+        B = 1.0 if fix_B else math.exp(min(float(x[1]), _CLAMP))
         return A, B
 
     # every value the search has computed, by transformed point: simplex
@@ -401,20 +404,15 @@ def minimize_bound(
         return known[x]
 
     def start_point(A0, B0) -> list[float]:
+        # w stops at _CLAMP, as in decode: an init B / a1 can overflow
         u0 = math.log(max(A0 - a_min, 1e-12))
-        x = [u0] if fix_B else [u0, math.log(max(B0, 1e-12))]
-        if not all(math.isfinite(t) for t in x):  # inf - inf in the simplex
-            raise ValueError(f"a1 = {v.a1:g} is too large for the bound search: "
-                             f"its start (A, B) = ({A0:g}, {B0:g}) overflows")
-        return x
+        return [u0] if fix_B else [u0, min(math.log(max(B0, 1e-12)), _CLAMP)]
 
-    starts = [start_point(max(1.0, a_min + 1.0), v.a1),
-              start_point(a_min + 10.0, 4.0 * v.a1)]
+    starts = [start_point(max(1.0, a_min + 1.0), 1.0), start_point(a_min + 10.0, 4.0)]
     # the valley floor can carry several local minima a few 1e-7 apart with
     # optima drifting to large A as the coupling grows; a coarse deterministic
     # prescan seeds one extra start in whichever basin looks deepest
-    # (an A-only grid's one B factor is 1.0, and a1 * 1.0 is a1 to the bit)
-    prescan = [(a_min + da, v.a1 * sb) for da in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0)
+    prescan = [(a_min + da, sb) for da in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0)
                for sb in ((1.0,) if fix_B else (0.5, 2.0, 8.0, 32.0, 128.0))]
     if budget >= 4 * len(prescan):
         probes = [[math.log(A - a_min)] if fix_B
@@ -423,7 +421,7 @@ def minimize_bound(
         k = min(range(len(prescan)), key=lambda i: objective(probes[i]))
         starts.append(start_point(*prescan[k]))
     if init is not None:
-        starts.append(start_point(float(init[0]), float(init[1])))
+        starts.append(start_point(float(init[0]), float(init[1]) / a1))
 
     runs = _run([_nelder_mead(x0) for x0 in starts], known, evaluate, budget - nev)
     nev += sum(run[2] for run in runs)
@@ -437,11 +435,10 @@ def minimize_bound(
     except OverflowError:  # the best point overflows only if every one did
         raise ValueError(f"the {D} x {D} matrix overflows at every (A, B) the "
                          "search tried: no point bounds the level") from None
-    bounds = eigen_symmetric(H).values
     return BoundResult(
         A_star=A_star,
-        B_star=B_star,
-        bounds=bounds,
+        B_star=B_star * a1,
+        bounds=eigen_symmetric(H).values * root,
         target_level=target_level,
         evaluations=nev,
         converged=any(run[3] for run in runs) and nev < budget,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PotentialSpec
+from .hamiltonian import PotentialSpec, unit_scale
 
 __all__ = ["OracleResult", "ShootingError", "shoot_eigenvalue", "BACKEND"]
 
@@ -75,7 +75,8 @@ class OracleResult:
     the final energy bracket shifted down by one bracket width, so it
     never lands above the true eigenvalue (the root-finding noise floor and
     the grid error sit well inside the shift).  bracket_width is the final
-    bracket's width, but never less than tol/8, where the root search stops.
+    bracket's width, but never less than min(tol, sqrt(a1))/8, where the
+    root search stops.
     The eigenvalue lies within a couple of bracket_width above `energy`, and
     bracket_width <= the requested tolerance, so the estimate is still
     accurate to tol.  r_min, r_max and steps describe the final grid, and
@@ -283,10 +284,10 @@ def _sweep(table, chains, steps, count_nodes=False):
 
 
 class _RadialProblem:
-    """W(r) = Lam(Lam+1)/r^2 + a1 r^2 + sum lam_k r^(-alpha_k) and its pieces."""
+    """W(r) = Lam(Lam+1)/r^2 + r^2 + sum lam_k r^(-alpha_k) and its pieces,
+    for a v at a1 = 1."""
 
     def __init__(self, v: PotentialSpec):
-        self.a1 = v.a1
         lam = v.Lambda
         self.c2 = lam * (lam + 1.0) + v.inv_square
         self.terms = v.singular
@@ -296,7 +297,7 @@ class _RadialProblem:
         self.hardy = min(max(-self.c2, 0.0), 0.25)
 
     def w(self, r: np.ndarray) -> np.ndarray:
-        out = self.a1 * r * r
+        out = r * r
         if self.c2 != 0.0:
             out = out + self.c2 / (r * r)
         for lam, alpha in self.terms:
@@ -328,7 +329,7 @@ class _RadialProblem:
         return float(w.min())
 
     def w_prime(self, r: float) -> float:
-        out = 2.0 * self.a1 * r - 2.0 * self.c2 / r**3
+        out = 2.0 * r - 2.0 * self.c2 / r**3
         for lam, alpha in self.terms:
             out -= alpha * lam * r ** (-alpha - 1.0)
         return out
@@ -346,7 +347,10 @@ class _Domain:
         self.e_cap = e_cap
         self.r_min = r_min
         self.r_max = r_max
-        self.r_sw = r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
+        r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
+        if r_sw <= r_min:  # a narrow well far out: the log core must rise
+            r_sw = 0.5 * (r_min + r_max)
+        self.r_sw = r_sw
         rr = np.geomspace(r_min, r_max, 512)
         wv = prob.probe(rr)
         w_floor = prob.floor(rr, wv)
@@ -513,12 +517,16 @@ def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
         return _RMIN_CAP
     rr = _CORE_PROBE
     wv = prob.probe(rr)
-    under = wv > e_cap
+    # the barrier can run on past the probe, but the well is looked for only
+    # up to where `_choose_r_max` searches for the outer cutoff
+    hi = 2.0 * math.sqrt(max(e_cap, 0.0)) + 10.0
+    while (wv > e_cap).all() and rr[-1] < hi:
+        rr = rr * 10.0
+        wv = prob.probe(rr)
+    under = (wv > e_cap) | (rr > hi)
     if not under[0]:
         return _RMIN_CAP
     turn = int(np.argmin(under))  # first index inside the well
-    if turn == 0:
-        turn = len(rr) - 1
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
     k = _action_reach(rr[turn::-1], q[turn::-1], _CORE_ACTION)
     return _RMIN_CAP if k is None else float(rr[turn - k])
@@ -538,9 +546,7 @@ def _tail_action(tol: float) -> float:
 
 def _choose_r_max(prob: _RadialProblem, e_cap: float, tol: float) -> float:
     # a deep negative term can put the energy cap below 0
-    hi = 2.0 * math.sqrt(max(e_cap, 0.0) / prob.a1) + 10.0
-    if hi == math.inf:
-        raise ShootingError(f"the outer cutoff overflows at a1 = {prob.a1:.3g}")
+    hi = 2.0 * math.sqrt(max(e_cap, 0.0)) + 10.0
     rr = np.linspace(0.25, hi, 4000)
     wv = prob.probe(rr)
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
@@ -594,8 +600,8 @@ def _brent(f, a: float, fa: float, b: float, fb: float, width: float):
     return min(b, c), max(b, c)
 
 
-def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
-                      e_cap: float, prior: float | None = None):
+def _solve_at_density(grid: _Grid, level: int, tol: float, e_cap: float,
+                      prior: float | None = None):
     """Bisection on node count to a unit node bracket, then Brent's method
     on the normalized matching Wronskian down to a tol/8 bracket; return
     (energy, width, warm).
@@ -649,7 +655,7 @@ def _solve_at_density(prob: _RadialProblem, grid: _Grid, level: int, tol: float,
         floor = grid.w_floor
         # the upper end clears the lower one, so each doubling moves it
         lo, hi = grid.probe(floor + 1e-12 * (1.0 + abs(floor)), floor + max(
-            4.0 * math.sqrt(prob.a1) * (level + 1.0), 2e-12 * (1.0 + abs(floor))))
+            4.0 * (level + 1.0), 2e-12 * (1.0 + abs(floor))))
         if lo[1] > level:
             raise _StepSizeFailure(f"{lo[1]} nodes at the potential floor")
         while hi[1] <= level:
@@ -694,11 +700,13 @@ def _log_result(res: OracleResult) -> None:
 def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleResult:
     """Level-th Dirichlet eigenvalue of -y'' + [Lam(Lam+1)/r^2 + V] y = E y.
 
-    The domain is sized so the start forms at r_min and the neglected tail
-    beyond r_max (of WKB action 8 + ln(1/tol)/2) are below the eigenvalue
-    tolerance; below a1 = 1 the energy cap's least margin follows the
-    energy scale sqrt(a1).  The grid density doubles until step halving
-    moves the eigenvalue by less than tol/4; failure to settle within
+    Solved on v's a1 = 1 image (`unit_scale`) to the working tolerance
+    min(tol / sqrt(a1), 1), and mapped back: energies times sqrt(a1),
+    radii times a1^(-1/4); a ShootingError names the image's values.  The
+    domain is sized so the start forms at r_min and the neglected tail
+    beyond r_max (of WKB action 8 + ln(1/tol)/2) are below the working
+    tolerance.  The grid density doubles until step halving moves the
+    eigenvalue by less than a quarter of it; failure to settle within
     _MAX_REFINE doublings after the first raises ShootingError, and so does
     an energy cap that never reaches the level.
     """
@@ -706,10 +714,16 @@ def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleR
         raise ValueError(f"level must be >= 0, got {level}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    prob = _RadialProblem(v)
-    w_probe = prob.floor(_CAP_PROBE)
-    root_a1 = math.sqrt(v.a1)
-    e_cap = w_probe + max(4.0 * root_a1 * (2 * level + 3.0), 20.0 * min(1.0, root_a1))
+    u, root = unit_scale(v)
+    tol = min(tol / root, 1.0)
+    if tol == 0.0:
+        raise ValueError("tolerance / sqrt(a1) underflows to 0")
+    prob = _RadialProblem(u)
+    rr = _CAP_PROBE
+    while prob.floor(rr[-1:]) < prob.floor(rr[:-1]):  # the well lies further out
+        rr = rr * 10.0
+    w_probe = prob.floor(rr)
+    e_cap = w_probe + max(4.0 * (2 * level + 3.0), 20.0)
     tally = _Tally()
     fallbacks = 0  # refined grids whose warm bracket was rejected
 
@@ -726,15 +740,16 @@ def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleR
                 grid = None  # free the coarser grid before the finer one is built
                 grid = _Grid(dom, scale, tally)
                 try:
-                    found, width, warm = _solve_at_density(prob, grid, level, tol,
-                                                           e_cap, energy)
+                    found, width, warm = _solve_at_density(grid, level, tol, e_cap,
+                                                           energy)
                 except _StepSizeFailure:
                     failure = "node-count monotonicity kept failing under refinement"
                 else:
                     if energy is not None and not warm:
                         fallbacks += 1
                     if energy is not None and abs(found - energy) < 0.25 * tol:
-                        res = OracleResult(float(found), float(width), r_min, r_max,
+                        res = OracleResult(float(found * root), float(width * root),
+                                           r_min / root**0.5, r_max / root**0.5,
                                            grid.steps, scale, tally.sweeps, fallbacks)
                         _log_result(res)
                         return res

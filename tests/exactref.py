@@ -28,8 +28,8 @@ def ground_state(mu: float, N: int, l: int, a1: float = 1.0):
     return (mu * (2.0 * s - 3.0) / root, mu * mu / a1), (2.0 * s + 1.0) * root
 
 
-def draws(rng, count):
+def draws(rng, count, decades=5.0):
     """`count` seeded members (mu, N, l, a1): mu ~ U(0.05, 8), N 1-6, l 0-3
-    and a1 = 10^U(-5, 5)."""
+    and a1 = 10^U(-decades, decades)."""
     return [(rng.uniform(0.05, 8.0), rng.randint(1, 6), rng.randint(0, 3),
-             10.0 ** rng.uniform(-5.0, 5.0)) for _ in range(count)]
+             10.0 ** rng.uniform(-decades, decades)) for _ in range(count)]

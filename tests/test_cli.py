@@ -276,14 +276,19 @@ EDGE_CASES = [
     (["eig", "--a1", "inf"], None, "a1 must be finite"),
     (["oracle", "--a1", "inf"], None, "a1 must be finite"),
     (["oracle", "--tol", "inf"], None, "finite"),
+    (["oracle", "--a1", "1e300", "--tol", "1e-320"], None, "underflows"),
     (["oracle", "--term", "1000:10"], 8.3655150, 2e-6),
     (["oracle", "--term", "1000:12"], 7.6397213, 2e-6),
     (["oracle", "--term", "1:20"], 5.2255396, 2e-6),
     (["oracle", "--term", "1:100"], 5.7717191, 2e-6),
     (["eig", "--term", "1:300"], 12.1914163, 1e-7),
-    (["oracle", "--a1", "1e308"], None, "would need"),
-    # the search's start B = 4 a1 overflows; the simplex would meet inf - inf
-    (["eig", "--a1", "1e308", "--term", "1:4"], None, "a1 = 1e+308"),
+    (["oracle", "--a1", "1e308"], None, "Richardson check did not settle"),
+    # the well's floor 1.5 (2 lam)^(1/3) of the a1 = 1 image, lam = a1^(1/2),
+    # times sqrt(a1)
+    (["eig", "--a1", "1e308", "--term", "1:4"], 4.0716264e205, 1e199),
+    # that image's r^-20 coupling would be 1e308^4.5
+    (["eig", "--a1", "1e308", "--term", "1:20"], None, "past the float range"),
+    (["oracle", "--a1", "1e308", "--term", "1:20"], None, "past the float range"),
     (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "nan", "--init-B", "1"],
      None, "init A must be finite"),
     (["eig", "--term", "0.1:4", "-D", "5", "--init-A", "5", "--init-B", "inf"],
@@ -305,31 +310,37 @@ EDGE_CASES = [
     (["eig", "--a1", "125534023.84739846", "--term=1.2384775060295942e+292:6",
       "--dim", "1"], 2.1953924607385067e+79, 1e70),
     (["eig", "-D", "4", "--term=1e308:6"], None, "overflows at every (A, B)"),
-    # a steep grid: 16 RK4 steps overflow a state near the rescale guard
-    (["oracle", "--a1", "7.3e9", "--term", "1:4"], None, "6.54e+06 steps"),
+    # the value `eig -D 30` bounds at 7321567.589583715
+    (["oracle", "--a1", "7.3e9", "--term", "1:4"], 7321567.5895836, 2e-6),
     # deep negative terms put the energy cap below 0: the level sits ~5e5
     # above a floor of -2.6e6, past twelve doublings of the cap's margin
     (["oracle", "--a1", "0.41026503895141375",
       "--term=1.0682102871782548e-06:4.434396315485245",
       "--term=-61071.7322960802:0.6936741410163838", "--ell", "2"],
      None, "energy cap expansion failed"),
-    # the floor search's first step 4 sqrt(a1) is under half an ulp of the
-    # floor near -0.25 (and so is the cap's margin): it steps past it and
-    # stops at the energy cap, where the level is not bracketed
-    (["oracle", "--a1", "1e-300", "--term=-1:1", "--term=1:2"], None,
-     "energy cap expansion failed"),
-    # the outer cutoff's search end 2 sqrt(E/a1) + 10 overflows
-    (["oracle", "--a1", "1e-300", "--term=1e12:2"], None, "outer cutoff overflows"),
-    (["oracle", "--a1", "5e-324", "--ell", "1"], None, "outer cutoff overflows"),
+    # the a1 = 1 images carry lam a1^((alpha - 2)/4): a Coulomb term of
+    # -1e75, and an inverse square of 1e12; each asks for a grid of more
+    # than _MAX_STEPS steps
+    (["oracle", "--a1", "1e-300", "--term=-1:1", "--term=1:2"], None, "would need"),
+    (["oracle", "--a1", "1e-300", "--term=1e12:2"], None, "would need"),
+    # the working tolerance min(tol / sqrt(a1), 1) caps at 1 here, so each
+    # level E, 5 sqrt(a1) for l = 1 and ~3 sqrt(a1) for a faint r^-4, is
+    # printed inside [E - 2 min(tol, sqrt(a1)), E]
+    (["oracle", "--a1", "5e-324", "--ell", "1"], 4.0 * math.sqrt(5e-324),
+     math.sqrt(5e-324)),
+    (["oracle", "--ell", "1", "--tol", "1e155"], 4.0, 1.0),
+    (["oracle", "--a1", "1e-40", "--ell", "1"], 4e-20, 1e-20),
+    (["oracle", "--a1", "1e-100", "--term", "1:4"], 2e-50, 1e-50),
     # the value `eig` converges to from -D 8 through -D 24
     (["oracle", "--a1", "0.045986086553579934",
       "--term=-9959.586135666304:1.2424399846039489",
       "--term=290732.80111262115:4.0"], -876.364363, 2e-6),
-    # a floor of -8e41: the grid's block products pass the float range
+    # an energy cap near -4.6e36 on the a1 = 1 image: no grid of _MAX_STEPS
+    # steps resolves it
     (["oracle", "--a1", "0.0008886676747687037",
       "--term=-3.314972325510248e-07:18.754534938575237",
       "--term=8.841066919342414e-09:19.340990795319584", "--dim", "1",
-      "--level", "2"], None, "block products overflow on the 668-step grid"),
+      "--level", "2"], None, "would need 9.88e+22 steps"),
 ]
 
 
@@ -424,9 +435,16 @@ class TestOracleContract:
             assert code == 1 and len(err.splitlines()) == 1
 
 
+def _far_member(mu):
+    """(argv, tol, E0) of the exact family's (mu, 3, 0) member at a1 = 1,
+    at tol 1e-8 E0: its well lies near r = mu^(1/4)."""
+    (lam4, lam6), exact = exactref.ground_state(mu, 3, 0)
+    return [f"--term={lam4!r}:4", f"--term={lam6!r}:6"], 1e-8 * exact, exact
+
+
 class TestFarLevels:
-    """Levels whose tails reach past r = 20 at their length scale a1^(-1/4)
-    each get their value."""
+    """Levels whose tails reach past r = 20 at their length scale a1^(-1/4),
+    and wells past the probes' ends (r = 10 and 2), each get their value."""
 
     @pytest.mark.parametrize("argv, tol, exact", [
         # draw 232 of the contract draws (there at tol 1e-8): its well sits
@@ -437,6 +455,8 @@ class TestFarLevels:
         # level 1 near 5.9e3 at a1 = 13.07: sqrt(a1) (6 + 2 sqrt(c2 + 1/4))
         (["--a1", "13.07", "--term=671666.8515741335:2.0", "--level", "1"], 1e-6,
          math.sqrt(13.07) * (6.0 + 2.0 * math.sqrt(671666.8515741335 + 0.25))),
+        _far_member(1e6),
+        _far_member(1e8),
     ])
     def test_exact_level(self, argv, tol, exact, capsys):
         code, out, err = _main_strict(["oracle", *argv, "--tol", repr(tol),
@@ -460,20 +480,31 @@ class TestFarLevels:
 class TestExactFamily:
     """`oracle` and `eig -D 20` on seeded members of the exactly solvable
     family of `exactref`, r^2 + mu (2s - 3) r^-4 + mu^2 r^-6 carried to
-    a1 = 10^U(-5, 5): the oracle at tol 1e-8 lies inside [E0 - 2 tol, E0],
-    and the bound is not below E0 by more than 1e-12 max(1, E0)."""
+    a1 = 10^U(-5, 5) at tol 1e-8, and to a1 = 10^U(-12, 12) at tol 1e-8
+    max(1, E0): the oracle lies inside [E0 - 2 tol, E0], and the bound is
+    not below E0 by more than 1e-12 max(1, E0)."""
 
-    @pytest.mark.parametrize("mu, N, l, a1", exactref.draws(random.Random(0), _CONTRACT_DRAWS))
-    def test_oracle_and_bound_around_E0(self, mu, N, l, a1, capsys):
+    @staticmethod
+    def _check(mu, N, l, a1, relative, capsys):
         (lam4, lam6), exact = exactref.ground_state(mu, N, l, a1)
+        tol = 1e-8 * max(1.0, exact) if relative else 1e-8
         argv = ["--a1", repr(a1), f"--term={lam4!r}:4", f"--term={lam6!r}:6",
                 "--dim", str(N), "--ell", str(l), "--format", "json"]
-        code, out, err = _main_strict(["oracle", *argv, "--tol", "1e-8"], capsys)
+        code, out, err = _main_strict(["oracle", *argv, "--tol", repr(tol)], capsys)
         assert code == 0 and err == ""
-        assert exact - 2e-8 <= json.loads(out)["oracle"] <= exact
+        assert exact - 2.0 * tol <= json.loads(out)["oracle"] <= exact
         code, out, err = _main_strict(["eig", *argv, "-D", "20"], capsys)
         assert code == 0 and err == ""
         assert json.loads(out)["bound"] >= exact - 1e-12 * max(1.0, exact)
+
+    @pytest.mark.parametrize("mu, N, l, a1", exactref.draws(random.Random(0), _CONTRACT_DRAWS))
+    def test_oracle_and_bound_around_E0(self, mu, N, l, a1, capsys):
+        self._check(mu, N, l, a1, False, capsys)
+
+    @pytest.mark.parametrize("mu, N, l, a1",
+                             exactref.draws(random.Random(1), _CONTRACT_DRAWS, 12.0))
+    def test_oracle_and_bound_around_E0_over_24_decades(self, mu, N, l, a1, capsys):
+        self._check(mu, N, l, a1, True, capsys)
 
 
 _SEARCH_DRAWS = [argv for argv, _ in _contract_draws(random.Random(0), _CONTRACT_DRAWS)]

@@ -3,6 +3,8 @@ and the RK4 kernel against the stage-by-stage reference step (`rk4ref`)."""
 
 import logging
 import math
+import os
+import random
 
 import numpy as np
 import pytest
@@ -86,7 +88,7 @@ def halved_grid_energy(monkeypatch, v, level, tol):
         res = shoot_eigenvalue(v, level, tol=tol)
     dom = domains[-1]
     grid = oracle._Grid(dom, 2.0 * res.grid_scale, oracle._Tally())
-    energy, _, _ = oracle._solve_at_density(dom.prob, grid, level, tol, dom.e_cap)
+    energy, _, _ = oracle._solve_at_density(grid, level, tol, dom.e_cap)
     return res, energy
 
 
@@ -323,8 +325,8 @@ class TestWarmStart:
     def test_far_prior_falls_back_to_the_full_search(self, terms, level, exact, prior):
         tol = 1e-6
         prob, grid, e_cap = self._grid(PotentialSpec(a1=1.0, terms=terms))
-        cold = oracle._solve_at_density(prob, grid, level, tol, e_cap)
-        far = oracle._solve_at_density(prob, grid, level, tol, e_cap, prior)
+        cold = oracle._solve_at_density(grid, level, tol, e_cap)
+        far = oracle._solve_at_density(grid, level, tol, e_cap, prior)
         assert cold[2] is False and far[2] is False
         assert far == cold
         assert exact - 2.0 * tol <= far[0] <= exact
@@ -333,9 +335,9 @@ class TestWarmStart:
     def test_warm_bracket_agrees_with_the_full_search(self, terms, level, exact):
         tol = 1e-6
         prob, grid, e_cap = self._grid(PotentialSpec(a1=1.0, terms=terms))
-        cold = oracle._solve_at_density(prob, grid, level, tol, e_cap)
+        cold = oracle._solve_at_density(grid, level, tol, e_cap)
         cold_sweeps = grid._tally.sweeps
-        warm = oracle._solve_at_density(prob, grid, level, tol, e_cap, cold[0])
+        warm = oracle._solve_at_density(grid, level, tol, e_cap, cold[0])
         assert warm[2] is True
         assert grid._tally.sweeps - cold_sweeps < cold_sweeps  # the point of the prior
         assert abs(warm[0] - cold[0]) <= 0.25 * tol
@@ -830,7 +832,7 @@ class TestChains:
             return sweep(*args)
 
         monkeypatch.setattr(oracle, "_sweep", counted)
-        oracle._solve_at_density(prob, grid, 0, 1e-6, e_cap, prior=3.0)
+        oracle._solve_at_density(grid, 0, 1e-6, e_cap, prior=3.0)
         assert grid._tally.sweeps == len(calls)
         # the warm pair's node counts and mismatches in one call, then Brent's
         assert calls[0] == (2 * grid.steps, True)
@@ -887,9 +889,9 @@ class TestRarePaths:
         caps, above = [], []
         solve, probe = oracle._solve_at_density, oracle._Grid.probe
 
-        def solve_spy(prob, grid, level, tol, e_cap, prior=None):
+        def solve_spy(grid, level, tol, e_cap, prior=None):
             caps.append(e_cap)
-            return solve(prob, grid, level, tol, e_cap, prior)
+            return solve(grid, level, tol, e_cap, prior)
 
         def probe_spy(grid, *energies, count_nodes=True):
             above.extend(e for e in energies if e > caps[-1])
@@ -913,33 +915,72 @@ class TestRarePaths:
 
     def test_node_count_failure_under_refinement(self):
         # a well ~2.1e6 deep, whose level `eig` bounds at -2095455.19317
-        # from D = 8 on: every grid counts nodes at the potential floor
+        # from D = 8 on: the grid its a1 = 1 image asks for is refused
+        # (ROADMAP item 7)
         v = PotentialSpec(a1=255473.1262248806,
                           terms=((-250475.69493172743, 6.0),
                                  (12106.104526825427, 10.907297012934574)), N=5, l=2)
-        with pytest.raises(ShootingError, match="node-count monotonicity"):
+        with pytest.raises(ShootingError, match="would need"):
             shoot_eigenvalue(v, 0)
+
+
+# seeded draws of TestScaleIdentity: 20 in Tier-1; CI's contract job sets 500
+_SCALE_DRAWS = int(os.environ.get("SPIKEVAR_CONTRACT_DRAWS", "20"))
+
+
+def _scale_draws(rng, count):
+    """`count` seeded (a1, lam, alpha, level): a1 = 10^U(-12, 12), lam =
+    10^U(-3, 3), alpha one of 2.5, 4 and 6, level 0-2."""
+    return [(10.0 ** rng.uniform(-12.0, 12.0), 10.0 ** rng.uniform(-3.0, 3.0),
+             rng.choice((2.5, 4.0, 6.0)), rng.randint(0, 2)) for _ in range(count)]
 
 
 class TestScaleIdentity:
     """r = a1^(-1/4) x maps a1 r^2 + lam r^-alpha to sqrt(a1) times
-    x^2 + lam a1^((alpha - 2)/4) x^-alpha: below a1 = 1 the energy cap's
-    least margin follows the energy scale sqrt(a1)."""
+    x^2 + lam a1^((alpha - 2)/4) x^-alpha, and the basis (A, B) to
+    (A, B / a1): each solver's result is exactly sqrt(a1) times its result
+    on that a1 = 1 image, built here by hand, with B* = a1 B*(image) and
+    radii times a1^(-1/4); an oracle refusal is the image's, word for word.
+    Five fixed inputs, then seeded draws."""
 
-    @pytest.mark.parametrize("a1,lam,alpha,level", [
-        (0.01, 1.0, 4.0, 0),
-        (1e-4, 1.0, 6.0, 1),
-        (0.2, 3.0, 2.5, 2),
-        (0.05, 100.0, 6.0, 0),
-        (1e-3, 1e-3, 4.0, 0),
-    ])
+    CASES = [(0.01, 1.0, 4.0, 0), (1e-4, 1.0, 6.0, 1), (0.2, 3.0, 2.5, 2),
+             (0.05, 100.0, 6.0, 0), (1e-3, 1e-3, 4.0, 0)]
+    CASES += _scale_draws(random.Random(0), _SCALE_DRAWS)
+
+    @staticmethod
+    def _image(a1, lam, alpha):
+        return PotentialSpec(a1=1.0, terms=((lam * a1 ** ((alpha - 2.0) / 4.0), alpha),))
+
+    @staticmethod
+    def _shoot(v, level, tol):
+        """shoot_eigenvalue's result, or the message of its ShootingError."""
+        try:
+            return shoot_eigenvalue(v, level, tol=tol)
+        except ShootingError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("a1,lam,alpha,level", CASES)
     def test_energy_is_root_a1_times_the_unit_scale_one(self, a1, lam, alpha, level):
-        tol = 1e-8
-        res = shoot_eigenvalue(PotentialSpec(a1=a1, terms=((lam, alpha),)), level, tol=tol)
-        unit = shoot_eigenvalue(
-            PotentialSpec(a1=1.0, terms=((lam * a1 ** ((alpha - 2.0) / 4.0), alpha),)),
-            level, tol=tol / np.sqrt(a1))
-        assert abs(res.energy - np.sqrt(a1) * unit.energy) <= 4.0 * tol
+        tol, root = 1e-8 * max(1.0, math.sqrt(a1)), math.sqrt(a1)
+        res = self._shoot(PotentialSpec(a1=a1, terms=((lam, alpha),)), level, tol)
+        unit = self._shoot(self._image(a1, lam, alpha), level, tol / root)
+        if isinstance(unit, str):  # a refusal of the image is the same refusal
+            assert res == unit
+            return
+        assert res.energy == root * unit.energy
+        assert res.bracket_width == root * unit.bracket_width
+        assert (res.r_min, res.r_max) == (unit.r_min / root**0.5, unit.r_max / root**0.5)
+        assert (res.steps, res.sweeps) == (unit.steps, unit.sweeps)
+
+    @pytest.mark.parametrize("fix_B", [False, True])
+    @pytest.mark.parametrize("a1,lam,alpha,level", CASES)
+    def test_bound_is_root_a1_times_the_unit_scale_one(self, a1, lam, alpha, level, fix_B):
+        res = minimize_bound(PotentialSpec(a1=a1, terms=((lam, alpha),)), 6, level,
+                             fix_B=fix_B)
+        unit = minimize_bound(self._image(a1, lam, alpha), 6, level, fix_B=fix_B)
+        assert (res.A_star, res.B_star) == (unit.A_star, a1 * unit.B_star)
+        assert np.array_equal(res.bounds, math.sqrt(a1) * unit.bounds)
+        assert (res.evaluations, res.converged) == (unit.evaluations, unit.converged)
 
 
 class TestValidation:
