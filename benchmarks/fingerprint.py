@@ -29,8 +29,9 @@ whose node search runs up to the energy cap, `--a1 7.3e9 --term 1:4`,
 four levels whose tails reach past r = 20 at their length scale
 a1^(-1/4): draws 30 and 232 of the contract tests' `oracle` draws,
 `--level 200` at a1 = 1 and a level near 5.9e3 at a1 = 13.07, then
-`--a1 1e-8 --term 1:4 --tol 1e-12` and two members of the exactly
-solvable family of `tests/exactref.py`, at a1 = 1e-7 and 1e9.
+`--a1 1e-8 --term 1:4 --tol 1e-12`, two members of the exactly
+solvable family of `tests/exactref.py`, at a1 = 1e-7 and 1e9, and a well
+~2.1e6 deep whose a1 = 1 image has its floor at r = 13.7.
 
 Calls that two seeds share are run once.  The
 package is imported from `src/` of the script's own checkout, with BLAS
@@ -68,7 +69,7 @@ BUDGET_ROWS = (("table4", "(1,100,100)", 10, 250),
                ("table2", "lam=10 D=30 (A,B)", 30, 350),
                ("table2", "lam=0.1 D=80 (A,B)", 80, 3200))
 # oracle calls off the unit scale: (a1, lam, alpha, level) at tol 1e-8, as
-# tests/test_oracle.py::TestScaleIdentity runs them, then six more argv
+# tests/test_oracle.py::TestScaleIdentity runs them, then more argv
 SCALED = ((0.01, 1.0, 4.0, 0), (1e-4, 1.0, 6.0, 1), (0.2, 3.0, 2.5, 2),
           (0.05, 100.0, 6.0, 0), (1e-3, 1e-3, 4.0, 0))
 ORACLE_ARGV = [["--a1", repr(a1), "--term", f"{lam!r}:{alpha!r}", "--level", str(level),
@@ -87,7 +88,9 @@ ORACLE_ARGV += [["--term=-100:1", "--term", "1e-6:4"], ["--a1", "7.3e9", "--term
                 ["--a1", "1e-7", "--term=3162.277660168379:4", "--term=10000000.0:6",
                  "--tol", "1e-8"],
                 ["--a1", "1e9", "--term=0.00041026334038989727:4", "--term=9e-09:6",
-                 "--dim", "4", "--ell", "1", "--tol", "1e-4"]]
+                 "--dim", "4", "--ell", "1", "--tol", "1e-4"],
+                ["--a1", "255473.1262248806", "--term=-250475.69493172743:6.0",
+                 "--term=12106.104526825427:10.907297012934574", "--dim", "5", "--ell", "2"]]
 
 
 def _recording():

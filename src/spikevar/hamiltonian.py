@@ -90,10 +90,16 @@ def unit_scale(v: PotentialSpec) -> tuple[PotentialSpec, float]:
         terms = tuple((lam * v.a1 ** ((alpha - 2.0) / 4.0), alpha) for lam, alpha in v.terms)
         if any(math.isinf(lam) for lam, _ in terms):
             raise OverflowError
+        # the image fails the checks v passed only where a coupling underflowed
+        # to 0 and was dropped
+        u = PotentialSpec(1.0, terms, v.N, v.l)
     except OverflowError:
         raise ValueError(f"a1 = {v.a1:g} sends a coupling lam a1^((alpha - 2)/4) of "
                          "the a1 = 1 image past the float range") from None
-    return PotentialSpec(1.0, terms, v.N, v.l), math.sqrt(v.a1)
+    except ValueError:
+        raise ValueError(f"a1 = {v.a1:g} underflows a coupling lam a1^((alpha - 2)/4) "
+                         "of the a1 = 1 image to 0") from None
+    return u, math.sqrt(v.a1)
 
 
 def assemble(p: ModelParams | Sequence[ModelParams], v: PotentialSpec,

@@ -5,8 +5,11 @@ Schrodinger equation.
 composite grid: log-uniform from r_min to r_sw, uniform in the well at a
 step whose phase at the energy cap follows tol (`_phase`), then a tail
 stepped for RK4 stability alone (h kappa <= 0.5), out to a cutoff that
-leaves a tail of WKB action 8 + ln(1/tol)/2.  Each step is applied as its
-exact 2x2 transfer matrix on (y, y'), which is quadratic in E: a grid
+leaves a tail of WKB action 8 + ln(1/tol)/2.  One tabulation of W, 1000
+points a decade from r = 1e-4 out past the well, sizes all of it: its floor
+gives the energy cap, and its points on either side of those below the cap
+give both cutoffs and the step counts.  Each step is applied as its exact
+2x2 transfer matrix on (y, y'), which is quadratic in E: a grid
 tabulates the three coefficient matrices of every step once, and a kernel
 call evaluates them at its energies and multiplies them 16 steps at a time,
 so that Python touches the state once per 16 steps.  A call's fixed cost
@@ -54,11 +57,7 @@ _WARM = 16.0         # half-width, in tol, of a refined grid's warm bracket
 _WIDEN = 16.0        # each of two retries widens the bracket this many times
 _MAX_REFINE = 6      # grid doublings after the first that the Richardson check may take
 _MAX_STEPS = 4_000_000  # RK4 steps of one grid: it holds 128 bytes a step, 136 while built
-# probe radii of the energy cap and of the inner cutoff
-_CAP_PROBE = np.geomspace(1e-3, 10.0, 1024)
-_CORE_PROBE = np.geomspace(_RMIN_CAP, 2.0, 4000)
-_CAP_PROBE.flags.writeable = False
-_CORE_PROBE.flags.writeable = False
+_PROBE_DECADE = 1000  # points per decade of the tabulation that sizes the domain
 
 BACKEND = "pure"     # the numpy-tabulated _sweep below is the only kernel
 
@@ -319,11 +318,9 @@ class _RadialProblem:
             "terms of opposite sign both overflow there, so it cannot be "
             "tabulated")
 
-    def floor(self, r: np.ndarray, w: np.ndarray | None = None) -> float:
+    def floor(self, r: np.ndarray, w: np.ndarray) -> float:
         """Lower bound on the spectrum over the points r: the least
-        W + hardy / r^2, from W tabulated as w, or probed."""
-        if w is None:
-            w = self.probe(r)
+        W + hardy / r^2, from W tabulated there as w."""
         if self.hardy:
             w = w + self.hardy / (r * r)
         return float(w.min())
@@ -336,30 +333,30 @@ class _RadialProblem:
 
 
 class _Domain:
-    """What every grid density on [r_min, r_max] shares, computed once: the
-    step counts at grid scale 1 of the log-uniform core (n_log), of the
+    """What every grid density on [r_min, r_max] shares, computed once from
+    the tabulation (rr, wv) of W (`_tabulate`): the cutoffs (`_cutoffs`),
+    the step counts at grid scale 1 of the log-uniform core (n_log), of the
     uniform well run out to r_max (n_uni) and of the stability-stepped tail
     (n_tail), and where that tail begins (r_tail)."""
 
-    def __init__(self, prob: _RadialProblem, r_min: float, r_max: float,
+    def __init__(self, prob: _RadialProblem, rr: np.ndarray, wv: np.ndarray,
                  e_cap: float, tol: float):
         self.prob = prob
         self.e_cap = e_cap
-        self.r_min = r_min
-        self.r_max = r_max
+        self.r_min, self.r_max = r_min, r_max = _cutoffs(prob, rr, wv, e_cap, tol)
         r_sw = min(max(2.0 * r_min, 0.5), 0.75 * r_max)
         if r_sw <= r_min:  # a narrow well far out: the log core must rise
             r_sw = 0.5 * (r_min + r_max)
         self.r_sw = r_sw
-        rr = np.geomspace(r_min, r_max, 512)
-        wv = prob.probe(rr)
+        inside = (rr >= r_min) & (rr <= r_max)
+        rr, wv = rr[inside], wv[inside]
         w_floor = prob.floor(rr, wv)
         k_est = math.sqrt(max(e_cap - w_floor, 1.0))
         w_sw = prob.probe(np.array([r_sw]))[0]
         h_uni = min(_phase(tol) / k_est, 0.25 / math.sqrt(max(w_sw, 1.0)))
         # uniform steps from r_sw to r_max at the well's step
         self.n_uni = max(600, int(math.ceil((r_max - r_sw) / h_uni)))
-        stiff = math.sqrt(max(prob.probe(np.array([r_min]))[0], 1.0)) * r_min
+        stiff = math.sqrt(max(wv[0], 1.0)) * r_min
         delta = min(0.08, 0.25 / max(stiff, 1.0))
         self.n_log = max(64, int(math.ceil(math.log(r_sw / r_min) / delta)))
         # the tail begins _TAIL_START of WKB action past the outer turning
@@ -367,16 +364,14 @@ class _Domain:
         # steepest sqrt(W - floor): no energy searched is below the floor
         self.r_tail = r_max
         self.n_tail = 0.0
-        below = np.flatnonzero(wv < e_cap)
-        if below.size:
-            outer = int(below[-1])
-            q = np.sqrt(np.maximum(wv[outer:] - e_cap, 0.0))
-            k = _action_reach(rr[outer:], q, _TAIL_START)
-            if k is not None:
-                kappa = math.sqrt(max(float(wv[outer + k:].max()) - w_floor, 1.0))
-                if math.isfinite(kappa):  # the probe lets W overflow to inf
-                    self.r_tail = max(float(rr[outer + k]), r_sw)
-                    self.n_tail = (r_max - self.r_tail) * kappa / _TAIL_HK
+        outer = int(np.flatnonzero(wv <= e_cap)[-1])
+        q = np.sqrt(np.maximum(wv[outer:] - e_cap, 0.0))
+        k = _action_reach(rr[outer:], q, _TAIL_START)
+        if k is not None:
+            kappa = math.sqrt(max(float(wv[outer + k:].max()) - w_floor, 1.0))
+            if math.isfinite(kappa):  # the tabulation lets W overflow to inf
+                self.r_tail = max(float(rr[outer + k]), r_sw)
+                self.n_tail = (r_max - self.r_tail) * kappa / _TAIL_HK
 
 
 class _Grid:
@@ -512,24 +507,31 @@ def _action_reach(r: np.ndarray, q: np.ndarray, action: float) -> int | None:
     return 1 + int(np.argmax(reached)) if reached.any() else None
 
 
-def _choose_r_min(prob: _RadialProblem, e_cap: float) -> float:
-    if not prob.strong:
-        return _RMIN_CAP
-    rr = _CORE_PROBE
-    wv = prob.probe(rr)
-    # the barrier can run on past the probe, but the well is looked for only
-    # up to where `_choose_r_max` searches for the outer cutoff
-    hi = 2.0 * math.sqrt(max(e_cap, 0.0)) + 10.0
-    while (wv > e_cap).all() and rr[-1] < hi:
-        rr = rr * 10.0
-        wv = prob.probe(rr)
-    under = (wv > e_cap) | (rr > hi)
-    if not under[0]:
-        return _RMIN_CAP
-    turn = int(np.argmin(under))  # first index inside the well
+def _tabulate(prob: _RadialProblem, r_hi: float):
+    """(rr, wv): W at the radii _RMIN_CAP 10^(k / _PROBE_DECADE), k = 0, 1,
+    ..., out to the first at or past r_hi, so that a longer tabulation
+    holds every point of a shorter one."""
+    n = math.ceil(_PROBE_DECADE * math.log10(r_hi / _RMIN_CAP))
+    rr = _RMIN_CAP * 10.0 ** (np.arange(n + 1) / _PROBE_DECADE)
+    return rr, prob.probe(rr)
+
+
+def _cutoffs(prob: _RadialProblem, rr: np.ndarray, wv: np.ndarray, e_cap: float,
+             tol: float):
+    """(r_min, r_max), two points of the tabulation (rr, wv) on either side
+    of the points where W <= e_cap, which hold the potential floor's point
+    (e_cap is at or above the floor, equal where its margin is lost to
+    rounding).  r_min is where the WKB action inward of the first of them
+    reaches _CORE_ACTION, for a strong barrier, and else rr[0]; r_max is
+    where the action outward of the last reaches `_tail_action(tol)`, or
+    rr[-1]."""
+    below = np.flatnonzero(wv <= e_cap)
+    first, last = int(below[0]), int(below[-1])
     q = np.sqrt(np.maximum(wv - e_cap, 0.0))
-    k = _action_reach(rr[turn::-1], q[turn::-1], _CORE_ACTION)
-    return _RMIN_CAP if k is None else float(rr[turn - k])
+    k = _action_reach(rr[first::-1], q[first::-1], _CORE_ACTION) if prob.strong else None
+    r_min = rr[0] if k is None else rr[first - k]
+    k = _action_reach(rr[last:], q[last:], _tail_action(tol))
+    return float(r_min), float(rr[-1] if k is None else rr[last + k])
 
 
 def _phase(tol: float) -> float:
@@ -542,17 +544,6 @@ def _phase(tol: float) -> float:
 def _tail_action(tol: float) -> float:
     """WKB action of the tail neglected beyond r_max for tolerance tol."""
     return min(_TAIL_ACTION + 0.5 * math.log(1.0 / tol), _TAIL_MAX)
-
-
-def _choose_r_max(prob: _RadialProblem, e_cap: float, tol: float) -> float:
-    # a deep negative term can put the energy cap below 0
-    hi = 2.0 * math.sqrt(max(e_cap, 0.0)) + 10.0
-    rr = np.linspace(0.25, hi, 4000)
-    wv = prob.probe(rr)
-    q = np.sqrt(np.maximum(wv - e_cap, 0.0))
-    outer = len(rr) - 1 - int(np.argmax((wv < e_cap)[::-1]))  # the last if none
-    k = _action_reach(rr[outer:], q[outer:], _tail_action(tol))
-    return hi if k is None else float(rr[outer + k])  # no tail reaches the action
 
 
 def _brent(f, a: float, fa: float, b: float, fb: float, width: float):
@@ -719,19 +710,23 @@ def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleR
     if tol == 0.0:
         raise ValueError("tolerance / sqrt(a1) underflows to 0")
     prob = _RadialProblem(u)
-    rr = _CAP_PROBE
-    while prob.floor(rr[-1:]) < prob.floor(rr[:-1]):  # the well lies further out
-        rr = rr * 10.0
-    w_probe = prob.floor(rr)
+    rr, wv = _tabulate(prob, 32.0)
+    # the well lies further out while the floor sits at the tabulation's end
+    while prob.floor(rr[-1:], wv[-1:]) < prob.floor(rr[:-1], wv[:-1]):
+        rr, wv = _tabulate(prob, 10.0 * rr[-1])
+    w_probe = prob.floor(rr, wv)
     e_cap = w_probe + max(4.0 * (2 * level + 3.0), 20.0)
     tally = _Tally()
     fallbacks = 0  # refined grids whose warm bracket was rejected
 
     for _ in range(12):
-        r_min, r_max = _choose_r_min(prob, e_cap), _choose_r_max(prob, e_cap, tol)
-        if not 0.0 < r_min < r_max:
-            raise ValueError(f"invalid domain [{r_min}, {r_max}]")
-        dom = _Domain(prob, r_min, r_max, e_cap, tol)
+        # the tail past the outer turning point at e_cap is looked for out
+        # to 2 sqrt(e_cap) + 10 at least; a deep negative term can put the
+        # energy cap below 0
+        r_hi = 2.0 * math.sqrt(max(e_cap, 0.0)) + 10.0
+        if r_hi > rr[-1]:
+            rr, wv = _tabulate(prob, r_hi)
+        dom = _Domain(prob, rr, wv, e_cap, tol)
         scale = 1.0
         energy = None  # last energy solved, for the Richardson comparison
         refinements = 0
@@ -749,7 +744,7 @@ def shoot_eigenvalue(v: PotentialSpec, level: int, tol: float = 1e-6) -> OracleR
                         fallbacks += 1
                     if energy is not None and abs(found - energy) < 0.25 * tol:
                         res = OracleResult(float(found * root), float(width * root),
-                                           r_min / root**0.5, r_max / root**0.5,
+                                           dom.r_min / root**0.5, dom.r_max / root**0.5,
                                            grid.steps, scale, tally.sweeps, fallbacks)
                         _log_result(res)
                         return res
